@@ -9,6 +9,7 @@ unchanged into the exact moment computations.
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -107,10 +108,12 @@ def run_phase_scan(cfg: PhaseScanConfig):
         for pi, n in enumerate(cfg.n_values)
         for t in range(cfg.trials)
     ]
-    if cfg.threads == 1:
+    # the executor may start one thread per submitted job, so never ask for more
+    workers = min(cfg.threads, len(jobs))
+    if workers <= 1:
         outcomes = [_phase_trial(cfg, pi, n, t) for pi, n, t in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(
                 pool.map(lambda job: _phase_trial(cfg, *job), jobs, chunksize=8)
             )
@@ -522,6 +525,16 @@ def _build_parser():
     return top
 
 
+def _env_threads():
+    env = os.environ.get("RANDISC_THREADS")
+    if not env:
+        return 1
+    try:
+        return int(env)
+    except ValueError:
+        raise ParameterError(f"RANDISC_THREADS must be an integer, got {env!r}") from None
+
+
 def dispatch(argv) -> int:
     """Run one subcommand; returns the process exit code."""
     parser = _build_parser()
@@ -532,18 +545,18 @@ def dispatch(argv) -> int:
     if not getattr(args, "fn", None):
         parser.print_usage(sys.stderr)
         return 2
-    if getattr(args, "cmd", None) == "phase" and args.threads is None:
-        import os
-
-        env = os.environ.get("RANDISC_THREADS")
-        args.threads = int(env) if env else 1
     try:
+        if getattr(args, "cmd", None) == "phase" and args.threads is None:
+            args.threads = _env_threads()
         return args.fn(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
+        return 2
+    except IsADirectoryError as exc:
+        print(f"error: is a directory: {exc.filename}", file=sys.stderr)
         return 2
     except CapacityError as exc:
         extra = f" ({exc.estimate})" if exc.estimate else ""

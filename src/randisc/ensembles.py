@@ -110,7 +110,7 @@ def sample(spec: EnsembleSpec) -> IntMatrix:
     entries = []
     for i in range(spec.m):
         stream = Stream(derive_key(spec.seed, _DOMAIN_SAMPLE, i))
-        entries.extend(table.draw(stream) for _ in range(spec.n))
+        entries.extend(table.draw_many(stream, spec.n))
     return IntMatrix(spec.m, spec.n, tuple(entries))
 
 
@@ -305,8 +305,8 @@ def sample_fixed_weight(kind, n, w, seed):
     stream = Stream(derive_key(seed, _DOMAIN_FIXED))
     if kind == "poisson_with_replacement":
         row = [0] * n
-        for _ in range(w):
-            row[stream.below(n)] += 1
+        for j in stream.below_many([n] * w):
+            row[j] += 1
         return row
     if kind == "bernoulli_without_replacement":
         if w > n:
@@ -343,7 +343,10 @@ def read_matrix(path) -> IntMatrix:
             line = line.strip()
             if not line:
                 continue
-            vals = [int(tok) for tok in line.split()]
+            try:
+                vals = [int(tok) for tok in line.split()]
+            except ValueError:
+                raise ParameterError(f"non-integer entry in row {line!r}") from None
             if len(vals) != n:
                 raise ParameterError(f"ragged row of length {len(vals)}, expected {n}")
             if any(v < 0 for v in vals):

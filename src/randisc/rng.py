@@ -1,28 +1,48 @@
 """Deterministic counter-based random streams.
 
 Everything random in this package draws from SplitMix64 streams.  A stream's
-state is one 64-bit counter advanced by the golden-ratio increment, so child
-streams can be split off by hashing (key, index) pairs; per-row and per-trial
-substreams are therefore reproducible regardless of evaluation order or
-thread count.  Integer draws use rejection sampling, which makes every
-discrete draw *exact*: a sample from rational weights (a_0, ..., a_k) hits
-index i with probability exactly a_i / sum(a).
+state is one 64-bit counter advanced by the golden-ratio increment, and its
+k-th output is mix64(key + k * golden), so child streams can be split off by
+hashing (key, index) pairs, per-row and per-trial substreams are reproducible
+regardless of evaluation order or thread count, and a run of outputs can be
+computed at once as a numpy uint64 block.  Integer draws use rejection
+sampling, which makes every discrete draw *exact*: a sample from rational
+weights (a_0, ..., a_k) hits index i with probability exactly a_i / sum(a).
 """
 
 from bisect import bisect_right
 from itertools import accumulate
 from math import lcm
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
 
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer (Steele, Lea & Flood)."""
     z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    z = ((z ^ (z >> 30)) * _M1) & MASK64
+    z = ((z ^ (z >> 27)) * _M2) & MASK64
     return z ^ (z >> 31)
+
+
+# numpy scalars built once: building them per call costs more than a small block
+_U_GOLDEN, _U_M1, _U_M2 = (np.uint64(v) for v in (_GOLDEN, _M1, _M2))
+_U27, _U30, _U31 = (np.uint64(v) for v in (27, 30, 31))
+
+
+def _mix64_block(z):
+    """mix64 on a uint64 array, in place; array arithmetic wraps mod 2**64."""
+    z ^= z >> _U30
+    z *= _U_M1
+    z ^= z >> _U27
+    z *= _U_M2
+    z ^= z >> _U31
+    return z
 
 
 def derive_key(key: int, *path: int) -> int:
@@ -46,38 +66,91 @@ class Stream:
         self._state = (self._state + _GOLDEN) & MASK64
         return mix64(self._state)
 
-    def bits(self, k: int) -> int:
-        """Uniform integer on [0, 2**k)."""
-        out = 0
-        filled = 0
-        while filled < k:
-            out = (out << 64) | self.next64()
-            filled += 64
-        return out >> (filled - k)
+    def _peek(self, skip, count):
+        """Outputs skip+1 .. skip+count ahead of the state, which is unchanged."""
+        z = np.arange(skip + 1, skip + count + 1, dtype=np.uint64)
+        z *= _U_GOLDEN
+        z += np.uint64(self._state)
+        return _mix64_block(z)
+
+    def _advance(self, count):
+        self._state = (self._state + count * _GOLDEN) & MASK64
+
+    def block(self, count: int):
+        """The next `count` outputs as a uint64 array; same as `count` next64()."""
+        out = self._peek(0, count)
+        self._advance(count)
+        return out
+
+    def below_many(self, bounds) -> list:
+        """Uniform integers on [0, b) for each b in the sequence `bounds`.
+
+        Exact via rejection, walking the outputs in stream order: an attempt
+        at bound b joins ceil(k/64) outputs, high word first, keeps their top
+        k bits (k = bit length of b - 1) and is accepted when below b.  So a
+        bound of 1 takes no output, and each draw takes the outputs one
+        below(b) call would take; the state ends where those calls leave it.
+        """
+        out = []
+        outputs = []
+        have = pos = 0
+        plans = {}
+        for b in bounds:
+            plan = plans.get(b)
+            if plan is None:
+                if b < 1:
+                    raise ValueError("below() requires n >= 1")
+                k = (b - 1).bit_length()
+                words = (k + 63) >> 6
+                shift = (words << 6) - k
+                # x < b << shift tests the top k bits of x against b
+                plan = plans[b] = (words, shift, b << shift)
+            words, shift, limit = plan
+            while True:
+                end = pos + words
+                if end > have:
+                    # about 1.5 outputs per draw; each refill doubles the total
+                    more = max(end - have, have, len(bounds) * 3 // 2 + 16)
+                    outputs += self._peek(have, more).tolist()
+                    have += more
+                if words == 1:
+                    x = outputs[pos]
+                else:
+                    x = 0
+                    for word in outputs[pos:end]:
+                        x = (x << 64) | word
+                pos = end
+                if x < limit:
+                    break
+            out.append(x >> shift)
+        self._advance(pos)
+        return out
 
     def below(self, n: int) -> int:
         """Uniform integer on [0, n), exact via rejection."""
-        if n <= 0:
-            raise ValueError("below() requires n >= 1")
-        if n == 1:
-            return 0
-        k = (n - 1).bit_length()
-        while True:
-            x = self.bits(k)
-            if x < n:
-                return x
+        return self.below_many((n,))[0]
 
     def bernoulli(self, p) -> bool:
         """Exact Bernoulli draw for a rational p in [0, 1]."""
         return self.below(p.denominator) < p.numerator
 
+    def shuffle_prefixes(self, n: int, w: int, count: int) -> list:
+        """First w entries of each of `count` uniform permutations of range(n),
+        drawn one after another (Fisher-Yates)."""
+        draws = iter(self.below_many([n - i for i in range(w)] * count))
+        identity = list(range(n))
+        out = []
+        for _ in range(count):
+            arr = identity[:]
+            for i, d in zip(range(w), draws):
+                j = i + d
+                arr[i], arr[j] = arr[j], arr[i]
+            out.append(arr[:w])
+        return out
+
     def shuffle_prefix(self, n: int, w: int) -> list:
         """First w entries of a uniform permutation of range(n) (Fisher-Yates)."""
-        arr = list(range(n))
-        for i in range(w):
-            j = i + self.below(n - i)
-            arr[i], arr[j] = arr[j], arr[i]
-        return arr[:w]
+        return self.shuffle_prefixes(n, w, 1)[0]
 
 
 class IntegerTable:
@@ -93,8 +166,12 @@ class IntegerTable:
         if self.total <= 0:
             raise ValueError("total weight must be positive")
 
+    def draw_many(self, stream: Stream, count: int) -> list:
+        cum = self.cum
+        return [bisect_right(cum, x) for x in stream.below_many([self.total] * count)]
+
     def draw(self, stream: Stream) -> int:
-        return bisect_right(self.cum, stream.below(self.total))
+        return self.draw_many(stream, 1)[0]
 
 
 def table_from_fractions(fracs) -> IntegerTable:

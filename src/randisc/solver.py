@@ -10,7 +10,7 @@ u_1 = +1 on every platform.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -23,6 +23,10 @@ MITM_N_CAP = 40
 MITM_M_CAP = 10
 _BLOCK_BITS = 16
 _PROBE_TRIES = 512
+_PROBE_CHUNK = 32
+# |u . row| <= max entry * n bounds every partial sum, packed key field and
+# probe value; below this the int64 arithmetic cannot wrap
+_INT64_SUM_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,17 @@ def _signs_of_index(idx, k):
     return tuple(1 - 2 * ((idx >> (k - 1 - j)) & 1) for j in range(k))
 
 
+def _int64_matrix(A):
+    """A as an int64 array; CapacityError where int64 sums could wrap."""
+    top = max(A.entries, default=0)
+    if top * A.n >= _INT64_SUM_LIMIT:
+        raise CapacityError(
+            f"entries up to {top} at n={A.n} could overflow int64 sums",
+            estimate="max entry * n must stay below 2**62",
+        )
+    return A.to_numpy()
+
+
 def max_abs_row_sum(A):
     return max(sum(A.row(i)) for i in range(A.m))
 
@@ -87,7 +102,7 @@ def disc_exhaustive(A: IntMatrix, balanced_only=False, cap=EXHAUSTIVE_CAP) -> So
         raise CapacityError(f"exhaustive search capped at n={cap}, got n={n}")
     if balanced_only and n % 2:
         raise ParameterError("balanced vectors require even n")
-    mat = A.to_numpy()
+    mat = _int64_matrix(A)
     lo_w = min(n - 1, _BLOCK_BITS)
     hi_w = n - 1 - lo_w
     lo_signs, lo_neg = _sign_table(lo_w)
@@ -132,7 +147,7 @@ def count_solutions(A: IntMatrix, r, cap=EXHAUSTIVE_CAP, mitm_caps=None) -> int:
 def _count_exhaustive(A, r):
     # u_1 = +1 covers half the balanced domain; u <-> -u doubles the count.
     n = A.n
-    mat = A.to_numpy()
+    mat = _int64_matrix(A)
     lo_w = min(n - 1, _BLOCK_BITS)
     hi_w = n - 1 - lo_w
     lo_signs, lo_neg = _sign_table(lo_w)
@@ -183,24 +198,34 @@ def _half_sums(mat, cols):
 
 
 def _probe(A, r, balanced_only, mat):
+    """First of _PROBE_TRIES random sign vectors, in draw order, with
+    ||Au||_inf <= r; None when every try misses.
+
+    Tries come from one stream seeded by the matrix and are drawn and tested
+    _PROBE_CHUNK at a time, so a hit costs only the chunks up to it.
+    Balanced tries put +1 on the first n/2 entries of a uniform permutation,
+    the others take the low bit of one output per coordinate.
+    """
     n = A.n
     key = mix64(A.m)
     for v in A.entries:
         key = mix64(key ^ (v + 0x9E3779B97F4A7C15))
     stream = Stream(derive_key(key, r, int(balanced_only)))
-    probes = np.empty((_PROBE_TRIES, n), dtype=np.int8)
-    for t in range(_PROBE_TRIES):
+    half = n // 2
+    try_of_col = np.repeat(np.arange(_PROBE_CHUNK), half)
+    for _ in range(_PROBE_TRIES // _PROBE_CHUNK):
         if balanced_only:
-            row = np.full(n, -1, dtype=np.int8)
-            row[stream.shuffle_prefix(n, n // 2)] = 1
+            tries = np.full((_PROBE_CHUNK, n), -1, dtype=np.int8)
+            prefixes = stream.shuffle_prefixes(n, half, _PROBE_CHUNK)
+            cols = np.fromiter(chain.from_iterable(prefixes), np.intp, _PROBE_CHUNK * half)
+            tries[try_of_col, cols] = 1
         else:
-            row = np.array([1 - 2 * (stream.next64() & 1) for _ in range(n)], dtype=np.int8)
-        probes[t] = row
-    vals = np.abs(probes.astype(np.int64) @ mat.T).max(axis=1)
-    hits = np.nonzero(vals <= r)[0]
-    if hits.size:
-        signs = tuple(int(s) for s in probes[hits[0]])
-        return SignVector(signs, balanced_only)
+            low = (stream.block(_PROBE_CHUNK * n) & np.uint64(1)).astype(np.int8)
+            tries = (1 - 2 * low).reshape(_PROBE_CHUNK, n)
+        vals = np.abs(tries.astype(np.int64) @ mat.T).max(axis=1)
+        hits = np.flatnonzero(vals <= r)
+        if hits.size:
+            return SignVector(tuple(tries[hits[0]].tolist()), balanced_only)
     return None
 
 
@@ -211,7 +236,7 @@ def _mitm(A, r, balanced_only, caps=None, count=False):
     if balanced_only and n % 2:
         raise ParameterError("balanced vectors require even n")
     _mitm_budget_check(A, caps)
-    mat = A.to_numpy()
+    mat = _int64_matrix(A)
 
     if not count:
         if r >= max_abs_row_sum(A):

@@ -165,3 +165,74 @@ def brute_ratio_bernoulli_fixed(n, w):
         ez += Fraction(z, total)
         ez2 += Fraction(z * z, total)
     return ez2 / ez**2, ez
+
+
+# ---------------------------------------------------------------------------
+# Scalar SplitMix64 reference, written out here so that it shares no code
+# with randisc.rng: one output per call, Python integers throughout.
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN64 = 0x9E3779B97F4A7C15
+
+
+def splitmix64_mix(z):
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix64_child(key, *path):
+    h = key & _MASK64
+    for idx in path:
+        h = splitmix64_mix(splitmix64_mix(h + _GOLDEN64) ^ (idx & _MASK64))
+    return h
+
+
+class RefSplitMix64:
+    def __init__(self, key):
+        self.state = key & _MASK64
+
+    def next64(self):
+        self.state = (self.state + _GOLDEN64) & _MASK64
+        return splitmix64_mix(self.state)
+
+    def below(self, n):
+        """Rejection draw on [0, n): top k bits of ceil(k/64) joined words."""
+        k = (n - 1).bit_length()
+        words = -(-k // 64)
+        while True:
+            x = 0
+            for _ in range(words):
+                x = (x << 64) | self.next64()
+            x >>= 64 * words - k
+            if x < n:
+                return x
+
+
+def reference_probe(rows, r, balanced, tries=512):
+    """The solver's random probe, one try at a time: the first of `tries`
+    sign vectors drawn from the matrix-seeded stream with every |row . u|
+    <= r, as a tuple, or None.  Balanced tries put +1 on the first n/2
+    entries of a Fisher-Yates permutation; plain tries take the low bit of
+    one output per coordinate."""
+    n = len(rows[0])
+    key = splitmix64_mix(len(rows))
+    for row in rows:
+        for v in row:
+            key = splitmix64_mix(key ^ (v + _GOLDEN64))
+    gen = RefSplitMix64(splitmix64_child(key, r, int(balanced)))
+    for _ in range(tries):
+        if balanced:
+            perm = list(range(n))
+            for i in range(n // 2):
+                j = i + gen.below(n - i)
+                perm[i], perm[j] = perm[j], perm[i]
+            u = [-1] * n
+            for j in perm[: n // 2]:
+                u[j] = 1
+        else:
+            u = [1 - 2 * (gen.next64() & 1) for _ in range(n)]
+        if all(abs(sum(a * s for a, s in zip(row, u))) <= r for row in rows):
+            return tuple(u)
+    return None

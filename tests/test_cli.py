@@ -230,3 +230,58 @@ def test_lclt_decay_comment(capsys):
     )
     assert code == 0
     assert "# decay_exponent," in out
+
+
+def test_disc_int64_overflow_exit_3(tmp_path, capsys):
+    # the int64 sums used to wrap and print a bogus witness with exit 0
+    path = str(tmp_path / "big.mat")
+    B = 2**62
+    ensembles.write_matrix(
+        path, ensembles.IntMatrix.from_rows([[B, B, B, B, 0], [1, 1, 1, 1, 4]])
+    )
+    code, out, err = run(["disc", "--in", path, "--method", "mitm", "--r", "0"], capsys)
+    assert code == 3 and out == ""
+    assert "overflow" in err
+
+
+def test_disc_non_integer_token_exit_2(tmp_path, capsys):
+    path = tmp_path / "tok.mat"
+    path.write_text("1 4\n1 x 1 1\n")
+    code, _, err = run(["disc", "--in", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_disc_directory_exit_2(tmp_path, capsys):
+    code, _, err = run(["disc", "--in", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and str(tmp_path) in err
+
+
+def test_phase_bad_thread_env_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("RANDISC_THREADS", "abc")
+    code, out, err = run(
+        ["phase", "--m", "2", "--p", "1/2", "--r", "1", "--n-start", "4",
+         "--n-stop", "4", "--trials", "2", "--seed", "1"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "RANDISC_THREADS" in err
+
+
+def test_phase_pool_clamped_to_job_count(monkeypatch):
+    asked = []
+
+    class Recording(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kw):
+            asked.append(max_workers)
+            super().__init__(max_workers=max_workers, **kw)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+    cfg = cli.PhaseScanConfig(
+        kind="bernoulli", m=2, param=F(1, 2), r=1, n_values=(4, 8), trials=3,
+        parity="none", threads=64, seed=5,
+    )
+    rows = cli.run_phase_scan(cfg)
+    assert asked == [6]
+    assert rows == cli.run_phase_scan(cli.PhaseScanConfig(**{**cfg.__dict__, "threads": 1}))

@@ -1,0 +1,117 @@
+"""Byte-identity pins: outputs recorded before the block-drawing kernel.
+
+Every value here was produced by the pure-Python scalar SplitMix64 draws
+(one `next64` per output, the probe drawing all 512 tries before testing
+any).  Drawing in numpy blocks and stopping the probe at its first hit must
+not change a single byte of what the CLI prints.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from randisc import cli, ensembles
+
+
+def run(argv, capsys):
+    code = cli.dispatch(argv)
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    return out.out
+
+
+GEN_SHA256 = {
+    ("bernoulli", "1/2", "7", "none"): "c38409874d3346b569b16a284d1e71f892cd4566893b5bef8fea6389c1fa912a",
+    ("bernoulli", "1/3", "8", "none"): "a6ca1e334120a9deaf5f8e757d5a888a028583cfcc0ce0b276e71c0a0a316c52",
+    # rate 5/2: the entry table's total is 116 bits, so draws take two words
+    ("poisson", "5/2", "9", "none"): "490c197f8f9f638331ef8dd912b70753bbc18833e12c173af9e87cd30d953d9e",
+    ("bernoulli", "1/2", "10", "even"): "99fed685ec71b27c2d8999317eb0ab6d86c29614411130ed6b0030531e9ed9e8",
+    ("poisson", "5/2", "11", "even"): "412fb3dbd54d2e012ad5e2273f0206e15a4406212cd3df5301b02e54ad1ea5ff",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GEN_SHA256))
+def test_gen_output_pinned(key, capsys):
+    ensemble, p, seed, parity = key
+    out = run(
+        ["gen", "--ensemble", ensemble, "--m", "6", "--n", "32", "--p", p,
+         "--seed", seed, "--parity", parity],
+        capsys,
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_SHA256[key]
+
+
+# Bernoulli(1/2) samples; the probe finds the first two at tries 118 and 133
+# (past the first few chunks), and misses the last two, whose witnesses come
+# from the full meet-in-the-middle scan.
+_PROBE_ROWS = [
+    "110000011001101011001001",
+    "010110101000000101100100",
+    "100111111000111110111001",
+    "011100010001011000111110",
+    "001111111110110010001100",
+    "100001111010110101011011",
+]
+_SCAN_BALANCED_ROWS = [
+    "01011011001010011001",
+    "01100101001011001011",
+    "01000100001000110100",
+    "01111100011100001100",
+    "01100101010010100111",
+    "00011100010001111010",
+]
+_SCAN_PLAIN_ROWS = [
+    "10100001100110101110",
+    "00001100111100100111",
+    "11100100010110101000",
+    "10100011010000001111",
+    "10100000010001001111",
+    "10001000100110111101",
+]
+
+MITM_WITNESSES = [
+    (_PROBE_ROWS, True, "-+---+-+++--+--++-++-++-"),
+    (_PROBE_ROWS, False, "-+--++--+-+++++----+-+-+"),
+    (_SCAN_BALANCED_ROWS, True, "++++++++-----++-----"),
+    (_SCAN_PLAIN_ROWS, False, "++++++-++-+--+-+-+--"),
+]
+
+
+@pytest.mark.parametrize("rows,balanced,witness", MITM_WITNESSES)
+def test_disc_mitm_witness_pinned(rows, balanced, witness, tmp_path, capsys):
+    path = str(tmp_path / "a.mat")
+    ensembles.write_matrix(
+        path, ensembles.IntMatrix.from_rows([[int(c) for c in row] for row in rows])
+    )
+    argv = ["disc", "--in", path, "--method", "mitm", "--r", "1"]
+    out = run(argv + (["--balanced"] if balanced else []), capsys)
+    assert out == json.dumps({"feasible": True, "r": 1, "witness": witness}) + "\n"
+
+
+PHASE_CSVS = [
+    (
+        # the phase_rich benchmark configuration
+        ["--m", "4", "--p", "1/2", "--r", "1", "--n-start", "24", "--n-stop", "32",
+         "--trials", "4", "--parity", "even", "--seed", "7"],
+        "n,trials,successes,p_hat,wilson_lo,wilson_hi\n"
+        "24,4,4,1.000000,0.510109,1.000000\n"
+        "28,4,4,1.000000,0.510109,1.000000\n"
+        "32,4,4,1.000000,0.510109,1.000000\n",
+    ),
+    (
+        ["--m", "6", "--p", "1/2", "--r", "0", "--n-start", "8", "--n-stop", "20",
+         "--trials", "12", "--parity", "even", "--seed", "3"],
+        "n,trials,successes,p_hat,wilson_lo,wilson_hi\n"
+        "8,12,8,0.666667,0.390622,0.861880\n"
+        "12,12,10,0.833333,0.551969,0.953035\n"
+        "16,12,12,1.000000,0.757506,1.000000\n"
+        "20,12,12,1.000000,0.757506,1.000000\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("flags,csv", PHASE_CSVS)
+def test_phase_csv_pinned(flags, csv, threads, capsys):
+    assert run(["phase"] + flags + ["--threads", threads], capsys) == csv

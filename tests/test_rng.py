@@ -1,0 +1,109 @@
+"""The numpy SplitMix64 blocks and the shared rejection walk, against the
+published SplitMix64 vector and the scalar references in helpers.py."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from helpers import RefSplitMix64, reference_probe
+from randisc import ensembles, solver
+from randisc.rng import MASK64, IntegerTable, Stream
+
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def test_published_splitmix64_vector():
+    # the first outputs of SplitMix64 seeded with 0 (Vigna's splitmix64.c)
+    s = Stream(0)
+    assert [s.next64() for _ in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+    ]
+    assert Stream(0).block(3).tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+    ]
+
+
+# (-3 * GOLDEN) mod 2**64 puts the counter exactly on 0 after three steps
+@pytest.mark.parametrize("key", [0, 1, MASK64, (-3 * GOLDEN) & MASK64, 0x0123456789ABCDEF])
+@pytest.mark.parametrize("count", [0, 1, 3, 64, 1000])
+def test_block_equals_next64_and_leaves_same_state(key, count):
+    blocked, scalar, ref = Stream(key), Stream(key), RefSplitMix64(key)
+    out = blocked.block(count).tolist()
+    assert out == [scalar.next64() for _ in range(count)]
+    assert out == [ref.next64() for _ in range(count)]
+    assert blocked.next64() == scalar.next64() == ref.next64()
+
+
+def _bounds():
+    out = [1, 2, 3]
+    for j in (2, 3, 31, 32, 33, 63, 64, 65, 127, 128):
+        out += [2**j - 1, 2**j, 2**j + 1]
+    table_total = ensembles._entry_table("poisson", F(5, 2)).total
+    assert table_total.bit_length() == 116
+    return out + [2**64 + 1, table_total]
+
+
+@pytest.mark.parametrize("key", [7, MASK64, 20240808])
+def test_below_many_equals_sequential_draws(key):
+    bounds = _bounds() * 3
+    random.Random(key).shuffle(bounds)
+    batched, scalar, ref = Stream(key), Stream(key), RefSplitMix64(key)
+    draws = batched.below_many(bounds)
+    assert draws == [scalar.below(b) for b in bounds]
+    assert draws == [ref.below(b) for b in bounds]
+    assert all(0 <= x < b for x, b in zip(draws, bounds))
+    assert batched.next64() == scalar.next64() == ref.next64()
+
+
+def test_below_many_long_run_refills_exactly():
+    # 116-bit draws need two words and reject up to half the time, so the
+    # walk runs past its first block
+    total = ensembles._entry_table("poisson", F(5, 2)).total
+    bounds = [total, 2**64 + 1, 3] * 400
+    batched, ref = Stream(99), RefSplitMix64(99)
+    assert batched.below_many(bounds) == [ref.below(b) for b in bounds]
+    assert batched.next64() == ref.next64()
+
+
+def test_bound_one_takes_no_output():
+    s, ref = Stream(5), RefSplitMix64(5)
+    assert s.below_many([1, 1, 1]) == [0, 0, 0]
+    assert s.next64() == ref.next64()
+
+
+def test_below_rejects_empty_range():
+    with pytest.raises(ValueError):
+        Stream(1).below(0)
+    with pytest.raises(ValueError):
+        Stream(1).below_many([3, 0])
+
+
+def test_shuffle_prefixes_equal_one_at_a_time():
+    many, one = Stream(11), Stream(11)
+    assert many.shuffle_prefixes(9, 4, 25) == [one.shuffle_prefix(9, 4) for _ in range(25)]
+    assert many.next64() == one.next64()
+
+
+def test_table_draw_many_equals_single_draws():
+    table = IntegerTable([3, 0, 5, 1])
+    many, one = Stream(12), Stream(12)
+    assert table.draw_many(many, 200) == [table.draw(one) for _ in range(200)]
+    assert many.next64() == one.next64()
+
+
+def test_probe_matches_scalar_reference():
+    rng = random.Random(4)
+    hits = misses = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 6), 2 * rng.randint(1, 10)
+        top = rng.choice([1, 1, 3])
+        rows = [[rng.randint(0, top) for _ in range(n)] for _ in range(m)]
+        r, balanced = rng.choice([0, 0, 1, 2]), rng.random() < 0.5
+        A = ensembles.IntMatrix.from_rows(rows)
+        got = solver._probe(A, r, balanced, A.to_numpy())
+        want = reference_probe(rows, r, balanced)
+        assert (got.signs if got else None) == want, (rows, r, balanced)
+        hits += want is not None
+        misses += want is None
+    assert hits > 50 and misses > 50

@@ -177,3 +177,29 @@ def test_sign_vector_string_roundtrip():
         solver.SignVector.from_string("+x")
     with pytest.raises(ParameterError):
         solver.SignVector((1, 1), balanced=True)
+
+
+_WRAP = 2**62  # max entry * n at which int64 sign sums could wrap
+
+
+def test_int64_overflow_raises_capacity_error():
+    # Before the guard, int64 wrap made both solvers answer wrongly:
+    # mitm "found" ----+ (first row sums to -2**64) and the exhaustive
+    # value came out as -2**63 (true value 0).
+    B = _WRAP
+    with pytest.raises(CapacityError):
+        solver.disc_exists_mitm(mat([[B, B, B, B, 0], [1, 1, 1, 1, 4]]), 0)
+    with pytest.raises(CapacityError):
+        solver.disc_exhaustive(mat([[B] * 4]))
+    with pytest.raises(CapacityError):
+        solver.count_solutions(mat([[B // 2] * 2]), 0)
+
+
+def test_largest_entries_below_the_guard_stay_exact():
+    B = (_WRAP - 1) // 5
+    A = mat([[B, B, B, B, 0], [1, 1, 1, 1, 4]])
+    res = solver.disc_exhaustive(A)
+    assert res.value == 4 == eval_inf(A, res.witness.signs)
+    assert solver.disc_exists_mitm(A, 3) == (False, None)
+    found, wit = solver.disc_exists_mitm(A, 4)
+    assert found and eval_inf(A, wit.signs) <= 4
