@@ -363,10 +363,19 @@ def stein_apply_residual(bd, sol, mu):
     return worst
 
 
+def _int_list(flag, text):
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ParameterError(f"{flag} needs a comma list of integers, got {text!r}") from None
+
+
 def _cmd_lclt(args):
     grid = []
-    points = [int(tok) for tok in args.points.split(",")]
-    sizes = [int(tok) for tok in args.sizes.split(",")]
+    points = _int_list("--points", args.points)
+    sizes = _int_list("--sizes", args.sizes)
+    if args.kind == "hyp_tail" and (args.ksucc is None or args.npop is None):
+        raise ParameterError("--kind hyp_tail needs --ksucc and --npop")
     for size in sizes:
         for point in points:
             entry = {"point": point}

@@ -332,26 +332,34 @@ def write_matrix(path, A: IntMatrix):
 
 
 def read_matrix(path) -> IntMatrix:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        match = _HEADER.match(header)
-        if not match:
-            raise ParameterError(f"bad matrix header {header!r}")
-        m, n = int(match.group(1)), int(match.group(2))
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                vals = [int(tok) for tok in line.split()]
-            except ValueError:
-                raise ParameterError(f"non-integer entry in row {line!r}") from None
-            if len(vals) != n:
-                raise ParameterError(f"ragged row of length {len(vals)}, expected {n}")
-            if any(v < 0 for v in vals):
-                raise ParameterError("matrix entries must be nonnegative")
-            rows.append(vals)
-        if len(rows) != m:
-            raise ParameterError(f"expected {m} rows, found {len(rows)}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = _parse_rows(fh)
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"matrix file is not UTF-8 text (byte {exc.start})") from None
     return IntMatrix.from_rows(rows)
+
+
+def _parse_rows(fh):
+    header = fh.readline().strip()
+    match = _HEADER.match(header)
+    if not match:
+        raise ParameterError(f"bad matrix header {header!r}")
+    m, n = int(match.group(1)), int(match.group(2))
+    rows = []
+    for line in fh:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            vals = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise ParameterError(f"non-integer entry in row {line!r}") from None
+        if len(vals) != n:
+            raise ParameterError(f"ragged row of length {len(vals)}, expected {n}")
+        if any(v < 0 for v in vals):
+            raise ParameterError("matrix entries must be nonnegative")
+        rows.append(vals)
+    if len(rows) != m:
+        raise ParameterError(f"expected {m} rows, found {len(rows)}")
+    return rows

@@ -333,6 +333,8 @@ def approx_eval(kind, params, point):
     Tail kinds return the bound value; the others return the formula's
     leading value.
     """
+    if kind in ("demoivre", "stirling_binom", "cramer_tail") and params["n"] < 1:
+        raise ParameterError(f"{kind} needs n >= 1, got n={params['n']}")
     if kind == "demoivre":
         n, p = params["n"], Fraction(params["p"])
         _require_central_p(kind, p)

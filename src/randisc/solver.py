@@ -10,7 +10,7 @@ u_1 = +1 on every platform.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain
 
 import numpy as np
 
@@ -24,8 +24,8 @@ MITM_M_CAP = 10
 _BLOCK_BITS = 16
 _PROBE_TRIES = 512
 _PROBE_CHUNK = 32
-# |u . row| <= max entry * n bounds every partial sum, packed key field and
-# probe value; below this the int64 arithmetic cannot wrap
+# |u . row| <= max entry * n bounds every partial sum, offset and probe
+# value; below this the int64 arithmetic cannot wrap
 _INT64_SUM_LIMIT = 1 << 62
 
 
@@ -95,90 +95,104 @@ def max_abs_row_sum(A):
     return max(sum(A.row(i)) for i in range(A.m))
 
 
-def disc_exhaustive(A: IntMatrix, balanced_only=False, cap=EXHAUSTIVE_CAP) -> SolveResult:
-    """Exact discrepancy by enumeration of all sign vectors with u_1 = +1."""
-    n, m = A.n, A.m
-    if n > cap:
-        raise CapacityError(f"exhaustive search capped at n={cap}, got n={n}")
-    if balanced_only and n % 2:
-        raise ParameterError("balanced vectors require even n")
+def _exhaustive_blocks(A, balanced_only):
+    """Every sign vector with u_1 = +1, one block per setting of the high
+    n-1-lo_w signs: yields (hi_idx, lo_idx, vals), where vals[k] is
+    ||Au||_inf for the low signs with index lo_idx[k] (ascending).  lo_idx
+    is None for all low indices; balanced blocks hold only the low signs
+    that complete n/2 minus signs and are skipped when there are none."""
+    n = A.n
     mat = _int64_matrix(A)
     lo_w = min(n - 1, _BLOCK_BITS)
     hi_w = n - 1 - lo_w
     lo_signs, lo_neg = _sign_table(lo_w)
     hi_signs, hi_neg = _sign_table(hi_w)
     lo_part = lo_signs.astype(np.int64) @ mat[:, 1 + hi_w :].T  # (2^lo, m)
-    col1 = mat[:, 0]
-    need_neg = n // 2 if balanced_only else None
-
-    best_val = None
-    best_idx = None
-    big = np.iinfo(np.int64).max
+    hi_part = mat[:, 0] + hi_signs.astype(np.int64) @ mat[:, 1 : 1 + hi_w].T
+    if balanced_only:
+        groups = [np.flatnonzero(lo_neg == c) for c in range(lo_w + 1)]
+        parts = [lo_part[idx] for idx in groups]
     for hi_idx in range(1 << hi_w):
-        base = col1 + (hi_signs[hi_idx].astype(np.int64) @ mat[:, 1 : 1 + hi_w].T)
-        vals = np.abs(base[None, :] + lo_part).max(axis=1)
+        lo_idx, part = None, lo_part
         if balanced_only:
-            mask = lo_neg == (need_neg - hi_neg[hi_idx])
-            if not mask.any():
+            need = n // 2 - int(hi_neg[hi_idx])
+            if not 0 <= need <= lo_w:
                 continue
-            vals = np.where(mask, vals, big)
+            lo_idx, part = groups[need], parts[need]
+        yield hi_idx, lo_idx, np.abs(hi_part[hi_idx] + part).max(axis=1)
+
+
+def disc_exhaustive(A: IntMatrix, balanced_only=False, cap=EXHAUSTIVE_CAP) -> SolveResult:
+    """Exact discrepancy by enumeration of all sign vectors with u_1 = +1."""
+    if A.n > cap:
+        raise CapacityError(f"exhaustive search capped at n={cap}, got n={A.n}")
+    if balanced_only and A.n % 2:
+        raise ParameterError("balanced vectors require even n")
+    best_val = best_idx = None
+    for hi_idx, lo_idx, vals in _exhaustive_blocks(A, balanced_only):
         k = int(vals.argmin())
-        v = int(vals[k])
-        if best_val is None or v < best_val:
-            best_val = v
-            best_idx = (hi_idx, k)
+        if best_val is None or vals[k] < best_val:
+            best_val = int(vals[k])
+            best_idx = (hi_idx, k if lo_idx is None else int(lo_idx[k]))
     if best_val is None:
         raise ParameterError("no balanced vector exists for this n")
     hi_idx, lo_idx = best_idx
-    signs = (1,) + _signs_of_index(hi_idx, hi_w) + _signs_of_index(lo_idx, lo_w)
+    lo_w = min(A.n - 1, _BLOCK_BITS)
+    signs = (1,) + _signs_of_index(hi_idx, A.n - 1 - lo_w) + _signs_of_index(lo_idx, lo_w)
     return SolveResult(best_val, SignVector(signs, balanced_only))
 
 
 def count_solutions(A: IntMatrix, r, cap=EXHAUSTIVE_CAP, mitm_caps=None) -> int:
     """Exact number of balanced u with ||Au||_inf <= r."""
-    n = A.n
-    if n % 2:
+    if A.n % 2:
         raise ParameterError("balanced vectors require even n")
-    if n <= cap:
-        return _count_exhaustive(A, r)
-    return _mitm(A, r, balanced_only=True, caps=mitm_caps, count=True)[2]
-
-
-def _count_exhaustive(A, r):
+    if A.n > cap:
+        mat = _mitm_matrix(A, r, True, mitm_caps)
+        # no |u . row| exceeds the largest row sum, so a larger radius adds nothing
+        return _scan(mat, min(r, max_abs_row_sum(A)), True, count=True)
     # u_1 = +1 covers half the balanced domain; u <-> -u doubles the count.
-    n = A.n
-    mat = _int64_matrix(A)
-    lo_w = min(n - 1, _BLOCK_BITS)
-    hi_w = n - 1 - lo_w
-    lo_signs, lo_neg = _sign_table(lo_w)
-    hi_signs, hi_neg = _sign_table(hi_w)
-    lo_part = lo_signs.astype(np.int64) @ mat[:, 1 + hi_w :].T
-    col1 = mat[:, 0]
-    total = 0
-    for hi_idx in range(1 << hi_w):
-        base = col1 + (hi_signs[hi_idx].astype(np.int64) @ mat[:, 1 : 1 + hi_w].T)
-        vals = np.abs(base[None, :] + lo_part).max(axis=1)
-        mask = lo_neg == (n // 2 - hi_neg[hi_idx])
-        total += int((mask & (vals <= r)).sum())
-    return 2 * total
+    blocks = _exhaustive_blocks(A, balanced_only=True)
+    return 2 * sum(int((vals <= r).sum()) for _, _, vals in blocks)
 
 
 def disc_exists_mitm(A: IntMatrix, r, balanced_only=False, caps=None):
     """Feasibility of ||Au||_inf <= r via meet in the middle.
 
-    Returns (feasible, witness or None).  Column halves are enumerated
-    separately; left signatures (per-row partial sums, plus the half
-    imbalance when balanced_only) are indexed sorted, and right signatures
-    are matched by per-coordinate range queries.  A short deterministic
-    probe of random candidate vectors runs first so feasible instances in
+    Returns (feasible, witness or None).  A short deterministic probe of
+    random candidate vectors runs first so feasible instances in
     solution-rich regimes exit early; the full scan is the proof of
     infeasibility.
+
+    The full scan matches the per-row sums of the first n//2 columns' sign
+    vectors (left) with those of the rest (right), which are indexed as
+    rank-compressed prefixes (see _Meet).  Depth first, in lexicographic
+    order, it fixes the offsets delta_k = (Au)_k in [-r, r] of rows
+    k < m-1 (after the half imbalance when balanced_only); left rows with no
+    matching right prefix drop out, a branch with none left is skipped, and
+    the last row is one range query.  The witness is the first match by:
+    delta, then left index, then the right half's last-row sum, then right
+    index; a half's index reads its signs as binary with '-' = 1.
     """
-    found, witness, _ = _mitm(A, r, balanced_only, caps=caps, count=False)
-    return found, witness
+    mat = _mitm_matrix(A, r, balanced_only, caps)
+    if r >= max_abs_row_sum(A):
+        # any vector lands inside [-r, r] on every row
+        signs = tuple(1 if j % 2 == 0 else -1 for j in range(A.n))
+        return True, SignVector(signs, balanced_only)
+    hit = _probe(A, r, balanced_only, mat)
+    if hit is None:
+        signs = _scan(mat, r, balanced_only, count=False)
+        if signs is None:
+            return False, None
+        hit = SignVector(signs, balanced_only)
+    return True, hit
 
 
-def _mitm_budget_check(A, caps):
+def _mitm_matrix(A, r, balanced_only, caps):
+    """A as an int64 array, after the checks every meet-in-the-middle call makes."""
+    if r < 0:
+        raise ParameterError("radius must be >= 0")
+    if balanced_only and A.n % 2:
+        raise ParameterError("balanced vectors require even n")
     n_cap, m_cap = caps if caps else (MITM_N_CAP, MITM_M_CAP)
     if A.n > n_cap or A.m > m_cap:
         half = (A.n + 1) // 2
@@ -187,6 +201,7 @@ def _mitm_budget_check(A, caps):
             f"mitm capped at n<={n_cap}, m<={m_cap} (got {A.n}x{A.m})",
             estimate=f"~{est / 1e6:.0f} MB of signatures",
         )
+    return _int64_matrix(A)
 
 
 def _half_sums(mat, cols):
@@ -229,115 +244,93 @@ def _probe(A, r, balanced_only, mat):
     return None
 
 
-def _mitm(A, r, balanced_only, caps=None, count=False):
-    n, m = A.n, A.m
-    if r < 0:
-        raise ParameterError("radius must be >= 0")
-    if balanced_only and n % 2:
-        raise ParameterError("balanced vectors require even n")
-    _mitm_budget_check(A, caps)
-    mat = _int64_matrix(A)
-
-    if not count:
-        if r >= max_abs_row_sum(A):
-            # any vector lands inside [-r, r] on every row
-            signs = tuple(1 if j % 2 == 0 else -1 for j in range(n))
-            return True, SignVector(signs, balanced_only), None
-        hit = _probe(A, r, balanced_only, mat)
-        if hit is not None:
-            return True, hit, None
-
+def _scan(mat, r, balanced_only, count):
+    """The full meet-in-the-middle scan: the number of sign vectors u with
+    ||Au||_inf <= r (and zero sum when balanced_only), or the signs of the
+    first one in _Meet.descend's order (None when there is none)."""
+    n = mat.shape[1]
     nl = n // 2
-    left_cols, right_cols = list(range(nl)), list(range(nl, n))
-    ls, li = _half_sums(mat, left_cols)
-    rs, ri = _half_sums(mat, right_cols)
-
-    # field width for packed signatures; falls back to tuple keys when the
-    # packed key would not fit 63 bits
-    bound = int(max(np.abs(ls).max(initial=0), np.abs(rs).max(initial=0))) + r + 1
-    bound = max(bound, max(nl, n - nl) + 1)
-    bits = int(2 * bound).bit_length() + 1
-    fields = m + (1 if balanced_only else 0)
-    if fields * bits <= 63:
-        return _mitm_packed(ls, li, rs, ri, r, balanced_only, bound, bits, count, n)
-    return _mitm_tuples(ls, li, rs, ri, r, balanced_only, count, n)
+    ls, li = _half_sums(mat, list(range(nl)))
+    rs, ri = _half_sums(mat, list(range(nl, n)))
+    rows = np.arange(ls.shape[0])
+    found = _Meet(ls, li, rs, ri, r, balanced_only).descend(rows, np.zeros_like(rows), 0, count)
+    if count or found is None:
+        return found
+    lidx, ridx = found
+    return _signs_of_index(lidx, nl) + _signs_of_index(ridx, n - nl)
 
 
-def _pack_right(rs, ri, balanced_only, bound, bits):
-    key = np.zeros(rs.shape[0], dtype=np.int64)
-    if balanced_only:
-        key = ri.astype(np.int64) + bound
-    for i in range(rs.shape[1]):
-        key = (key << bits) | (rs[:, i] + bound)
-    return key
+class _Meet:
+    """The right half's sums as rank-compressed prefixes, field by field: a
+    row's prefix id is the rank of (parent id, rank of its value among the
+    field's distinct values), so ids stay below the row count and keys
+    cannot overflow.  levels[d] holds the field's sorted distinct values and
+    sorted keys parent id * |values| + value rank; a key's position is the
+    child id.  The last row is kept as stably sorted keys, with `order`
+    mapping them back to right rows.
+    """
 
+    def __init__(self, ls, li, rs, ri, r, balanced_only):
+        m = ls.shape[1]
+        # the imbalance meets with offset 0, rows 0..m-2 with offsets in [-r, r]
+        exact = [(li, ri)] if balanced_only else []
+        fields = exact + [(ls[:, k], rs[:, k]) for k in range(m - 1)]
+        self.left = [lf for lf, _ in fields]
+        self.radii = [0] * len(exact) + [r] * (m - 1)
+        self.left_last, self.r = ls[:, m - 1], r
+        pid = np.zeros(rs.shape[0], dtype=np.int64)
+        self.levels = []
+        for _, col in fields:
+            vals, rank = np.unique(col, return_inverse=True)
+            keys, pid = np.unique(pid * len(vals) + rank, return_inverse=True)
+            self.levels.append((vals, keys))
+        self.last_vals, rank = np.unique(rs[:, m - 1], return_inverse=True)
+        key = pid * len(self.last_vals) + rank
+        self.order = np.argsort(key, kind="stable")
+        self.last_keys = key[self.order]
 
-def _mitm_packed(ls, li, rs, ri, r, balanced_only, bound, bits, count, n):
-    m = ls.shape[1]
-    right_key = _pack_right(rs, ri, balanced_only, bound, bits)
-    order = np.argsort(right_key, kind="stable")
-    right_sorted = right_key[order]
-
-    # high fields: imbalance (exact) and coordinates 0..m-2 (offset delta);
-    # the last coordinate is the low field and is matched by range
-    base = np.zeros(ls.shape[0], dtype=np.int64)
-    if balanced_only:
-        base = (-li).astype(np.int64) + bound
-    total = 0
-    first_hit = None
-    for delta in product(range(-r, r + 1), repeat=m - 1):
-        key = base.copy()
-        for i in range(m - 1):
-            key = (key << bits) | (delta[i] - ls[:, i] + bound)
-        lo = (key << bits) | (-r - ls[:, m - 1] + bound)
-        hi = (key << bits) | (r - ls[:, m - 1] + bound)
-        a = np.searchsorted(right_sorted, lo, side="left")
-        b = np.searchsorted(right_sorted, hi, side="right")
-        if count:
-            total += int((b - a).sum())
-        else:
-            hits = np.nonzero(a < b)[0]
-            if hits.size:
-                lidx = int(hits[0])
-                ridx = int(order[a[lidx]])
-                first_hit = (lidx, ridx)
-                break
-    if count:
-        return total > 0, None, total
-    if first_hit is None:
-        return False, None, 0
-    lidx, ridx = first_hit
-    nl = n // 2
-    signs = _signs_of_index(lidx, nl) + _signs_of_index(ridx, n - nl)
-    return True, SignVector(signs, balanced_only), None
-
-
-def _mitm_tuples(ls, li, rs, ri, r, balanced_only, count, n):
-    m = ls.shape[1]
-    work = ls.shape[0] * (2 * r + 1) ** m
-    if work > 5 * 10**7:
-        raise CapacityError(
-            "tuple-key mitm fallback too large",
-            estimate=f"~{work:.2e} box lookups",
-        )
-    index = {}
-    for j in range(rs.shape[0]):
-        key = (int(ri[j]),) if balanced_only else ()
-        key = key + tuple(int(v) for v in rs[j])
-        index.setdefault(key, []).append(j)
-    total = 0
-    for i in range(ls.shape[0]):
-        head = (-int(li[i]),) if balanced_only else ()
-        lrow = tuple(int(v) for v in ls[i])
-        for delta in product(range(-r, r + 1), repeat=m):
-            key = head + tuple(delta[t] - lrow[t] for t in range(m))
-            js = index.get(key)
-            if not js:
-                continue
+    def descend(self, rows, pid, depth, count):
+        """Match left rows `rows`, whose fields before `depth` agree with
+        right prefixes `pid`, over every completion of delta in product
+        order.  Returns the number of meeting (left, right) pairs, or the
+        first pair: first delta, then smallest left row, then smallest
+        last-row value, then smallest right row (None when there is none)."""
+        if depth == len(self.levels):
+            col = self.left_last[rows]
+            base = pid * len(self.last_vals)
+            lo = base + np.searchsorted(self.last_vals, -self.r - col, side="left")
+            hi = base + np.searchsorted(self.last_vals, self.r - col, side="right")
+            a = np.searchsorted(self.last_keys, lo)
+            b = np.searchsorted(self.last_keys, hi)
             if count:
-                total += len(js)
-            else:
-                nl = n // 2
-                signs = _signs_of_index(i, nl) + _signs_of_index(js[0], n - nl)
-                return True, SignVector(signs, balanced_only), None
-    return total > 0, None, total
+                return int((b - a).sum())
+            hits = np.flatnonzero(a < b)
+            return (int(rows[hits[0]]), int(self.order[a[hits[0]]])) if hits.size else None
+        vals, keys = self.levels[depth]
+        col = self.left[depth][rows]
+        rad = self.radii[depth]
+        # a meeting right value v gives delta = v + col, which bounds the range
+        lo = max(-rad, int(vals[0] + col.min()))
+        hi = min(rad, int(vals[-1] + col.max()))
+        total = 0
+        for delta in range(lo, hi + 1):
+            sub_rows, child = _lookup(vals, keys, rows, pid, delta - col)
+            if not sub_rows.size:
+                continue
+            sub = self.descend(sub_rows, child, depth + 1, count)
+            if count:
+                total += sub
+            elif sub is not None:
+                return sub
+        return total if count else None
+
+
+def _lookup(vals, keys, rows, pid, want):
+    """The rows that have a right prefix with parent `pid` and next field
+    `want`, and that prefix's id.  Apart from descend so that its
+    temporaries are freed before the recursion goes deeper."""
+    rank = np.minimum(np.searchsorted(vals, want), len(vals) - 1)
+    key = pid * len(vals) + rank
+    pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+    hit = np.flatnonzero((vals[rank] == want) & (keys[pos] == key))
+    return rows[hit], pos[hit]

@@ -6,7 +6,7 @@ algebraic route to the same quantity.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from scipy.stats import chi2
@@ -35,6 +35,36 @@ def balanced_vectors(n):
         for j in pos:
             u[j] = 1
         yield tuple(u)
+
+
+def reference_mitm(rows, r, balanced):
+    """Every (left, right) pair of half sign vectors, the left half on the
+    first n//2 columns and each half listed in product((1, -1)) order.
+
+    Returns the number of pairs u = left + right with |row . u| <= r on
+    every row (and sum(u) = 0 when balanced), and the first such u as a
+    tuple under the order: the offsets (row_k . u for k < m-1)
+    lexicographically, then left position, then the last row's sum over the
+    right half, then right position; None when no pair qualifies."""
+    n = len(rows[0])
+    cut = n // 2
+    lefts = list(product((1, -1), repeat=cut))
+    rights = list(product((1, -1), repeat=n - cut))
+    left_sums = [[sum(s * a for s, a in zip(u, row[:cut])) for row in rows] for u in lefts]
+    right_sums = [[sum(s * a for s, a in zip(u, row[cut:])) for row in rows] for u in rights]
+    count, best = 0, None
+    for i, (lu, ls) in enumerate(zip(lefts, left_sums)):
+        for j, (ru, rs) in enumerate(zip(rights, right_sums)):
+            if balanced and sum(lu) + sum(ru):
+                continue
+            total = [a + b for a, b in zip(ls, rs)]
+            if max(abs(t) for t in total) > r:
+                continue
+            count += 1
+            key = (total[:-1], i, rs[-1], j)
+            if best is None or key < best[0]:
+                best = (key, lu + ru)
+    return count, best and best[1]
 
 
 def lazy_walk_oracle(r, p):

@@ -285,3 +285,31 @@ def test_phase_pool_clamped_to_job_count(monkeypatch):
     rows = cli.run_phase_scan(cfg)
     assert asked == [6]
     assert rows == cli.run_phase_scan(cli.PhaseScanConfig(**{**cfg.__dict__, "threads": 1}))
+
+
+def test_disc_non_utf8_file_exit_2(tmp_path, capsys):
+    # decoding used to escape read_matrix as UnicodeDecodeError
+    path = tmp_path / "bin.mat"
+    path.write_bytes(b"1 2\n\xff\xfe 1\n")
+    code, out, err = run(["disc", "--in", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--kind", "hyp_tail", "--sizes", "10"],
+        ["--kind", "hyp_tail", "--sizes", "10", "--ksucc", "3"],
+        ["--kind", "demoivre", "--sizes", "x"],
+        ["--kind", "demoivre", "--sizes", "10,"],
+        ["--kind", "demoivre", "--sizes", "10", "--points", "1.5"],
+        ["--kind", "demoivre", "--sizes", "0"],
+        ["--kind", "stirling_binom", "--sizes", "0"],
+        ["--kind", "cramer_tail", "--sizes", "0"],
+    ],
+)
+def test_lclt_bad_arguments_exit_2(args, capsys):
+    code, out, err = run(["lclt", *args], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

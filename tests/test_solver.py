@@ -1,9 +1,11 @@
+import gc
+import random
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
-from helpers import balanced_vectors
+from helpers import balanced_vectors, reference_mitm
 from randisc import ensembles as ens
 from randisc import solver
 from randisc.errors import CapacityError, ParameterError
@@ -203,3 +205,56 @@ def test_largest_entries_below_the_guard_stay_exact():
     assert solver.disc_exists_mitm(A, 3) == (False, None)
     found, wit = solver.disc_exists_mitm(A, 4)
     assert found and eval_inf(A, wit.signs) <= 4
+
+
+_NEAR_2_58 = 2**58 - 3
+
+
+def _scan_rows(rng, m, n, huge):
+    density = 0.1 if huge else rng.choice((0.2, 0.5))
+    rows = [[rng.randint(1, 2) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)]
+    if huge:
+        # two entries near 2**58 per row, in columns 0, 1 or 2, 3; they
+        # cancel only under opposite signs
+        for row in rows:
+            pair = rng.choice(((0, 1), (2, 3)) if n >= 4 else ((0, 1),))
+            for j in pair[: min(n, 2)]:
+                row[j] += _NEAR_2_58
+    return rows
+
+
+def test_scan_matches_reference_pairs():
+    # the full scan, probe bypassed, against brute force over every pair of
+    # halves: the count, and the first pair in the documented witness order
+    rng = random.Random(7)
+    for case in range(200):
+        m, r, balanced = (1, 6, 10)[case % 3], case % 9 // 3, case % 2 == 0
+        n = rng.randrange(2, 13, 2) if balanced else rng.randint(1, 12)
+        rows = _scan_rows(rng, m, n, huge=case % 5 == 0)
+        mat = solver._int64_matrix(ens.IntMatrix.from_rows(rows))
+        count, first = reference_mitm(rows, r, balanced)
+        assert solver._scan(mat, r, balanced, count=True) == count, case
+        assert solver._scan(mat, r, balanced, count=False) == first, case
+
+
+def test_full_scans_leave_no_reference_cycles():
+    # a scan that recursed through a nested closure formed a reference cycle,
+    # which kept each call's arrays alive until the cyclic collector ran
+    A = ens.sample(ens.EnsembleSpec("bernoulli", 6, 28, F(1, 2), 0))
+    gc.collect()
+    gc.disable()
+    try:
+        assert solver.disc_exists_mitm(A, 0, balanced_only=True) == (False, None)
+        assert solver.count_solutions(A, 1) == 341662
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_mitm_count_with_radius_beyond_int64():
+    # the radius is clamped to the largest row sum before it meets int64 sums
+    A = ens.sample(ens.EnsembleSpec("bernoulli", 2, 28, F(1, 2), 0))
+    from math import comb
+
+    assert solver.count_solutions(A, 2**70) == comb(28, 14)
