@@ -262,16 +262,22 @@ def _stein_scenario(args, case):
 
 def _load_birth_death(path):
     """JSON file with fields w, a, b; coefficients as "num/den" strings."""
-    with open(path) as fh:
-        data = json.load(fh)
     try:
-        return stein.BirthDeathSpec(
-            data["w"],
-            tuple(_fraction(str(v)) for v in data["a"]),
-            tuple(_fraction(str(v)) for v in data["b"]),
-        )
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParameterError(f"spec file is not JSON text: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParameterError("spec file must hold a JSON object")
+    try:
+        w, a, b = data["w"], data["a"], data["b"]
     except KeyError as exc:
         raise ParameterError(f"spec file missing field {exc}") from None
+    if type(w) is not int or not isinstance(a, list) or not isinstance(b, list):
+        raise ParameterError("spec file needs an integer w and lists a and b")
+    return stein.BirthDeathSpec(
+        w, tuple(_fraction(str(v)) for v in a), tuple(_fraction(str(v)) for v in b)
+    )
 
 
 def _cmd_stein(args):
@@ -324,7 +330,7 @@ def _cmd_stein(args):
         )
         return 0
     if args.stein_cmd == "scan-bounds":
-        ws = [int(tok) for tok in args.w_list.split(",")]
+        ws = _int_list("--w-list", args.w_list)
         beta = _fraction(args.beta)
         out = []
         for w in ws:
@@ -416,6 +422,8 @@ def _cmd_lclt(args):
 
 
 def _cmd_phase(args):
+    if args.n_stride == 0:
+        raise ParameterError("--n-stride must not be 0")
     n_values = tuple(range(args.n_start, args.n_stop + 1, args.n_stride))
     cfg = PhaseScanConfig(
         kind=args.ensemble,

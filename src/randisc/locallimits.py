@@ -179,9 +179,12 @@ def hypergeometric_pmf(w, ksucc, npop, mode="auto"):
 def lazy_walk_pmf(r, p, mode="auto"):
     """Law of the r-step lazy walk R(r, p), exact for r <= EXACT_SIZE_CAP.
 
-    Exact mode convolves the integer numerators of the three-point step on a
-    doubling (convolve-and-square) schedule, so only O(log r) convolutions
-    are performed and the common denominator stays the literal b**(2r).
+    With p = a/b, exact mode writes P(R = k) = c_k / b**(2r), where c_k is
+    the coefficient of z**k in (alpha z + beta + alpha/z)**r, alpha =
+    a(b - a), beta = a**2 + (b - a)**2.  Differentiating that power gives
+    the three-term recurrence alpha (r - k + 1) c_{k-1} = alpha (r + k + 1)
+    c_{k+1} + beta k c_k, run down from c_r = alpha**r, c_{r+1} = 0 with
+    exact integer division; c_{-k} = c_k.
     """
     p = Fraction(p)
     if not 0 <= p <= 1:
@@ -197,27 +200,19 @@ def lazy_walk_pmf(r, p, mode="auto"):
         if r == 0:
             return Pmf(0, (Fraction(1),), step_variance=sigma2)
         a, b = p.numerator, p.denominator
-        side = a * (b - a)
-        step = [side, a * a + (b - a) ** 2, side]  # numerators over b**2
-        acc = None
-        pw = None  # accumulated walk length
-        sq = step
-        sq_len = 1
-        rr = r
-        while rr:
-            if rr & 1:
-                if acc is None:
-                    acc, pw = sq, sq_len
-                else:
-                    acc = convolve_integer(acc, sq)
-                    pw += sq_len
-            rr >>= 1
-            if rr:
-                sq = convolve_integer(sq, sq)
-                sq_len *= 2
+        alpha, beta = a * (b - a), a * a + (b - a) ** 2
+        if alpha == 0:  # p in {0, 1}: every step stays put
+            side = [0] * r + [1]
+        else:
+            up, cur = 0, alpha**r
+            side = [cur]  # c_r, c_{r-1}, ..., c_0
+            for k in range(r, 0, -1):
+                nxt = (alpha * (r + k + 1) * up + beta * k * cur) // (alpha * (r - k + 1))
+                up, cur = cur, nxt
+                side.append(cur)
         den = b ** (2 * r)
-        weights = tuple(Fraction(v, den) for v in acc)
-        return Pmf(-r, weights, step_variance=sigma2)
+        side = [Fraction(v, den) for v in side]
+        return Pmf(-r, tuple(side + side[-2::-1]), step_variance=sigma2)
     # log mode: P(V = k) = sum_x C(r,x) C(r,x-k) p^(2x-k) q^(2r-2x+k),
     # the cross-correlation of Binomial(r, p) with itself.
     if p in (0, 1):
@@ -451,12 +446,13 @@ def error_scan(kind, param_grid, size_key=None):
         if kind == "poisson_tail":
             # the truncated-renormalised pmf dominates the true Poisson pmf,
             # so bound >= this value also implies bound >= the true mass
-            exact = float(truncated_poisson_pmf(Fraction(gp["lam"]))[0][point])
             x = abs(point - Fraction(gp["lam"]))
             approx = approx_eval(kind, gp, x)
+            exact = float(truncated_poisson_pmf(Fraction(gp["lam"]))[0][point])
         else:
-            exact = _exact_reference(kind, gp, point)
+            # approx_eval validates the parameters, so it runs first
             approx = approx_eval(kind, gp, point)
+            exact = _exact_reference(kind, gp, point)
         rel = abs(approx - exact) / exact if exact else float("inf")
         rows.append(ScanRow(kind, gp, point, exact, approx, rel))
     rows.sort(key=lambda row: (sorted(row.params.items()), row.point))

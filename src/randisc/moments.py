@@ -69,6 +69,9 @@ class OverlapScenario:
             object.__setattr__(self, "band", SymmetricBand(0, self.w % 2))
         if self.band.parity != self.w % 2:
             raise ParameterError("band parity must match w")
+        if self.band.radius >= self.w + 2:
+            # a member k < -w would ask for C(w, (w + k)/2) with (w + k)/2 < 0
+            raise ParameterError(f"band radius {self.band.radius} reaches past w={self.w}")
         if not 0 <= self.beta <= 1:
             raise ParameterError(f"beta={self.beta} outside [0, 1]")
         if self.n % 2:
@@ -109,23 +112,22 @@ def parity_prob(n, p):
 
 
 def _walk_zero_probs(r_max, p):
-    """P[R(j, p) = 0] for j = 0..r_max by incremental exact convolution."""
+    """P[R(j, p) = 0] for j = 0..r_max, as T_j / b**(2j) with p = a/b.
+
+    T_j, the central coefficient of (alpha z + beta + alpha/z)**j with
+    alpha = a(b - a) and beta = a**2 + (b - a)**2, satisfies T_0 = 1,
+    T_1 = beta and j T_j = beta (2j - 1) T_{j-1} - (beta**2 - 4 alpha**2)
+    (j - 1) T_{j-2}; the division by j is exact.
+    """
     p = Fraction(p)
     a, b = p.numerator, p.denominator
-    side, mid = a * (b - a), a * a + (b - a) ** 2
+    alpha, beta = a * (b - a), a * a + (b - a) ** 2
+    disc = beta * beta - 4 * alpha * alpha
+    nums = [1, beta]
+    for j in range(2, r_max + 1):
+        nums.append((beta * (2 * j - 1) * nums[-1] - disc * (j - 1) * nums[-2]) // j)
     den = b * b
-    # numerators of R(j, p) over den^j, support -j..j
-    cur = [1]
-    zeros = [Fraction(1)]
-    for j in range(1, r_max + 1):
-        nxt = [0] * (len(cur) + 2)
-        for i, v in enumerate(cur):
-            nxt[i] += v * side
-            nxt[i + 1] += v * mid
-            nxt[i + 2] += v * side
-        cur = nxt
-        zeros.append(Fraction(cur[j], den**j))
-    return zeros
+    return [Fraction(t, den**j) for j, t in enumerate(nums[: r_max + 1])]
 
 
 def psi_phi_dense(n, p, overlap_r):
@@ -321,6 +323,8 @@ def second_moment_ratio(case, *, n, m=None, p=None, w=None, band_radius=0, exact
     """
     if n % 2:
         raise ParameterError("n must be even")
+    if n < 2:
+        raise ParameterError(f"n must be >= 2, got {n}")
     if case == "bernoulli_parity_dense":
         if m is None:
             raise ParameterError("dense case needs m")
@@ -328,6 +332,8 @@ def second_moment_ratio(case, *, n, m=None, p=None, w=None, band_radius=0, exact
     else:
         rows = [("w", wi) for wi in _weights_list(w, m)]
     m_eff = len(rows)
+    if not m_eff:
+        raise ParameterError("the ratio needs at least one row (m >= 1)")
     if exact and (n > EXACT_N_CAP or m_eff > EXACT_M_CAP):
         raise CapacityError(
             f"exact ratio capped at n<={EXACT_N_CAP}, m<={EXACT_M_CAP}; "
@@ -460,9 +466,6 @@ def moment_report(case, *, n, m=None, p=None, w=None, band_radius=0, exact=True)
     )
     if case == "bernoulli_parity_dense":
         psi = psi_dense(n, p)
-        phi_at = {
-            t.beta: psi_phi_dense(n, p, t.r)[1] for t in ratio.profile
-        }
         m_eff = m
     else:
         ws = _weights_list(w, m)
@@ -471,11 +474,10 @@ def moment_report(case, *, n, m=None, p=None, w=None, band_radius=0, exact=True)
         wi = ws[0]
         band = SymmetricBand(band_radius, wi % 2) if case == "poisson_fixed_weight" else None
         psi = psi_fixed_weight(OverlapScenario(case, n, wi, Fraction(1), band))
-        phi_at = {
-            t.beta: phi_fixed_weight(OverlapScenario(case, n, wi, t.beta, band))
-            for t in ratio.profile
-        }
         m_eff = len(ws)
+    # the profile holds phi/psi^2 exactly in both modes
+    psi2 = psi**2
+    phi_at = {t.beta: t.phi_over_psi2 * psi2 for t in ratio.profile}
     first = expected_solution_count(
         case, n=n, m=m_eff, p=p, w=w, band_radius=band_radius
     )

@@ -11,6 +11,7 @@ weights (a_0, ..., a_k) hits index i with probability exactly a_i / sum(a).
 """
 
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 
@@ -33,6 +34,8 @@ def mix64(z: int) -> int:
 # numpy scalars built once: building them per call costs more than a small block
 _U_GOLDEN, _U_M1, _U_M2 = (np.uint64(v) for v in (_GOLDEN, _M1, _M2))
 _U27, _U30, _U31 = (np.uint64(v) for v in (27, 30, 31))
+# up to this many outputs, mix64 on Python ints beats one numpy block
+_SMALL_RUN = 12
 
 
 def _mix64_block(z):
@@ -43,6 +46,19 @@ def _mix64_block(z):
     z *= _U_M2
     z ^= z >> _U31
     return z
+
+
+@lru_cache(maxsize=1024)
+def _plan(b):
+    """(words, shift, limit) of a rejection draw below b: an attempt joins
+    `words` outputs and is accepted when below limit = b << shift."""
+    if b < 1:
+        raise ValueError("below() requires n >= 1")
+    k = (b - 1).bit_length()
+    words = (k + 63) >> 6
+    shift = (words << 6) - k
+    # x < b << shift tests the top k bits of x against b
+    return words, shift, b << shift
 
 
 def derive_key(key: int, *path: int) -> int:
@@ -98,20 +114,22 @@ class Stream:
         for b in bounds:
             plan = plans.get(b)
             if plan is None:
-                if b < 1:
-                    raise ValueError("below() requires n >= 1")
-                k = (b - 1).bit_length()
-                words = (k + 63) >> 6
-                shift = (words << 6) - k
-                # x < b << shift tests the top k bits of x against b
-                plan = plans[b] = (words, shift, b << shift)
+                plan = plans[b] = _plan(b)
             words, shift, limit = plan
             while True:
                 end = pos + words
                 if end > have:
-                    # about 1.5 outputs per draw; each refill doubles the total
-                    more = max(end - have, have, len(bounds) * 3 // 2 + 16)
-                    outputs += self._peek(have, more).tolist()
+                    # about 1.5 attempts per draw left; each refill at
+                    # least doubles the total
+                    need = (len(bounds) - len(out)) * words * 3 // 2
+                    more = max(end - have, have, need)
+                    if more > _SMALL_RUN:
+                        outputs += self._peek(have, more).tolist()
+                    else:
+                        z = self._state + have * _GOLDEN
+                        for _ in range(more):
+                            z += _GOLDEN
+                            outputs.append(mix64(z))
                     have += more
                 if words == 1:
                     x = outputs[pos]
@@ -123,7 +141,7 @@ class Stream:
                 if x < limit:
                     break
             out.append(x >> shift)
-        self._advance(pos)
+        self._state = (self._state + pos * _GOLDEN) & MASK64
         return out
 
     def below(self, n: int) -> int:

@@ -11,6 +11,7 @@ u_1 = +1 on every platform.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from math import comb
 
 import numpy as np
 
@@ -95,14 +96,14 @@ def max_abs_row_sum(A):
     return max(sum(A.row(i)) for i in range(A.m))
 
 
-def _exhaustive_blocks(A, balanced_only):
-    """Every sign vector with u_1 = +1, one block per setting of the high
-    n-1-lo_w signs: yields (hi_idx, lo_idx, vals), where vals[k] is
-    ||Au||_inf for the low signs with index lo_idx[k] (ascending).  lo_idx
-    is None for all low indices; balanced blocks hold only the low signs
-    that complete n/2 minus signs and are skipped when there are none."""
-    n = A.n
-    mat = _int64_matrix(A)
+def _exhaustive_blocks(mat, balanced_only):
+    """Every sign vector with u_1 = +1 for the int64 matrix mat, one block
+    per setting of the high n-1-lo_w signs: yields (hi_idx, lo_idx, vals),
+    where vals[k] is ||Au||_inf for the low signs with index lo_idx[k]
+    (ascending).  lo_idx is None for all low indices; balanced blocks hold
+    only the low signs that complete n/2 minus signs and are skipped when
+    there are none."""
+    n = mat.shape[1]
     lo_w = min(n - 1, _BLOCK_BITS)
     hi_w = n - 1 - lo_w
     lo_signs, lo_neg = _sign_table(lo_w)
@@ -129,7 +130,7 @@ def disc_exhaustive(A: IntMatrix, balanced_only=False, cap=EXHAUSTIVE_CAP) -> So
     if balanced_only and A.n % 2:
         raise ParameterError("balanced vectors require even n")
     best_val = best_idx = None
-    for hi_idx, lo_idx, vals in _exhaustive_blocks(A, balanced_only):
+    for hi_idx, lo_idx, vals in _exhaustive_blocks(_int64_matrix(A), balanced_only):
         k = int(vals.argmin())
         if best_val is None or vals[k] < best_val:
             best_val = int(vals[k])
@@ -146,12 +147,15 @@ def count_solutions(A: IntMatrix, r, cap=EXHAUSTIVE_CAP, mitm_caps=None) -> int:
     """Exact number of balanced u with ||Au||_inf <= r."""
     if A.n % 2:
         raise ParameterError("balanced vectors require even n")
+    # the checks of the branch that counts: caps, radius and int64 range
+    mat = _mitm_matrix(A, r, True, mitm_caps) if A.n > cap else _int64_matrix(A)
+    if r >= max_abs_row_sum(A):
+        # no |u . row| exceeds the largest row sum, so every balanced u counts
+        return comb(A.n, A.n // 2)
     if A.n > cap:
-        mat = _mitm_matrix(A, r, True, mitm_caps)
-        # no |u . row| exceeds the largest row sum, so a larger radius adds nothing
-        return _scan(mat, min(r, max_abs_row_sum(A)), True, count=True)
+        return _scan(mat, r, True, count=True)
     # u_1 = +1 covers half the balanced domain; u <-> -u doubles the count.
-    blocks = _exhaustive_blocks(A, balanced_only=True)
+    blocks = _exhaustive_blocks(mat, balanced_only=True)
     return 2 * sum(int((vals <= r).sum()) for _, _, vals in blocks)
 
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import comb, exp, log, sqrt
 
 from .errors import ParameterError
-from .locallimits import LatticePoint, Pmf, binomial_pmf, hypergeometric_pmf
+from .locallimits import LatticePoint, Pmf, binomial_pmf, convolve_integer, hypergeometric_pmf
 from .moments import OverlapScenario
 from .rng import Stream, derive_key
 
@@ -66,6 +66,12 @@ class BirthDeathSpec:
             raise ParameterError("a must be strictly decreasing")
         if any(b[i] >= b[i + 1] for i in range(w)):
             raise ParameterError("b must be strictly increasing")
+        # the per-spec caches hash the spec on every lookup; Fraction hashes
+        # cost a modular inverse each, so hash the fields once
+        object.__setattr__(self, "_hash", hash((w, a, b)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def binomial_pair_spec(w):
@@ -142,27 +148,44 @@ class SteinSolution:
         return sum(abs(d) for d in self.delta_f)
 
 
+@lru_cache(maxsize=512)
+def _inverse_table(bd: BirthDeathSpec):
+    """Target-free part of stein_invert, cached per spec like stationary_pmf.
+
+    Returns (mu, lo, hi, dlo, dhi): for s = 1..w, lo[s] =
+    -mu({0..s-1})/(b_s mu_s) and hi[s] = (1 - mu({0..s-1}))/(b_s mu_s);
+    lo = hi = 0 at s = 0 and s = w + 1; dlo and dhi are their first
+    differences, dlo[s] = lo[s+1] - lo[s] for s = 0..w.
+    """
+    mu = stationary_pmf(bd).weights
+    cdf, lo, hi = 0, [0], [0]
+    for s in range(1, bd.w + 1):
+        cdf += mu[s - 1]
+        scale = 1 / (bd.b[s] * mu[s])
+        lo.append(-cdf * scale)
+        hi.append((1 - cdf) * scale)
+    lo, hi = (*lo, 0), (*hi, 0)
+    dlo, dhi = (tuple(y - x for x, y in zip(v, v[1:])) for v in (lo, hi))
+    return mu, lo, hi, dlo, dhi
+
+
 def stein_invert(bd: BirthDeathSpec, t) -> SteinSolution:
     """Closed-form inverse: f(s) = mu_t/(b_s mu_s) (1_{t<s} - mu({0..s-1})).
 
     Valid for interior targets 1 <= t <= w-1; signs, monotonicity, the
     uniform bound max |df| = df(t) <= min(1/a_t, 1/b_t) and the L1 bound
-    sum |df| <= 2 df(t) all hold exactly.
+    sum |df| <= 2 df(t) all hold exactly.  The factors after mu_t come from
+    a table cached per spec (_inverse_table), so each target costs one
+    product per value of f and of df.
     """
     w = bd.w
     if not 1 <= t <= w - 1:
         raise ParameterError(f"target t={t} outside the interior range 1..{w - 1}")
-    mu = stationary_pmf(bd)
-    cdf = []
-    acc = Fraction(0)
-    for s in range(w + 1):
-        acc += mu[s]
-        cdf.append(acc)
-    f = [Fraction(0)] * (w + 2)
-    for s in range(1, w + 1):
-        f[s] = mu[t] / (bd.b[s] * mu[s]) * ((1 if t < s else 0) - cdf[s - 1])
-    delta = tuple(f[s + 1] - f[s] for s in range(w + 1))
-    return SteinSolution(t, tuple(f), delta)
+    mu, lo, hi, dlo, dhi = _inverse_table(bd)
+    mt = mu[t]
+    f = tuple(mt * v for v in lo[: t + 1] + hi[t + 1 :])
+    delta = tuple(mt * v for v in dlo[:t] + (hi[t + 1] - lo[t],) + dhi[t + 1 :])
+    return SteinSolution(t, f, delta)
 
 
 def band_inverse(bd: BirthDeathSpec, targets):
@@ -259,75 +282,62 @@ class PairStats:
     g2: tuple  # g2[s] = E_c[(sc - sb)^2 1_{S=s}]
 
 
-def _band_weights(scenario):
-    """P(E_k | E_K) for k in the band: symmetric binomial masses."""
-    w = scenario.w
-    ks = scenario.band.members()
-    if not ks:
-        raise ParameterError("empty band")
-    masses = [comb(w, (w + k) // 2) for k in ks]
-    total = sum(masses)
-    return {k: Fraction(mk, total) for k, mk in zip(ks, masses)}
-
-
-def _binomial_weights(n, p):
-    q = 1 - p
-    return [comb(n, i) * p**i * q ** (n - i) for i in range(n + 1)]
-
-
 def conditioned_pair_stats(case, scenario: OverlapScenario) -> PairStats:
     """Exact mu0, mu_c and the conditioned indicator moments g1, g2.
 
     Poisson case averages over k in the band with the exact binomial
     weights P(E_k | E_K); Bernoulli case conditions on w/2 draws per type.
     """
+    return _pair_stats(case, scenario)[0]
+
+
+def _pair_stats(case, scenario):
+    """(PairStats, band, den), where band[s] / den = E_c[k 1_{S=s}].
+
+    Given the band offset k, sb and sc are independent with integer weights
+    B and C over one common denominator den: sum(band masses) * Q**w for
+    Poisson (beta = P/Q), comb(n/2, w/2)**2 for Bernoulli.  So every S-sum
+    is a convolution: with cj = conv(sb**j B, C) and d = sc - sb = s - 2 sb,
+    g0 = c0, g1 = s c0 - 2 c1 and g2 = s**2 c0 - 4 s c1 + 4 c2.
+    """
     _check_case(case, scenario)
-    w, beta, gamma = scenario.w, scenario.beta, scenario.gamma
-    g0 = [Fraction(0)] * (w + 1)
-    g1 = [Fraction(0)] * (w + 1)
-    g2 = [Fraction(0)] * (w + 1)
+    w, beta = scenario.w, scenario.beta
     if case == "poisson":
         mu0 = binomial_pmf(w, Fraction(1, 2))
-        for k, wk in _band_weights(scenario).items():
+        ks = scenario.band.members()
+        if not ks:
+            raise ParameterError("empty band")
+        masses = [comb(w, (w + k) // 2) for k in ks]
+        bq, q = beta.numerator, beta.denominator
+        gq = q - bq
+        den = sum(masses) * q**w
+        parts = []
+        for k, mk in zip(ks, masses):
             n1, n2 = (w + k) // 2, (w - k) // 2
-            pb = _binomial_weights(n1, gamma)  # law of sb given E_k
-            pc = _binomial_weights(n2, beta)  # law of sc given E_k
-            for sb in range(n1 + 1):
-                if pb[sb] == 0:
-                    continue
-                for sc in range(n2 + 1):
-                    mass = wk * pb[sb] * pc[sc]
-                    if mass == 0:
-                        continue
-                    s = sb + sc
-                    d = sc - sb
-                    g0[s] += mass
-                    g1[s] += d * mass
-                    g2[s] += d * d * mass
-    elif case == "bernoulli":
+            sb_law = [mk * comb(n1, i) * gq**i * bq ** (n1 - i) for i in range(n1 + 1)]
+            sc_law = [comb(n2, j) * bq**j * gq ** (n2 - j) for j in range(n2 + 1)]
+            parts.append((k, sb_law, sc_law))
+    else:
         n = scenario.n
         mu0 = hypergeometric_pmf(w, n // 2, n)
-        bn, gn = int(beta * n // 2), int(gamma * n // 2)
+        bn, gn = int(beta * n // 2), int(scenario.gamma * n // 2)
         half = w // 2
-        den = comb(n // 2, half)
-        pb = [Fraction(_comb0(gn, sb) * _comb0(bn, half - sb), den) for sb in range(half + 1)]
-        pc = [Fraction(_comb0(bn, sc) * _comb0(gn, half - sc), den) for sc in range(half + 1)]
-        for sb in range(half + 1):
-            if pb[sb] == 0:
-                continue
-            for sc in range(half + 1):
-                mass = pb[sb] * pc[sc]
-                if mass == 0:
-                    continue
-                s = sb + sc
-                d = sc - sb
-                g0[s] += mass
-                g1[s] += d * mass
-                g2[s] += d * d * mass
-    else:
-        raise ParameterError(f"unknown case {case!r}")
-    muc = Pmf(0, tuple(g0))
-    return PairStats(mu0, muc, tuple(g1), tuple(g2))
+        den = comb(n // 2, half) ** 2
+        sb_law = [_comb0(gn, i) * _comb0(bn, half - i) for i in range(half + 1)]
+        sc_law = [_comb0(bn, j) * _comb0(gn, half - j) for j in range(half + 1)]
+        parts = [(0, sb_law, sc_law)]
+    g0, g1, g2, band = ([0] * (w + 1) for _ in range(4))
+    for k, sb_law, sc_law in parts:
+        c0 = convolve_integer(sb_law, sc_law)
+        c1 = convolve_integer([i * v for i, v in enumerate(sb_law)], sc_law)
+        c2 = convolve_integer([i * i * v for i, v in enumerate(sb_law)], sc_law)
+        for s, (v0, v1, v2) in enumerate(zip(c0, c1, c2)):
+            g0[s] += v0
+            g1[s] += s * v0 - 2 * v1
+            g2[s] += s * s * v0 - 4 * s * v1 + 4 * v2
+            band[s] += k * v0
+    g0, g1, g2 = (tuple(Fraction(v, den) for v in g) for g in (g0, g1, g2))
+    return PairStats(mu0, Pmf(0, g0), g1, g2), band, den
 
 
 @dataclass
@@ -353,7 +363,7 @@ class IdentityReport:
 def identity_report(case, scenario: OverlapScenario) -> IdentityReport:
     _check_case(case, scenario)
     w, beta, gamma = scenario.w, scenario.beta, scenario.gamma
-    stats = conditioned_pair_stats(case, scenario)
+    stats, band, den = _pair_stats(case, scenario)
     if case == "poisson":
         bd = binomial_pair_spec(w)
         targets = scenario.band.targets(w)
@@ -367,7 +377,8 @@ def identity_report(case, scenario: OverlapScenario) -> IdentityReport:
         rhs = (gamma - beta) / 2 * sum(
             stats.g1[s] * (f[s + 1] - f[s]) for s in range(w + 1)
         )
-        band_term = (gamma - beta) / 2 * _band_f_term(scenario, f)
+        # E_c[k f(S+1)] from the same per-k S-sums
+        band_term = (gamma - beta) / 2 * sum(v * f[s + 1] for s, v in enumerate(band)) / den
     elif case == "bernoulli":
         if w < 2:
             raise ParameterError("bernoulli identity needs w >= 2")
@@ -385,22 +396,6 @@ def identity_report(case, scenario: OverlapScenario) -> IdentityReport:
         raise ParameterError(f"unknown case {case!r}")
     residual = lhs - rhs
     return IdentityReport(lhs, rhs, residual, band_term, residual - band_term)
-
-
-def _band_f_term(scenario, f):
-    """E_c[k f(S+1)] for the Poisson band construction, exactly."""
-    w, beta, gamma = scenario.w, scenario.beta, scenario.gamma
-    total = Fraction(0)
-    for k, wk in _band_weights(scenario).items():
-        if k == 0:
-            continue
-        n1, n2 = (w + k) // 2, (w - k) // 2
-        pb = _binomial_weights(n1, gamma)
-        pc = _binomial_weights(n2, beta)
-        for sb in range(n1 + 1):
-            for sc in range(n2 + 1):
-                total += wk * k * pb[sb] * pc[sc] * f[sb + sc + 1]
-    return total
 
 
 def verify_identity(case, scenario: OverlapScenario) -> Fraction:

@@ -182,6 +182,52 @@ def check_inverse_guarantees(bd, t, with_oracle=True):
         assert list(sol.f) == oracle
 
 
+def pair_stats_oracle(case, scenario, f=None):
+    """Conditioned pair sums by the direct Fraction double loop over (sb, sc),
+    sharing no code with stein's pair sums.
+
+    Returns (g0, g1, g2, band): g0[s] = P_c(S = s), g1[s] = E_c[(sc - sb)
+    1_{S=s}], g2[s] = E_c[(sc - sb)^2 1_{S=s}] as lists over s = 0..w, and
+    band = E_c[k f(S+1)] (0 when f is None; k = 0 in the Bernoulli case).
+    Poisson: k runs over the band with weight C(w, (w+k)/2) / sum, sb ~
+    Bin((w+k)/2, gamma) and sc ~ Bin((w-k)/2, beta).  Bernoulli: sb and sc
+    are the hypergeometric type counts of w/2 draws from each half.
+    """
+    w, beta = scenario.w, scenario.beta
+    gamma = 1 - beta
+
+    def binomial(size, q):
+        return [comb(size, i) * q**i * (1 - q) ** (size - i) for i in range(size + 1)]
+
+    if case == "poisson":
+        ks = scenario.band.members()
+        masses = [comb(w, (w + k) // 2) for k in ks]
+        laws = [
+            (k, Fraction(mk, sum(masses)), binomial((w + k) // 2, gamma), binomial((w - k) // 2, beta))
+            for k, mk in zip(ks, masses)
+        ]
+    else:
+        n, half = scenario.n, w // 2
+        bn, gn = int(beta * n / 2), int(gamma * n / 2)
+        den = comb(n // 2, half)
+        pb = [Fraction(comb(gn, i) * comb(bn, half - i), den) for i in range(half + 1)]
+        pc = [Fraction(comb(bn, j) * comb(gn, half - j), den) for j in range(half + 1)]
+        laws = [(0, Fraction(1), pb, pc)]
+    g0, g1, g2 = ([Fraction(0)] * (w + 1) for _ in range(3))
+    band = Fraction(0)
+    for k, wk, pb, pc in laws:
+        for sb, x in enumerate(pb):
+            for sc, y in enumerate(pc):
+                mass = wk * x * y
+                s, d = sb + sc, sc - sb
+                g0[s] += mass
+                g1[s] += d * mass
+                g2[s] += d * d * mass
+                if f is not None:
+                    band += k * mass * f[s + 1]
+    return g0, g1, g2, band
+
+
 def brute_ratio_bernoulli_fixed(n, w):
     """Same ratio for one 0/1 row of exact weight w (m = 1)."""
     ez = Fraction(0)

@@ -313,3 +313,37 @@ def test_lclt_bad_arguments_exit_2(args, capsys):
     code, out, err = run(["lclt", *args], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phase", "--m", "2", "--p", "1/2", "--r", "1", "--n-start", "4", "--n-stop", "8",
+         "--n-stride", "0", "--trials", "1", "--seed", "0"],
+        ["ratio", "--case", "dense", "--m", "1", "--n", "0", "--p", "1/2"],
+        ["ratio", "--case", "dense", "--m", "0", "--n", "4", "--p", "1/2"],
+        ["moments", "--case", "poisson-fixed", "--m", "1", "--n", "-2", "--w", "0"],
+        ["ratio", "--case", "poisson-fixed", "--m", "1", "--n", "2", "--w", "0", "--band", "2"],
+        ["lclt", "--kind", "stirling_binom", "--sizes", "-2"],
+        ["stein", "verify-identity", "--case", "poisson", "--w", "0", "--beta", "3/4", "--band", "3"],
+        ["stein", "scan-bounds", "--case", "poisson", "--w-list", "2,,3"],
+    ],
+)
+def test_argv_that_raised_exits_2(argv, capsys):
+    # each of these escaped as ValueError or ZeroDivisionError with a traceback
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"{", b"\xff", b"[1, 2]", b'{"w": "2", "a": [], "b": []}', b'{"w": 2, "a": 5, "b": null}'],
+)
+def test_stein_spec_file_not_a_spec_exits_2(content, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    argv = ["stein", "verify-inverse", "--w", "2", "--t", "1", "--spec", "file", "--file", str(path)]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error:")

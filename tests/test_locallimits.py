@@ -29,8 +29,8 @@ def test_lazy_walk_two_steps():
     assert {k: pmf[k] for k in pmf.support()} == want
 
 
-@pytest.mark.parametrize("r", [0, 1, 3, 7, 12])
-@pytest.mark.parametrize("p", [F(1, 2), F(1, 3), F(1, 10), F(2, 5)])
+@pytest.mark.parametrize("r", [0, 1, 3, 7, 12, 64, 150])
+@pytest.mark.parametrize("p", [F(1, 2), F(1, 3), F(1, 10), F(2, 5), F(0), F(1), F(2, 7)])
 def test_lazy_walk_matches_binomial_difference_oracle(r, p):
     pmf = ll.lazy_walk_pmf(r, p)
     oracle = lazy_walk_oracle(r, p)

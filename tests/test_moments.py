@@ -7,6 +7,7 @@ from helpers import (
     brute_ratio_bernoulli_fixed,
     brute_ratio_dense,
     brute_ratio_poisson_fixed,
+    lazy_walk_oracle,
 )
 from randisc import moments as mo
 from randisc.errors import CapacityError, ParameterError
@@ -284,3 +285,11 @@ def test_poisson_fixed_weight_first_moment_t_sum_form():
             "poisson_fixed_weight", n=n, w=ws, band_radius=radius
         ).value
         assert got == want
+
+
+@pytest.mark.parametrize("p", [F(0), F(1, 16), F(1, 3), F(1, 2)])
+def test_walk_zero_probs_match_binomial_difference_oracle(p):
+    zeros = mo._walk_zero_probs(40, p)
+    assert len(zeros) == 41
+    for j, z in enumerate(zeros):
+        assert z == lazy_walk_oracle(j, p)[0], j

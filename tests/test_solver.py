@@ -258,3 +258,28 @@ def test_mitm_count_with_radius_beyond_int64():
     from math import comb
 
     assert solver.count_solutions(A, 2**70) == comb(28, 14)
+
+
+def test_count_with_radius_past_every_row_sum_is_immediate():
+    # every balanced u counts once r reaches the largest row sum; the scan
+    # used to walk every offset prefix of this 6 x 28 matrix (about 10 s)
+    from math import comb
+    from time import perf_counter
+
+    A = ens.sample(ens.EnsembleSpec("bernoulli", 6, 28, F(1, 2), 0))
+    start = perf_counter()
+    assert solver.count_solutions(A, 2**70) == comb(28, 14)
+    assert perf_counter() - start < 1.0
+
+
+def test_count_at_the_largest_row_sum_matches_brute_force():
+    # r = max row sum takes the shortcut and r - 1 does not; cap=0 sends the
+    # same matrices through the meet-in-the-middle branch
+    for seed in range(6):
+        for n in (2, 6, 10, 16):
+            A = ens.sample(ens.EnsembleSpec("bernoulli", 3, n, F(1, 2), seed))
+            top = solver.max_abs_row_sum(A)
+            for r in {top, max(top - 1, 0)}:
+                want = sum(1 for u in balanced_vectors(n) if eval_inf(A, u) <= r)
+                assert solver.count_solutions(A, r) == want, (seed, n, r)
+                assert solver.count_solutions(A, r, cap=0) == want, (seed, n, r)

@@ -4,7 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from helpers import check_inverse_guarantees, chi_square_pvalue, random_birth_death
+from helpers import (
+    check_inverse_guarantees,
+    chi_square_pvalue,
+    pair_stats_oracle,
+    random_birth_death,
+)
 from randisc import moments as mo
 from randisc import stein
 from randisc.errors import ParameterError
@@ -97,6 +102,24 @@ def test_inverse_guarantees_randomized():
         bd = random_birth_death(rng, w)
         for t in range(1, w):
             check_inverse_guarantees(bd, t)
+
+
+def test_inverse_table_cache_hits_and_misses():
+    # targets interleaved across 30 specs: the first call on each spec
+    # builds its table, every later one reuses it, and every other call
+    # passes an equal copy of the spec rather than the cached object
+    rng = random.Random(11)
+    specs = [random_birth_death(rng, 2 + i % 15) for i in range(30)]
+    stein._inverse_table.cache_clear()
+    calls = 0
+    for t in range(1, max(bd.w for bd in specs)):
+        for i, bd in enumerate(specs):
+            if t < bd.w:
+                spec = bd if (t + i) % 2 else stein.BirthDeathSpec(bd.w, bd.a, bd.b)
+                check_inverse_guarantees(spec, t, with_oracle=True)
+                calls += 1
+    info = stein._inverse_table.cache_info()
+    assert (info.misses, info.hits) == (30, calls - 30)
 
 
 def test_band_inverse_superposition():
@@ -279,6 +302,38 @@ def test_conditioned_stats_monte_carlo_oracle():
             continue
         assert abs(g1_hat[s] / trials - float(st.g1[s])) < 0.01
         assert abs(g2_hat[s] / trials - float(st.g2[s])) < 0.02
+
+
+def _criterion_2_grid():
+    """The Poisson and Bernoulli scenarios of acceptance criterion 2."""
+    for w in range(2, 21, 2):
+        for i in range(1, 12):
+            for radius in (0, 1, 2):
+                band = mo.SymmetricBand(radius, w % 2)
+                if all(1 <= t <= w - 1 for t in band.targets(w)):
+                    yield "poisson", scenario_poisson(w, F(i, 12), radius)
+    for n in range(4, 25, 2):
+        for w in range(2, min(12, n // 2) + 1, 2):
+            for j in range(n // 2 + 1):
+                yield "bernoulli", scenario_bernoulli(n, w, F(2 * j, n))
+
+
+def test_pair_sums_match_double_loop_oracle():
+    checked = 0
+    for case, scen in _criterion_2_grid():
+        st = stein.conditioned_pair_stats(case, scen)
+        f = None
+        if case == "poisson":
+            bd = stein.binomial_pair_spec(scen.w)
+            f = stein.band_inverse(bd, scen.band.targets(scen.w))
+        g0, g1, g2, band = pair_stats_oracle(case, scen, f)
+        assert list(st.muc.weights) == g0, (case, scen)
+        assert list(st.g1) == g1, (case, scen)
+        assert list(st.g2) == g2, (case, scen)
+        rep = stein.identity_report(case, scen)
+        assert rep.band_term == (scen.gamma - scen.beta) / 2 * band, (case, scen)
+        checked += 1
+    assert checked == 662
 
 
 # ---------------------------------------------------------------------------
