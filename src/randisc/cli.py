@@ -254,7 +254,7 @@ def _cmd_ratio(args):
 
 
 def _stein_scenario(args, case):
-    scen_case = "poisson_fixed_weight" if case == "poisson" else "bernoulli_fixed_weight"
+    scen_case = stein.SCENARIO_CASES[case]
     n = args.n if args.n is not None else 2 * args.w
     band = moments.SymmetricBand(args.band, args.w % 2)
     return moments.OverlapScenario(scen_case, n, args.w, _fraction(args.beta), band)
@@ -335,9 +335,7 @@ def _cmd_stein(args):
         out = []
         for w in ws:
             n = args.n_factor * w
-            scen_case = (
-                "poisson_fixed_weight" if args.case == "poisson" else "bernoulli_fixed_weight"
-            )
+            scen_case = stein.SCENARIO_CASES[args.case]
             band = moments.SymmetricBand(0, w % 2)
             scen = moments.OverlapScenario(scen_case, n, w, beta, band)
             g1 = stein.fit_g1_bound(args.case, scen)

@@ -253,7 +253,8 @@ def truncated_poisson_pmf(lam, tail_bound=Fraction(1, 2**60)):
 
 
 def exact_pmf(family, **params):
-    """Dispatcher over the exact families; used by the CLI.
+    """Dispatcher over the exact families by name, for library callers; no
+    CLI subcommand goes through it.
 
     family: "binomial" (n, p) | "hypergeometric" (w, ksucc, npop)
     | "lazy_walk" (r, p).

@@ -9,7 +9,6 @@ u_1 = +1 on every platform.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from math import comb
 
@@ -65,16 +64,18 @@ class SolveResult:
         }
 
 
-@lru_cache(maxsize=64)
-def _sign_table(k):
-    """All sign assignments of width k: row i has column j = +1 iff bit
-    (k-1-j) of i is 0, so ascending i is lexicographic with '+' < '-'.
-    Returns (signs int8 array, count of -1 entries per row)."""
-    if k == 0:
-        return np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.int64)
-    idx = np.arange(1 << k, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return (1 - 2 * bits).astype(np.int8), bits.sum(axis=1)
+def _signed_sums(cols):
+    """Per-row sums of every sign assignment of the columns of the int64
+    (m, k) array cols, and the count of -1 signs of each: row i gives
+    column j the sign -1 iff bit (k-1-j) of i is 1, so ascending i is
+    lexicographic with '+' < '-'.  Built by doubling over the columns in
+    reverse, so no sign table is held."""
+    sums = np.zeros((1, cols.shape[0]), dtype=np.int64)
+    neg = np.zeros(1, dtype=np.int64)
+    for c in cols.T[::-1]:
+        sums = np.concatenate((sums + c, sums - c))
+        neg = np.concatenate((neg, neg + 1))
+    return sums, neg
 
 
 def _signs_of_index(idx, k):
@@ -106,10 +107,9 @@ def _exhaustive_blocks(mat, balanced_only):
     n = mat.shape[1]
     lo_w = min(n - 1, _BLOCK_BITS)
     hi_w = n - 1 - lo_w
-    lo_signs, lo_neg = _sign_table(lo_w)
-    hi_signs, hi_neg = _sign_table(hi_w)
-    lo_part = lo_signs.astype(np.int64) @ mat[:, 1 + hi_w :].T  # (2^lo, m)
-    hi_part = mat[:, 0] + hi_signs.astype(np.int64) @ mat[:, 1 : 1 + hi_w].T
+    lo_part, lo_neg = _signed_sums(mat[:, 1 + hi_w :])  # (2^lo, m)
+    hi_part, hi_neg = _signed_sums(mat[:, 1 : 1 + hi_w])
+    hi_part += mat[:, 0]
     if balanced_only:
         groups = [np.flatnonzero(lo_neg == c) for c in range(lo_w + 1)]
         parts = [lo_part[idx] for idx in groups]
@@ -208,14 +208,6 @@ def _mitm_matrix(A, r, balanced_only, caps):
     return _int64_matrix(A)
 
 
-def _half_sums(mat, cols):
-    k = len(cols)
-    signs, neg = _sign_table(k)
-    sums = signs.astype(np.int64) @ mat[:, cols].T  # (2^k, m)
-    imb = k - 2 * neg
-    return sums, imb
-
-
 def _probe(A, r, balanced_only, mat):
     """First of _PROBE_TRIES random sign vectors, in draw order, with
     ||Au||_inf <= r; None when every try misses.
@@ -254,8 +246,9 @@ def _scan(mat, r, balanced_only, count):
     first one in _Meet.descend's order (None when there is none)."""
     n = mat.shape[1]
     nl = n // 2
-    ls, li = _half_sums(mat, list(range(nl)))
-    rs, ri = _half_sums(mat, list(range(nl, n)))
+    ls, lneg = _signed_sums(mat[:, :nl])
+    rs, rneg = _signed_sums(mat[:, nl:])
+    li, ri = nl - 2 * lneg, n - nl - 2 * rneg  # each half's sign sum
     rows = np.arange(ls.shape[0])
     found = _Meet(ls, li, rs, ri, r, balanced_only).descend(rows, np.zeros_like(rows), 0, count)
     if count or found is None:

@@ -15,10 +15,12 @@ Functions are extended by f(w+1) := 0, which is consistent because every
 operator identity multiplies f(w+1) by a coefficient that vanishes at s = w.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, exp, log, sqrt
+from itertools import accumulate
+from math import comb, exp, gcd, log, sqrt
 
 from .errors import ParameterError
 from .locallimits import LatticePoint, Pmf, binomial_pmf, convolve_integer, hypergeometric_pmf
@@ -28,14 +30,14 @@ from .rng import Stream, derive_key
 _DOMAIN_CHAIN = 0xCA
 
 
-def _comb0(n, k):
-    return comb(n, k) if 0 <= k <= n else 0
+# the scenario case each pair case runs on
+SCENARIO_CASES = {"poisson": "poisson_fixed_weight", "bernoulli": "bernoulli_fixed_weight"}
 
 
 def _check_case(case, scenario):
-    if case not in ("poisson", "bernoulli"):
+    if case not in SCENARIO_CASES:
         raise ParameterError(f"unknown case {case!r}")
-    expected = "poisson_fixed_weight" if case == "poisson" else "bernoulli_fixed_weight"
+    expected = SCENARIO_CASES[case]
     if scenario.case != expected:
         raise ParameterError(f"{case} pair operations need a {expected} scenario")
 
@@ -74,6 +76,8 @@ class BirthDeathSpec:
         return self._hash
 
 
+# cached for identity_report; typed keys keep a float w off an int w's entry
+@lru_cache(maxsize=512, typed=True)
 def binomial_pair_spec(w):
     """Coefficients of the with-replacement pair chain: a_s = (w-s)/2,
     b_s = s/2; stationary law Binomial(w, 1/2)."""
@@ -84,6 +88,7 @@ def binomial_pair_spec(w):
     )
 
 
+@lru_cache(maxsize=512, typed=True)
 def hypergeometric_pair_spec(n, w):
     """Coefficients of the urn pair chain: a_S = (w-S)(n/2-S),
     b_S = S(n/2-w+S); stationary law Hypergeometric(w; n/2, n).
@@ -233,6 +238,45 @@ class PairCounts:
         return (self.sa, self.sb, self.sc, self.sd)
 
 
+def _label_weights(case, scenario):
+    """Integer weights (b, g, b, g) of the labels (sa, sb, sc, sd).
+
+    Poisson: the odds beta : gamma over one unreduced denominator, the bounds
+    the chain step draws below.  Bernoulli: the urn sizes beta*n/2, gamma*n/2.
+    """
+    beta, gamma = scenario.beta, scenario.gamma
+    if case == "poisson":
+        b, g = beta.numerator * gamma.denominator, gamma.numerator * beta.denominator
+    else:
+        b, g = int(beta * scenario.n // 2), int(gamma * scenario.n // 2)
+    return (b, g, b, g)
+
+
+@lru_cache(maxsize=64)
+def _sb_sc_laws(case, scenario, k):
+    """(sb law, sc law, den): integer weights of sb and sc given the band
+    offset k; den = sum(sb law) * sum(sc law) is the same for every k.
+    Cached: pair_density reads one entry of each per call.
+
+    Poisson: sb ~ Binomial((w+k)/2, gamma), sc ~ Binomial((w-k)/2, beta), odds
+    in lowest terms.  Bernoulli (k = 0): the sb balls of w/2 draws from the
+    sa and sb urns, and the sc balls of w/2 draws from the sc and sd urns.
+    """
+    b, g = _label_weights(case, scenario)[:2]
+    w = scenario.w
+    if case == "poisson":
+        d = gcd(b, g)
+        b, g = b // d, g // d
+        n1, n2 = (w + k) // 2, (w - k) // 2
+        sb = tuple(comb(n1, i) * g**i * b ** (n1 - i) for i in range(n1 + 1))
+        sc = tuple(comb(n2, j) * b**j * g ** (n2 - j) for j in range(n2 + 1))
+    else:
+        half = w // 2
+        sb = tuple(comb(g, i) * comb(b, half - i) for i in range(half + 1))
+        sc = tuple(comb(b, j) * comb(g, half - j) for j in range(half + 1))
+    return sb, sc, sum(sb) * sum(sc)
+
+
 def pair_density(case, scenario: OverlapScenario, point: LatticePoint) -> Fraction:
     """Exact conditioned pair density at a lattice point.
 
@@ -241,34 +285,20 @@ def pair_density(case, scenario: OverlapScenario, point: LatticePoint) -> Fracti
     same product with hypergeometric factors drawn from the two urn types.
     """
     _check_case(case, scenario)
-    w, beta, gamma = scenario.w, scenario.beta, scenario.gamma
+    w = scenario.w
     if point.w != w:
         raise ParameterError("lattice point w does not match scenario")
     s, c, k = point.s, point.c, point.k
     if case == "poisson":
         if (w + k) % 2:
             raise ParameterError(f"band offset k={k} has wrong parity for w={w}")
-        n1, n2 = (w + k) // 2, (w - k) // 2
-        if n1 < 0 or n2 < 0:
+        if abs(k) > w:
             raise ParameterError(f"band offset k={k} out of range for w={w}")
-        p_sb = _comb0(n1, s - c) * gamma ** (s - c) * beta ** (n1 - (s - c)) if 0 <= s - c <= n1 else Fraction(0)
-        p_sc = _comb0(n2, c) * beta**c * gamma ** (n2 - c) if 0 <= c <= n2 else Fraction(0)
-        return p_sb * p_sc
-    if case == "bernoulli":
-        if k != 0:
-            raise ParameterError("bernoulli case conditions on the zero band")
-        n = scenario.n
-        bn, gn = int(beta * n // 2), int(gamma * n // 2)
-        half = w // 2
-        den = comb(n // 2, half) ** 2
-        num = (
-            _comb0(gn, s - c)
-            * _comb0(bn, half - (s - c))
-            * _comb0(bn, c)
-            * _comb0(gn, half - c)
-        )
-        return Fraction(num, den)
-    raise ParameterError(f"unknown case {case!r}")
+    elif k != 0:
+        raise ParameterError("bernoulli case conditions on the zero band")
+    sb, sc, den = _sb_sc_laws(case, scenario, k)
+    num = sb[s - c] * sc[c] if s - c < len(sb) and c < len(sc) else 0
+    return Fraction(num, den)
 
 
 @dataclass
@@ -294,40 +324,26 @@ def conditioned_pair_stats(case, scenario: OverlapScenario) -> PairStats:
 def _pair_stats(case, scenario):
     """(PairStats, band, den), where band[s] / den = E_c[k 1_{S=s}].
 
-    Given the band offset k, sb and sc are independent with integer weights
-    B and C over one common denominator den: sum(band masses) * Q**w for
-    Poisson (beta = P/Q), comb(n/2, w/2)**2 for Bernoulli.  So every S-sum
-    is a convolution: with cj = conv(sb**j B, C) and d = sc - sb = s - 2 sb,
+    Given k, sb and sc are independent with the laws B, C of _sb_sc_laws (B
+    scaled by k's band mass), so every S-sum is a convolution over one
+    denominator den: with cj = conv(sb**j B, C) and d = sc - sb = s - 2 sb,
     g0 = c0, g1 = s c0 - 2 c1 and g2 = s**2 c0 - 4 s c1 + 4 c2.
     """
     _check_case(case, scenario)
-    w, beta = scenario.w, scenario.beta
+    w = scenario.w
     if case == "poisson":
         mu0 = binomial_pmf(w, Fraction(1, 2))
         ks = scenario.band.members()
         if not ks:
             raise ParameterError("empty band")
         masses = [comb(w, (w + k) // 2) for k in ks]
-        bq, q = beta.numerator, beta.denominator
-        gq = q - bq
-        den = sum(masses) * q**w
-        parts = []
-        for k, mk in zip(ks, masses):
-            n1, n2 = (w + k) // 2, (w - k) // 2
-            sb_law = [mk * comb(n1, i) * gq**i * bq ** (n1 - i) for i in range(n1 + 1)]
-            sc_law = [comb(n2, j) * bq**j * gq ** (n2 - j) for j in range(n2 + 1)]
-            parts.append((k, sb_law, sc_law))
     else:
-        n = scenario.n
-        mu0 = hypergeometric_pmf(w, n // 2, n)
-        bn, gn = int(beta * n // 2), int(scenario.gamma * n // 2)
-        half = w // 2
-        den = comb(n // 2, half) ** 2
-        sb_law = [_comb0(gn, i) * _comb0(bn, half - i) for i in range(half + 1)]
-        sc_law = [_comb0(bn, j) * _comb0(gn, half - j) for j in range(half + 1)]
-        parts = [(0, sb_law, sc_law)]
+        mu0 = hypergeometric_pmf(w, scenario.n // 2, scenario.n)
+        ks, masses = (0,), [1]
     g0, g1, g2, band = ([0] * (w + 1) for _ in range(4))
-    for k, sb_law, sc_law in parts:
+    for k, mk in zip(ks, masses):
+        sb_law, sc_law, den = _sb_sc_laws(case, scenario, k)
+        sb_law = [mk * v for v in sb_law]
         c0 = convolve_integer(sb_law, sc_law)
         c1 = convolve_integer([i * v for i, v in enumerate(sb_law)], sc_law)
         c2 = convolve_integer([i * i * v for i, v in enumerate(sb_law)], sc_law)
@@ -336,6 +352,7 @@ def _pair_stats(case, scenario):
             g1[s] += s * v0 - 2 * v1
             g2[s] += s * s * v0 - 4 * s * v1 + 4 * v2
             band[s] += k * v0
+    den *= sum(masses)  # the laws' den is the same for every k
     g0, g1, g2 = (tuple(Fraction(v, den) for v in g) for g in (g0, g1, g2))
     return PairStats(mu0, Pmf(0, g0), g1, g2), band, den
 
@@ -361,7 +378,6 @@ class IdentityReport:
 
 
 def identity_report(case, scenario: OverlapScenario) -> IdentityReport:
-    _check_case(case, scenario)
     w, beta, gamma = scenario.w, scenario.beta, scenario.gamma
     stats, band, den = _pair_stats(case, scenario)
     if case == "poisson":
@@ -379,7 +395,7 @@ def identity_report(case, scenario: OverlapScenario) -> IdentityReport:
         )
         # E_c[k f(S+1)] from the same per-k S-sums
         band_term = (gamma - beta) / 2 * sum(v * f[s + 1] for s, v in enumerate(band)) / den
-    elif case == "bernoulli":
+    else:
         if w < 2:
             raise ParameterError("bernoulli identity needs w >= 2")
         bd = hypergeometric_pair_spec(scenario.n, w)
@@ -392,8 +408,6 @@ def identity_report(case, scenario: OverlapScenario) -> IdentityReport:
             for s in range(w + 1)
         )
         band_term = Fraction(0)
-    else:
-        raise ParameterError(f"unknown case {case!r}")
     residual = lhs - rhs
     return IdentityReport(lhs, rhs, residual, band_term, residual - band_term)
 
@@ -412,20 +426,47 @@ def verify_identity(case, scenario: OverlapScenario) -> Fraction:
 # Chain steppers and exact kernels
 
 
+def _admissible(scenario, sigma):
+    """Whether sigma lies in the conditioned chain's states: its band offset
+    is in the band (for Bernoulli the band {0}, w/2 draws of each type)."""
+    return sigma.k in scenario.band.members()
+
+
 def _validate_sigma(case, scenario, sigma, conditioned):
     if sigma.w != scenario.w:
         raise ParameterError("sigma total does not match scenario weight")
-    if case == "bernoulli":
-        n = scenario.n
-        bn, gn = int(scenario.beta * n // 2), int(scenario.gamma * n // 2)
-        pops = (bn, gn, bn, gn)
-        if any(s > p for s, p in zip(sigma.as_tuple(), pops)):
-            raise ParameterError("sigma exceeds an urn population")
-        if conditioned and sigma.sa + sigma.sb != scenario.w // 2:
+    labels = _label_weights(case, scenario)
+    if case == "bernoulli" and any(s > p for s, p in zip(sigma.as_tuple(), labels)):
+        raise ParameterError("sigma exceeds an urn population")
+    if conditioned and not _admissible(scenario, sigma):
+        if case == "bernoulli":
             raise ParameterError("conditioned sigma needs w/2 draws of each type")
-    elif conditioned:
-        if sigma.k not in scenario.band.members():
-            raise ParameterError(f"sigma band offset {sigma.k} outside the band")
+        raise ParameterError(f"sigma band offset {sigma.k} outside the band")
+
+
+def _move_weights(case, labels, counts, x, conditioned):
+    """Weights of the label y that replaces one x-labelled draw: the label
+    odds for Poisson, the unselected balls labels - counts for Bernoulli.
+    The conditioned chain keeps x's type: y in (sa, sb) or in (sc, sd)."""
+    weights = labels if case == "poisson" else [p - c for p, c in zip(labels, counts)]
+    if conditioned:
+        weights = [v if y // 2 == x // 2 else 0 for y, v in enumerate(weights)]
+    if not any(weights):
+        raise ParameterError("bernoulli pair chain has no move at w = n: every ball is selected")
+    return weights
+
+
+def _pick(stream, weights):
+    """First index whose cumulative weight exceeds a uniform draw below the total."""
+    return bisect_right(list(accumulate(weights)), stream.below(sum(weights)))
+
+
+def _move(counts, x, y):
+    """Counts after one x-labelled draw turns into a y-labelled one."""
+    moved = list(counts)
+    moved[x] -= 1
+    moved[y] += 1
+    return tuple(moved)
 
 
 def pair_chain_step(case, scenario, sigma: PairCounts, conditioned, seed) -> PairCounts:
@@ -438,156 +479,55 @@ def pair_chain_step(case, scenario, sigma: PairCounts, conditioned, seed) -> Pai
     """
     _check_case(case, scenario)
     _validate_sigma(case, scenario, sigma, conditioned)
-    w, beta, gamma = scenario.w, scenario.beta, scenario.gamma
     stream = Stream(derive_key(seed, _DOMAIN_CHAIN))
-    counts = list(sigma.as_tuple())
-    pick = stream.below(w)
-    x = 0
-    acc = 0
-    for i, cnt in enumerate(counts):
-        acc += cnt
-        if pick < acc:
-            x = i
-            break
-    if case == "poisson":
-        bq = beta.numerator * gamma.denominator
-        gq = gamma.numerator * beta.denominator
-        if conditioned:
-            # within-type law: {a: beta, b: gamma} or {c: beta, d: gamma}
-            y0 = 0 if x in (0, 1) else 2
-            y = y0 if stream.below(bq + gq) < bq else y0 + 1
-        else:
-            pool = [bq, gq, bq, gq]
-            y = 0
-            pick2 = stream.below(2 * (bq + gq))
-            acc = 0
-            for i, wt in enumerate(pool):
-                acc += wt
-                if pick2 < acc:
-                    y = i
-                    break
-    elif case == "bernoulli":
-        n = scenario.n
-        bn, gn = int(beta * n // 2), int(gamma * n // 2)
-        pops = (bn, gn, bn, gn)
-        avail = [pops[i] - counts[i] for i in range(4)]
-        if conditioned:
-            idx = (0, 1) if x in (0, 1) else (2, 3)
-            free = [avail[i] for i in idx]
-            pick2 = stream.below(sum(free))
-            y = idx[0] if pick2 < free[0] else idx[1]
-        else:
-            pick2 = stream.below(sum(avail))
-            acc = 0
-            y = 0
-            for i, wt in enumerate(avail):
-                acc += wt
-                if pick2 < acc:
-                    y = i
-                    break
-    else:
-        raise ParameterError(f"unknown case {case!r}")
-    counts[x] -= 1
-    counts[y] += 1
-    return PairCounts(*counts)
+    counts = sigma.as_tuple()
+    x = _pick(stream, counts)
+    labels = _label_weights(case, scenario)
+    y = _pick(stream, _move_weights(case, labels, counts, x, conditioned))
+    return PairCounts(*_move(counts, x, y))
 
 
 def enumerate_sigmas(case, scenario, conditioned):
-    """All reachable count vectors with their stationary mass, exactly."""
-    from math import factorial
+    """All reachable count vectors with their stationary mass, exactly.
 
+    Integer masses: the multinomial count times prod(label weight**count)
+    for Poisson, prod(comb(urn size, count)) for Bernoulli.
+    """
     _check_case(case, scenario)
-    w, beta, gamma = scenario.w, scenario.beta, scenario.gamma
+    w, labels = scenario.w, _label_weights(case, scenario)
     out = []
-    if case == "poisson":
-        probs = (beta / 2, gamma / 2, beta / 2, gamma / 2)
-        for sa in range(w + 1):
-            for sb in range(w + 1 - sa):
-                for sc in range(w + 1 - sa - sb):
-                    sd = w - sa - sb - sc
-                    sig = PairCounts(sa, sb, sc, sd)
-                    if conditioned and sig.k not in scenario.band.members():
-                        continue
-                    mult = factorial(w) // (
-                        factorial(sa) * factorial(sb) * factorial(sc) * factorial(sd)
-                    )
-                    mass = (
-                        mult * probs[0] ** sa * probs[1] ** sb * probs[2] ** sc * probs[3] ** sd
-                    )
+    for sa in range(w + 1):
+        for sb in range(w + 1 - sa):
+            for sc in range(w + 1 - sa - sb):
+                sig = PairCounts(sa, sb, sc, w - sa - sb - sc)
+                if conditioned and not _admissible(scenario, sig):
+                    continue
+                mass, left = 1, w
+                for p, c in zip(labels, sig.as_tuple()):
+                    mass *= comb(left, c) * p**c if case == "poisson" else comb(p, c)
+                    left -= c
+                if mass:
                     out.append((sig, mass))
-    elif case == "bernoulli":
-        n = scenario.n
-        bn, gn = int(beta * n // 2), int(gamma * n // 2)
-        for sa in range(min(w, bn) + 1):
-            for sb in range(min(w - sa, gn) + 1):
-                for sc in range(min(w - sa - sb, bn) + 1):
-                    sd = w - sa - sb - sc
-                    if sd > gn:
-                        continue
-                    sig = PairCounts(sa, sb, sc, sd)
-                    if conditioned and sig.sa + sig.sb != w // 2:
-                        continue
-                    mass = Fraction(
-                        comb(bn, sa) * comb(gn, sb) * comb(bn, sc) * comb(gn, sd),
-                        comb(n, w),
-                    )
-                    out.append((sig, mass))
-    else:
-        raise ParameterError(f"unknown case {case!r}")
     total = sum(mass for _, mass in out)
-    return [(sig, mass / total) for sig, mass in out if mass > 0]
+    return [(sig, Fraction(mass, total)) for sig, mass in out]
 
 
 def exact_transition_matrix(case, scenario, conditioned):
-    """States and exact one-step kernel of the pair chain (for w small)."""
+    """States and exact one-step kernel of the pair chain (for w small): the
+    move x -> y from a state with these counts has probability
+    counts[x] / w * weights[y] / sum(weights), weights from _move_weights."""
     states = enumerate_sigmas(case, scenario, conditioned)
     index = {sig.as_tuple(): i for i, (sig, _) in enumerate(states)}
-    w, beta, gamma = scenario.w, scenario.beta, scenario.gamma
+    w, labels = scenario.w, _label_weights(case, scenario)
     kernel = {}
-
-    def add(i, sig, x, y, prob):
-        if prob == 0:
-            return
-        counts = list(sig.as_tuple())
-        counts[x] -= 1
-        counts[y] += 1
-        j = index[tuple(counts)]
-        kernel[(i, j)] = kernel.get((i, j), Fraction(0)) + prob
-
     for i, (sig, _) in enumerate(states):
         counts = sig.as_tuple()
-        if case == "poisson":
-            probs = (beta / 2, gamma / 2, beta / 2, gamma / 2)
-            for x in range(4):
-                if counts[x] == 0:
-                    continue
-                pick = Fraction(counts[x], w)
-                if conditioned:
-                    pair = (0, 1) if x in (0, 1) else (2, 3)
-                    within = probs[pair[0]] + probs[pair[1]]
-                    for y in pair:
-                        add(i, sig, x, y, pick * probs[y] / within)
-                else:
-                    for y in range(4):
-                        add(i, sig, x, y, pick * probs[y])
-        else:
-            n = scenario.n
-            bn, gn = int(beta * n // 2), int(gamma * n // 2)
-            pops = (bn, gn, bn, gn)
-            avail = [pops[t] - counts[t] for t in range(4)]
-            for x in range(4):
-                if counts[x] == 0:
-                    continue
-                pick = Fraction(counts[x], w)
-                if conditioned:
-                    pair = (0, 1) if x in (0, 1) else (2, 3)
-                    free = avail[pair[0]] + avail[pair[1]]
-                    for y in pair:
-                        add(i, sig, x, y, pick * Fraction(avail[y], free))
-                else:
-                    free = sum(avail)
-                    for y in range(4):
-                        add(i, sig, x, y, pick * Fraction(avail[y], free))
+        for x in (x for x in range(4) if counts[x]):
+            weights = _move_weights(case, labels, counts, x, conditioned)
+            for y in (y for y in range(4) if weights[y]):
+                j = index[_move(counts, x, y)]
+                prob = Fraction(counts[x] * weights[y], w * sum(weights))
+                kernel[(i, j)] = kernel.get((i, j), 0) + prob
     return states, kernel
 
 

@@ -243,6 +243,53 @@ def brute_ratio_bernoulli_fixed(n, w):
     return ez2 / ez**2, ez
 
 
+def bernoulli_ball_chain(n, w, agree, conditioned):
+    """The Bernoulli pair chain at ball level, aggregated to label counts.
+
+    v = +1 on the first n/2 coordinates and -1 on the rest; u agrees with v
+    on the first `agree` coordinates of each half.  A ball's label is its
+    (v, u) sign pair, indexed (+,+), (+,-), (-,-), (-,+) as (sa, sb, sc, sd).
+    States are the w-subsets of the balls (conditioned: w/2 from each v
+    half), all equally likely; a step swaps a uniform selected ball with a
+    uniform unselected one (conditioned: of the same v half).
+
+    Returns (mass, kernel): mass[counts] = P(counts) and
+    kernel[(counts, counts')] = P(counts -> counts'), over count tuples.
+    """
+    half = n // 2
+    labels = [0 if j < agree else 1 for j in range(half)]
+    labels += [2 if j < agree else 3 for j in range(half)]
+
+    def counts_of(sel):
+        return tuple(sum(1 for j in sel if labels[j] == lab) for lab in range(4))
+
+    if conditioned:
+        sets = [
+            set(lo) | {half + j for j in hi}
+            for lo in combinations(range(half), w // 2)
+            for hi in combinations(range(half), w // 2)
+        ]
+    else:
+        sets = [set(sel) for sel in combinations(range(n), w)]
+    size = {}
+    for sel in sets:
+        size[counts_of(sel)] = size.get(counts_of(sel), 0) + 1
+    mass = {c: Fraction(k, len(sets)) for c, k in size.items()}
+    kernel = {}
+    for sel in sets:
+        src = counts_of(sel)
+        moves = [
+            (out, into)
+            for out in sel
+            for into in range(n)
+            if into not in sel and (not conditioned or (out < half) == (into < half))
+        ]
+        for out, into in moves:
+            dst = counts_of(sel - {out} | {into})
+            kernel[src, dst] = kernel.get((src, dst), 0) + Fraction(1, size[src] * len(moves))
+    return mass, kernel
+
+
 # ---------------------------------------------------------------------------
 # Scalar SplitMix64 reference, written out here so that it shares no code
 # with randisc.rng: one output per call, Python integers throughout.

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from helpers import (
+    bernoulli_ball_chain,
     check_inverse_guarantees,
     chi_square_pvalue,
     pair_stats_oracle,
@@ -403,6 +404,76 @@ def test_chain_step_rejects_inconsistent_sigma():
     scen = scenario_bernoulli(16, 6, F(3, 4))
     with pytest.raises(ParameterError):
         stein.pair_chain_step("bernoulli", scen, stein.PairCounts(4, 0, 1, 1), True, 0)
+
+
+@pytest.mark.parametrize("conditioned", [False, True])
+def test_bernoulli_kernel_and_states_match_ball_chain(conditioned):
+    checked = 0
+    for n in (2, 4, 6, 8):
+        for w in range(2, n, 2):
+            for agree in range(n // 2 + 1):
+                scen = scenario_bernoulli(n, w, F(2 * agree, n))
+                mass, kernel = bernoulli_ball_chain(n, w, agree, conditioned)
+                states, got = stein.exact_transition_matrix("bernoulli", scen, conditioned)
+                assert stein.enumerate_sigmas("bernoulli", scen, conditioned) == states
+                keys = [sig.as_tuple() for sig, _ in states]
+                assert {keys[i]: m for i, (_, m) in enumerate(states)} == mass
+                assert {(keys[i], keys[j]): p for (i, j), p in got.items()} == kernel
+                checked += 1
+    assert checked == 26
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_bernoulli_chain_without_unselected_balls_is_refused(n):
+    # w = n selects every ball, so no swap exists
+    scen = scenario_bernoulli(n, n, F(1, 2))
+    sigma = stein.PairCounts(n // 4, n // 4, n // 4, n // 4)
+    for conditioned in (False, True):
+        assert stein.enumerate_sigmas("bernoulli", scen, conditioned) == [(sigma, 1)]
+        with pytest.raises(ParameterError, match="no move"):
+            stein.exact_transition_matrix("bernoulli", scen, conditioned)
+        with pytest.raises(ParameterError, match="no move"):
+            stein.pair_chain_step("bernoulli", scen, sigma, conditioned, 0)
+
+
+# Forty chained steps from (2, 1, 2, 1), step i seeded 1000 * conditioned + i;
+# recorded from the stepper before it shared its moves with the exact kernel.
+_CHAIN_TRACES = {
+    ("poisson", False): (
+        "2211 2112 2112 2121 2121 2022 2022 2022 2121 2121 2121 2121 1221 1221 1131 1131 "
+        "0141 0132 1032 1131 1131 1131 1140 0141 0150 0060 0150 0240 0240 0240 1230 2130 "
+        "2130 2121 2031 2121 2031 2022 2031 2130"
+    ),
+    ("poisson", True): (
+        "1221 1212 1212 1212 1212 2112 3012 3012 2112 2112 2112 2112 1212 1212 1212 2112 "
+        "2121 2130 2130 2130 2121 2121 2121 2121 2121 2112 2112 2112 2112 1212 1203 0303 "
+        "1203 1203 1203 1203 1203 0303 0312 0312"
+    ),
+    ("bernoulli", False): (
+        "2112 2112 2112 2121 3021 2031 2031 2031 3021 3021 3030 3030 2130 3030 2040 2040 "
+        "1140 1140 1140 2130 2040 2130 2130 1131 1230 1230 2220 1230 1230 1230 2220 2220 "
+        "2130 2130 2031 3021 2031 2031 2022 3021"
+    ),
+    ("bernoulli", True): (
+        "1221 1212 1221 2121 2112 2112 3012 3012 3012 3021 3012 3012 2112 2112 2112 2112 "
+        "2121 2130 2130 2130 2130 2130 2121 3021 3021 3012 3012 3021 3012 2112 2112 2112 "
+        "3012 2112 2121 1221 1230 1230 1230 1230"
+    ),
+}
+
+
+@pytest.mark.parametrize("case,conditioned", sorted(_CHAIN_TRACES))
+def test_chain_step_seeded_traces_are_pinned(case, conditioned):
+    if case == "poisson":
+        scen = scenario_poisson(6, F(5, 12), radius=2)
+    else:
+        scen = scenario_bernoulli(16, 6, F(3, 4))
+    cur = stein.PairCounts(2, 1, 2, 1)
+    trace = []
+    for seed in range(40):
+        cur = stein.pair_chain_step(case, scen, cur, conditioned, 1000 * conditioned + seed)
+        trace.append("".join(map(str, cur.as_tuple())))
+    assert " ".join(trace) == _CHAIN_TRACES[case, conditioned]
 
 
 def stationarity_check(case, scen, conditioned):
