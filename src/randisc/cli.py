@@ -51,7 +51,6 @@ class PhaseScanConfig:
     parity: str  # "none" | "even"
     threads: int
     seed: int
-    out: str = None
 
     def __post_init__(self):
         if any(n % 2 for n in self.n_values):
@@ -433,7 +432,6 @@ def _cmd_phase(args):
         parity=args.parity,
         threads=args.threads,
         seed=args.seed,
-        out=args.out,
     )
     rows = run_phase_scan(cfg)
     text = _phase_csv(rows)

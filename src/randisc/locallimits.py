@@ -10,7 +10,7 @@ independent Binomial(r, p) counts.  Its step variance is 2p(1-p).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, factorial, lgamma, log, pi, sqrt
+from math import comb, exp, factorial, lcm, lgamma, log, pi, sqrt
 
 from .errors import CapacityError, ParameterError
 
@@ -48,7 +48,10 @@ class Pmf:
         if self.mode == "exact":
             if any(w < 0 for w in self.weights):
                 raise ParameterError("negative weight in exact pmf")
-            if sum(self.weights) != 1:
+            # exact, as one integer sum over the common denominator: a Fraction
+            # sum reduces to lowest terms at every step
+            den = lcm(*(w.denominator for w in self.weights))
+            if sum(w.numerator * (den // w.denominator) for w in self.weights) != den:
                 raise ParameterError("exact pmf must sum to exactly 1")
         else:
             total = sum(exp(w) for w in self.weights)

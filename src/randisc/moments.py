@@ -17,9 +17,10 @@ dichotomy of interest lives in 1 + Theta(1/n) corrections that floats blur.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, lgamma, log
+from math import comb, exp, gcd, lgamma, log
 
 from .errors import CapacityError, ParameterError
+from .locallimits import convolve_integer
 
 CASES = ("bernoulli_parity_dense", "bernoulli_fixed_weight", "poisson_fixed_weight")
 
@@ -100,6 +101,53 @@ class OverlapScenario:
 
 
 # ---------------------------------------------------------------------------
+# The pair label law
+#
+# Each of a row's w draws gets one of four (v-sign, u-sign) labels: sa = (+,+),
+# sb = (+,-), sc = (-,-), sd = (-,+).  <v, row> = k is fixed by sa + sb, and
+# <u, row> = w - 2S with S = sb + sc, so phi and the Stein pair statistics are
+# both sums over the law of (sb, sc) given k.
+
+
+def _label_weights(case, scenario):
+    """Integer weights (b, g, b, g) of the labels (sa, sb, sc, sd); case is
+    the pair case, "poisson" or "bernoulli".
+
+    Poisson: the odds beta : gamma over one unreduced denominator, the bounds
+    the chain step draws below.  Bernoulli: the urn sizes beta*n/2, gamma*n/2.
+    """
+    beta, gamma = scenario.beta, scenario.gamma
+    if case == "poisson":
+        b, g = beta.numerator * gamma.denominator, gamma.numerator * beta.denominator
+    else:
+        b, g = int(beta * scenario.n // 2), int(gamma * scenario.n // 2)
+    return (b, g, b, g)
+
+
+def _sb_sc_laws(case, scenario, k):
+    """(sb law, sc law, den): integer weights of sb and sc given the band
+    offset k; den = sum(sb law) * sum(sc law) is the same for every k.
+
+    Poisson: sb ~ Binomial((w+k)/2, gamma), sc ~ Binomial((w-k)/2, beta), odds
+    in lowest terms.  Bernoulli (k = 0): the sb balls of w/2 draws from the
+    sa and sb urns, and the sc balls of w/2 draws from the sc and sd urns.
+    """
+    b, g = _label_weights(case, scenario)[:2]
+    w = scenario.w
+    if case == "poisson":
+        d = gcd(b, g)
+        b, g = b // d, g // d
+        n1, n2 = (w + k) // 2, (w - k) // 2
+        sb = tuple(comb(n1, i) * g**i * b ** (n1 - i) for i in range(n1 + 1))
+        sc = tuple(comb(n2, j) * b**j * g ** (n2 - j) for j in range(n2 + 1))
+    else:
+        half = w // 2
+        sb = tuple(comb(g, i) * comb(b, half - i) for i in range(half + 1))
+        sc = tuple(comb(b, j) * comb(g, half - j) for j in range(half + 1))
+    return sb, sc, sum(sb) * sum(sc)
+
+
+# ---------------------------------------------------------------------------
 # Row satisfaction probabilities
 
 
@@ -141,11 +189,8 @@ def psi_phi_dense(n, p, overlap_r):
         raise ParameterError("n must be even")
     if not 0 <= overlap_r <= n // 2:
         raise ParameterError(f"overlap_r={overlap_r} outside [0, {n // 2}]")
-    zeros = _walk_zero_probs(n // 2, p)
-    pp = parity_prob(n, p)
-    psi = zeros[n // 2] / pp
-    phi = zeros[overlap_r] * zeros[n // 2 - overlap_r] / pp
-    return psi, phi
+    psi, phi = _row_psi_phi_functions("bernoulli_parity_dense", n, p=p)
+    return psi, phi(overlap_r)
 
 
 def psi_dense(n, p):
@@ -154,46 +199,34 @@ def psi_dense(n, p):
 
 def psi_fixed_weight(scenario: OverlapScenario):
     """Single-vector satisfaction probability for the fixed-weight cases."""
-    w = scenario.w
-    if scenario.case == "poisson_fixed_weight":
-        return Fraction(sum(comb(w, (w + k) // 2) for k in scenario.band.members()), 2**w)
-    if scenario.case == "bernoulli_fixed_weight":
-        n = scenario.n
-        return Fraction(comb(n // 2, w // 2) ** 2, comb(n, w))
-    raise ParameterError(f"{scenario.case} is not a fixed-weight case")
+    if scenario.case == "bernoulli_parity_dense":
+        raise ParameterError(f"{scenario.case} is not a fixed-weight case")
+    return _row_psi_phi_functions(
+        scenario.case, scenario.n, w=scenario.w, band_radius=scenario.band.radius
+    )[0]
 
 
 def phi_fixed_weight(scenario: OverlapScenario):
-    """Pair satisfaction probability for the fixed-weight cases.
+    """Pair satisfaction probability for the fixed-weight cases: the band sum
+    of the law of S = sb + sc from the pair label law (_sb_sc_laws).
 
-    Out-of-range binomial coefficients vanish, so beta in {0, 1} needs no
-    special-casing.
+    Poisson: sum over k in K of C(w, (w+k)/2) conv_k[targets] / (2**w den),
+    conv_k the convolution of the sb and sc laws given k.  Bernoulli:
+    conv[w/2] / C(n, w), the rows with k = 0 and S = w/2.  The laws carry
+    beta in {0, 1} and an empty band (phi = 0) without special cases.
     """
-    w, beta, gamma = scenario.w, scenario.beta, scenario.gamma
-    if scenario.case == "bernoulli_fixed_weight":
-        n = scenario.n
-        bn, gn = int(beta * n // 2), int(gamma * n // 2)
-        num = sum(
-            comb(bn, t) ** 2 * comb(gn, w // 2 - t) ** 2 for t in range(w // 2 + 1)
-        )
-        return Fraction(num, comb(n, w))
+    w = scenario.w
     if scenario.case == "poisson_fixed_weight":
-        ks = scenario.band.members()
-        total = Fraction(0)
-        for k in ks:
-            n1 = (w + k) // 2
-            n2 = (w - k) // 2
-            for k2 in ks:
-                inner = Fraction(0)
-                for c in range(0, n2 + 1):
-                    top = (w + k2) // 2 - c
-                    if not 0 <= top <= n1:
-                        continue
-                    eb = 2 * c + (k - k2) // 2
-                    eg = w + (k2 - k) // 2 - 2 * c
-                    inner += comb(n1, top) * comb(n2, c) * beta**eb * gamma**eg
-                total += comb(w, n1) * inner
-        return total / 2**w
+        targets = scenario.band.targets(w)
+        num, den = 0, 1
+        for k in scenario.band.members():
+            sb, sc, den = _sb_sc_laws("poisson", scenario, k)
+            conv = convolve_integer(sb, sc)
+            num += comb(w, (w + k) // 2) * sum(conv[t] for t in targets)
+        return Fraction(num, 2**w * den)
+    if scenario.case == "bernoulli_fixed_weight":
+        sb, sc, _ = _sb_sc_laws("bernoulli", scenario, 0)
+        return Fraction(convolve_integer(sb, sc)[w // 2], comb(scenario.n, w))
     raise ParameterError(f"{scenario.case} is not a fixed-weight case")
 
 
@@ -202,43 +235,28 @@ def psi_phi_fixed_weight(scenario: OverlapScenario):
 
 
 def _row_psi_phi_functions(case, n, p=None, w=None, band_radius=0):
-    """Per-row (psi, phi at overlap r) closures for the ratio machinery."""
+    """The one per-row source: (psi, r -> phi(2r/n)) for the ratio machinery.
+
+    psi is phi at full overlap (u = v), where the pair event is the
+    single-vector event.  The Bernoulli fixed-weight case always has the
+    zero band.
+    """
     if case == "bernoulli_parity_dense":
         if band_radius != 0:
             raise ParameterError("dense parity case uses the zero band")
         zeros = _walk_zero_probs(n // 2, p)
         pp = parity_prob(n, p)
-        psi = zeros[n // 2] / pp
 
         def phi(r):
             return zeros[r] * zeros[n // 2 - r] / pp
 
-        return psi, phi
-    if case == "bernoulli_fixed_weight":
-        # psi is beta-free; beta = 1 is integral for every even n
-        scen0 = OverlapScenario(case, n, w, Fraction(1))
-        psi = psi_fixed_weight(scen0)
+        return phi(n // 2), phi
+    band = SymmetricBand(band_radius, w % 2) if case == "poisson_fixed_weight" else None
 
-        def phi(r):
-            return phi_fixed_weight(OverlapScenario(case, n, w, Fraction(2 * r, n)))
+    def phi(r):
+        return phi_fixed_weight(OverlapScenario(case, n, w, Fraction(2 * r, n), band))
 
-        return psi, phi
-    if case == "poisson_fixed_weight":
-        band = SymmetricBand(band_radius, w % 2)
-        scen0 = OverlapScenario(case, n, w, Fraction(1), band)
-        psi = psi_fixed_weight(scen0)
-        if psi == 0:
-            raise ParameterError(
-                f"band radius {band_radius} is unreachable for w={w} (psi = 0)"
-            )
-
-        def phi(r):
-            return phi_fixed_weight(
-                OverlapScenario(case, n, w, Fraction(2 * r, n), band)
-            )
-
-        return psi, phi
-    raise ParameterError(f"unknown case {case!r}")
+    return phi_fixed_weight(OverlapScenario(case, n, w, Fraction(1), band)), phi
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +297,11 @@ def _per_row_psis(case, *, n, m=None, p=None, w=None, band_radius=0):
             raise ParameterError("dense case needs m and p")
         return [psi_dense(n, p)] * m
     ws = _weights_list(w, m)
-    out = []
-    for wi in ws:
-        band = SymmetricBand(band_radius, wi % 2) if case == "poisson_fixed_weight" else None
-        scen = OverlapScenario(case, n, wi, Fraction(1), band)
-        out.append(psi_fixed_weight(scen))
-    return out
+    psis = {
+        wi: _row_psi_phi_functions(case, n, w=wi, band_radius=band_radius)[0]
+        for wi in dict.fromkeys(ws)
+    }
+    return [psis[wi] for wi in ws]
 
 
 def _weights_list(w, m):
@@ -345,10 +362,12 @@ def second_moment_ratio(case, *, n, m=None, p=None, w=None, band_radius=0, exact
     for tag in rows:
         groups[tag] = groups.get(tag, 0) + 1
     fns = {}
-    for (tag, wi), _cnt in groups.items():
-        fns[(tag, wi)] = _row_psi_phi_functions(
-            case, n, p=p, w=wi, band_radius=band_radius
-        )
+    for tag, wi in groups:
+        fns[(tag, wi)] = _row_psi_phi_functions(case, n, p=p, w=wi, band_radius=band_radius)
+        if fns[(tag, wi)][0] == 0:
+            raise ParameterError(
+                f"band radius {band_radius} is unreachable for w={wi} (psi = 0)"
+            )
 
     half = n // 2
     denom = comb(n, half)
@@ -464,17 +483,13 @@ def moment_report(case, *, n, m=None, p=None, w=None, band_radius=0, exact=True)
     ratio = second_moment_ratio(
         case, n=n, m=m, p=p, w=w, band_radius=band_radius, exact=exact
     )
-    if case == "bernoulli_parity_dense":
-        psi = psi_dense(n, p)
-        m_eff = m
-    else:
+    wi, m_eff = None, m
+    if case != "bernoulli_parity_dense":
         ws = _weights_list(w, m)
         if len(set(ws)) != 1:
             raise ParameterError("moment_report needs identical row weights")
-        wi = ws[0]
-        band = SymmetricBand(band_radius, wi % 2) if case == "poisson_fixed_weight" else None
-        psi = psi_fixed_weight(OverlapScenario(case, n, wi, Fraction(1), band))
-        m_eff = len(ws)
+        wi, m_eff = ws[0], len(ws)
+    psi = _row_psi_phi_functions(case, n, p=p, w=wi, band_radius=band_radius)[0]
     # the profile holds phi/psi^2 exactly in both modes
     psi2 = psi**2
     phi_at = {t.beta: t.phi_over_psi2 * psi2 for t in ratio.profile}

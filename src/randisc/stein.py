@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, exp, gcd, log, sqrt
+from math import comb, exp, log, sqrt
 
 from .errors import ParameterError
 from .locallimits import LatticePoint, Pmf, binomial_pmf, convolve_integer, hypergeometric_pmf
-from .moments import OverlapScenario
+from .moments import OverlapScenario, _label_weights, _sb_sc_laws
 from .rng import Stream, derive_key
 
 _DOMAIN_CHAIN = 0xCA
@@ -238,43 +238,10 @@ class PairCounts:
         return (self.sa, self.sb, self.sc, self.sd)
 
 
-def _label_weights(case, scenario):
-    """Integer weights (b, g, b, g) of the labels (sa, sb, sc, sd).
-
-    Poisson: the odds beta : gamma over one unreduced denominator, the bounds
-    the chain step draws below.  Bernoulli: the urn sizes beta*n/2, gamma*n/2.
-    """
-    beta, gamma = scenario.beta, scenario.gamma
-    if case == "poisson":
-        b, g = beta.numerator * gamma.denominator, gamma.numerator * beta.denominator
-    else:
-        b, g = int(beta * scenario.n // 2), int(gamma * scenario.n // 2)
-    return (b, g, b, g)
-
-
-@lru_cache(maxsize=64)
-def _sb_sc_laws(case, scenario, k):
-    """(sb law, sc law, den): integer weights of sb and sc given the band
-    offset k; den = sum(sb law) * sum(sc law) is the same for every k.
-    Cached: pair_density reads one entry of each per call.
-
-    Poisson: sb ~ Binomial((w+k)/2, gamma), sc ~ Binomial((w-k)/2, beta), odds
-    in lowest terms.  Bernoulli (k = 0): the sb balls of w/2 draws from the
-    sa and sb urns, and the sc balls of w/2 draws from the sc and sd urns.
-    """
-    b, g = _label_weights(case, scenario)[:2]
-    w = scenario.w
-    if case == "poisson":
-        d = gcd(b, g)
-        b, g = b // d, g // d
-        n1, n2 = (w + k) // 2, (w - k) // 2
-        sb = tuple(comb(n1, i) * g**i * b ** (n1 - i) for i in range(n1 + 1))
-        sc = tuple(comb(n2, j) * b**j * g ** (n2 - j) for j in range(n2 + 1))
-    else:
-        half = w // 2
-        sb = tuple(comb(g, i) * comb(b, half - i) for i in range(half + 1))
-        sc = tuple(comb(b, j) * comb(g, half - j) for j in range(half + 1))
-    return sb, sc, sum(sb) * sum(sc)
+# pair_density reads one entry of each law per call, so the last 64 laws are
+# kept here, where calls reuse them; moments.phi_fixed_weight reads each law
+# once and calls _sb_sc_laws uncached
+_cached_laws = lru_cache(maxsize=64)(_sb_sc_laws)
 
 
 def pair_density(case, scenario: OverlapScenario, point: LatticePoint) -> Fraction:
@@ -296,7 +263,7 @@ def pair_density(case, scenario: OverlapScenario, point: LatticePoint) -> Fracti
             raise ParameterError(f"band offset k={k} out of range for w={w}")
     elif k != 0:
         raise ParameterError("bernoulli case conditions on the zero band")
-    sb, sc, den = _sb_sc_laws(case, scenario, k)
+    sb, sc, den = _cached_laws(case, scenario, k)
     num = sb[s - c] * sc[c] if s - c < len(sb) and c < len(sc) else 0
     return Fraction(num, den)
 
@@ -342,7 +309,7 @@ def _pair_stats(case, scenario):
         ks, masses = (0,), [1]
     g0, g1, g2, band = ([0] * (w + 1) for _ in range(4))
     for k, mk in zip(ks, masses):
-        sb_law, sc_law, den = _sb_sc_laws(case, scenario, k)
+        sb_law, sc_law, den = _cached_laws(case, scenario, k)
         sb_law = [mk * v for v in sb_law]
         c0 = convolve_integer(sb_law, sc_law)
         c1 = convolve_integer([i * v for i, v in enumerate(sb_law)], sc_law)

@@ -228,6 +228,36 @@ def pair_stats_oracle(case, scenario, f=None):
     return g0, g1, g2, band
 
 
+def phi_fixed_weight_oracle(scenario):
+    """Fixed-weight pair probability phi by direct formulas, sharing no code
+    with moments' phi or stein's pair laws.
+
+    Poisson: for row inner products k, k2 in the band with v and u, a triple
+    Fraction sum over c, the (v-, u-) count, of binomials times powers of
+    beta and gamma.  Bernoulli: the hypergeometric sum over t, the (v+, u+)
+    count, of C(beta n/2, t)^2 C(gamma n/2, w/2 - t)^2 over C(n, w).
+    """
+    n, w, beta = scenario.n, scenario.w, scenario.beta
+    gamma = 1 - beta
+    if scenario.case == "bernoulli_fixed_weight":
+        bn, gn = int(beta * n / 2), int(gamma * n / 2)
+        num = sum(comb(bn, t) ** 2 * comb(gn, w // 2 - t) ** 2 for t in range(w // 2 + 1))
+        return Fraction(num, comb(n, w))
+    radius = scenario.band.radius
+    ks = [k for k in range(-radius, radius + 1) if (k - w) % 2 == 0]
+    total = Fraction(0)
+    for k in ks:
+        n1, n2 = (w + k) // 2, (w - k) // 2
+        for k2 in ks:
+            for c in range(n2 + 1):
+                top = (w + k2) // 2 - c
+                if 0 <= top <= n1:
+                    eb = 2 * c + (k - k2) // 2
+                    eg = w + (k2 - k) // 2 - 2 * c
+                    total += comb(w, n1) * comb(n1, top) * comb(n2, c) * beta**eb * gamma**eg
+    return total / 2**w
+
+
 def brute_ratio_bernoulli_fixed(n, w):
     """Same ratio for one 0/1 row of exact weight w (m = 1)."""
     ez = Fraction(0)

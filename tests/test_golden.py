@@ -8,10 +8,11 @@ not change a single byte of what the CLI prints.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from randisc import cli, ensembles
+from randisc import cli, ensembles, moments
 
 
 def run(argv, capsys):
@@ -115,3 +116,46 @@ PHASE_CSVS = [
 @pytest.mark.parametrize("flags,csv", PHASE_CSVS)
 def test_phase_csv_pinned(flags, csv, threads, capsys):
     assert run(["phase"] + flags + ["--threads", threads], capsys) == csv
+
+
+# Moment outputs recorded before phi was read off the pair label law: the
+# triple Fraction loop (Poisson) and the hypergeometric sum (Bernoulli).
+MOMENT_FLAGS = {
+    "dense": ["--case", "dense", "--p", "1/3"],
+    "bernoulli-fixed": ["--case", "bernoulli-fixed", "--w", "4"],
+    "poisson-fixed": ["--case", "poisson-fixed", "--w", "4", "--band", "2"],
+}
+MOMENT_SHA256 = {
+    ("dense", "ratio"): "7120af4c48c832250960bd14e8489203a42c3a55da012321fd51e0861b8eed22",
+    ("dense", "moments"): "8564ef38ce971af5c29e7ddb4c18b8bd88f0fd6974e205f798b703b3f069830a",
+    ("bernoulli-fixed", "ratio"): "1345ca94c9593f6cbf72f4b020ec31c9d859a5a0ce34f1c74225861e8be21e89",
+    ("bernoulli-fixed", "moments"): "f7c5ef2551c1b097fa924e8665e8f798824a71f0897f50057d52c6b6b3bcef45",
+    ("poisson-fixed", "ratio"): "c7250308403302f332fcd0e9c7db8d8d15e75d481d0f20ff5903ffb26143ea14",
+    ("poisson-fixed", "moments"): "dc74655262a313c7c19ab3d20c00b28633eafc87eb718a7b290875ae6d405956",
+}
+
+
+@pytest.mark.parametrize("key", sorted(MOMENT_SHA256))
+def test_moment_output_pinned(key, capsys):
+    case, cmd = key
+    check = ["--check"] if cmd == "moments" else []
+    out = run([cmd, *MOMENT_FLAGS[case], "--m", "2", "--n", "32", *check], capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == MOMENT_SHA256[key]
+
+
+def test_log_mode_moment_report_pinned():
+    # n = 128 is past the exact cap; the phi grid stays exact, the ratio and
+    # the first moment are floats
+    rep = moments.moment_report(
+        "poisson_fixed_weight", n=128, m=4, w=4, band_radius=2, exact=False
+    )
+    text = json.dumps({
+        "psi": str(rep.psi),
+        "phi": [[str(b), str(v)] for b, v in sorted(rep.phi_at.items())],
+        "log_first_moment": rep.first_moment.log_value,
+        "ratio": rep.ratio,
+    })
+    assert rep.psi == Fraction(7, 8)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c900031e03256568a0185be0079eac025c260db68e1c15d12efb0f58d490f1b4"
+    )

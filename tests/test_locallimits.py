@@ -56,6 +56,16 @@ def test_exact_pmfs_sum_to_one_exactly():
     assert sum(ll.truncated_poisson_pmf(F(7, 2))[0].weights) == 1
 
 
+def test_exact_pmf_sum_check_is_exact():
+    # mixed denominators: the sum is checked exactly, not to a tolerance
+    ok = (F(1, 3), F(1, 6), F(1, 4), F(1, 4))
+    assert ll.Pmf(0, ok).weights == ok
+    tiny = F(1, 2**300)
+    for eps in (tiny, -tiny):
+        with pytest.raises(ParameterError):
+            ll.Pmf(0, (F(1, 3), F(1, 6), F(1, 4), F(1, 4) + eps))
+
+
 def test_truncated_poisson_cut_is_deep():
     lam = F(4)
     pmf, cut = ll.truncated_poisson_pmf(lam)

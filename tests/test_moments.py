@@ -8,6 +8,7 @@ from helpers import (
     brute_ratio_dense,
     brute_ratio_poisson_fixed,
     lazy_walk_oracle,
+    phi_fixed_weight_oracle,
 )
 from randisc import moments as mo
 from randisc.errors import CapacityError, ParameterError
@@ -81,6 +82,29 @@ def test_fixed_weight_phi_agreement_symmetry():
             mo.OverlapScenario("poisson_fixed_weight", n, w, 1 - b, band)
         )[1]
         assert fp == fp2
+
+
+def test_fixed_weight_phi_matches_direct_formula_oracle():
+    # both cases, beta in {0, 1}, w = 0, every band radius up to w + 1 (odd w
+    # with the zero band is an empty band, phi = 0)
+    scenarios = []
+    for w in range(0, 8):
+        for radius in range(0, w + 2):
+            band = mo.SymmetricBand(radius, w % 2)
+            for i in range(13):
+                scenarios.append(mo.OverlapScenario("poisson_fixed_weight", max(2 * w, 2), w, F(i, 12), band))
+    for n in range(2, 17, 2):
+        for w in range(0, n + 1, 2):
+            for j in range(n // 2 + 1):
+                scenarios.append(mo.OverlapScenario("bernoulli_fixed_weight", n, w, F(2 * j, n)))
+    empty = 0
+    for scen in scenarios:
+        want = phi_fixed_weight_oracle(scen)
+        assert mo.psi_phi_fixed_weight(scen)[1] == want, scen
+        empty += not scen.band.members()
+    assert empty and mo.psi_phi_fixed_weight(
+        mo.OverlapScenario("poisson_fixed_weight", 6, 3, F(1, 3), mo.SymmetricBand(0, 1))
+    ) == (0, 0)
 
 
 def test_nonintegral_agreement_count_rejected():
