@@ -15,7 +15,8 @@ Everything here is computed in exact rational arithmetic by default; the
 dichotomy of interest lives in 1 + Theta(1/n) corrections that floats blur.
 """
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, exp, gcd, lgamma, log
 
@@ -109,22 +110,21 @@ class OverlapScenario:
 # both sums over the law of (sb, sc) given k.
 
 
-def _label_weights(case, scenario):
-    """Integer weights (b, g, b, g) of the labels (sa, sb, sc, sd); case is
-    the pair case, "poisson" or "bernoulli".
+def _label_weights(scenario):
+    """Integer weights (b, g, b, g) of the labels (sa, sb, sc, sd).
 
     Poisson: the odds beta : gamma over one unreduced denominator, the bounds
     the chain step draws below.  Bernoulli: the urn sizes beta*n/2, gamma*n/2.
     """
     beta, gamma = scenario.beta, scenario.gamma
-    if case == "poisson":
+    if scenario.case == "poisson_fixed_weight":
         b, g = beta.numerator * gamma.denominator, gamma.numerator * beta.denominator
     else:
         b, g = int(beta * scenario.n // 2), int(gamma * scenario.n // 2)
     return (b, g, b, g)
 
 
-def _sb_sc_laws(case, scenario, k):
+def _sb_sc_laws(scenario, k):
     """(sb law, sc law, den): integer weights of sb and sc given the band
     offset k; den = sum(sb law) * sum(sc law) is the same for every k.
 
@@ -132,9 +132,9 @@ def _sb_sc_laws(case, scenario, k):
     in lowest terms.  Bernoulli (k = 0): the sb balls of w/2 draws from the
     sa and sb urns, and the sc balls of w/2 draws from the sc and sd urns.
     """
-    b, g = _label_weights(case, scenario)[:2]
+    b, g = _label_weights(scenario)[:2]
     w = scenario.w
-    if case == "poisson":
+    if scenario.case == "poisson_fixed_weight":
         d = gcd(b, g)
         b, g = b // d, g // d
         n1, n2 = (w + k) // 2, (w - k) // 2
@@ -197,15 +197,6 @@ def psi_dense(n, p):
     return psi_phi_dense(n, p, 0)[0]
 
 
-def psi_fixed_weight(scenario: OverlapScenario):
-    """Single-vector satisfaction probability for the fixed-weight cases."""
-    if scenario.case == "bernoulli_parity_dense":
-        raise ParameterError(f"{scenario.case} is not a fixed-weight case")
-    return _row_psi_phi_functions(
-        scenario.case, scenario.n, w=scenario.w, band_radius=scenario.band.radius
-    )[0]
-
-
 def phi_fixed_weight(scenario: OverlapScenario):
     """Pair satisfaction probability for the fixed-weight cases: the band sum
     of the law of S = sb + sc from the pair label law (_sb_sc_laws).
@@ -220,22 +211,25 @@ def phi_fixed_weight(scenario: OverlapScenario):
         targets = scenario.band.targets(w)
         num, den = 0, 1
         for k in scenario.band.members():
-            sb, sc, den = _sb_sc_laws("poisson", scenario, k)
+            sb, sc, den = _sb_sc_laws(scenario, k)
             conv = convolve_integer(sb, sc)
             num += comb(w, (w + k) // 2) * sum(conv[t] for t in targets)
         return Fraction(num, 2**w * den)
     if scenario.case == "bernoulli_fixed_weight":
-        sb, sc, _ = _sb_sc_laws("bernoulli", scenario, 0)
+        sb, sc, _ = _sb_sc_laws(scenario, 0)
         return Fraction(convolve_integer(sb, sc)[w // 2], comb(scenario.n, w))
     raise ParameterError(f"{scenario.case} is not a fixed-weight case")
 
 
 def psi_phi_fixed_weight(scenario: OverlapScenario):
-    return psi_fixed_weight(scenario), phi_fixed_weight(scenario)
+    """(psi, phi(beta)) for the fixed-weight cases; psi is phi at full
+    overlap (u = v), where the pair event is the single-vector event."""
+    return phi_fixed_weight(replace(scenario, beta=Fraction(1))), phi_fixed_weight(scenario)
 
 
 def _row_psi_phi_functions(case, n, p=None, w=None, band_radius=0):
-    """The one per-row source: (psi, r -> phi(2r/n)) for the ratio machinery.
+    """The one per-row source: (psi, r -> phi(2r/n)) for one row spec; the
+    row plan builds each distinct row through it.
 
     psi is phi at full overlap (u = v), where the pair event is the
     single-vector event.  The Bernoulli fixed-weight case always has the
@@ -244,6 +238,8 @@ def _row_psi_phi_functions(case, n, p=None, w=None, band_radius=0):
     if case == "bernoulli_parity_dense":
         if band_radius != 0:
             raise ParameterError("dense parity case uses the zero band")
+        if p is None:
+            raise ParameterError("dense case needs p")
         zeros = _walk_zero_probs(n // 2, p)
         pp = parity_prob(n, p)
 
@@ -261,6 +257,67 @@ def _row_psi_phi_functions(case, n, p=None, w=None, band_radius=0):
 
 # ---------------------------------------------------------------------------
 # Moments
+#
+# E[Z] and the overlap ratio are products over the rows of per-row factors,
+# so both read one row plan: the spec parsed once, each distinct row built
+# once.
+
+
+def _row_plan(case, n, m, p, w, band_radius, capped):
+    """(keys, rows) for a row spec, validated once.
+
+    keys holds one entry per row: its weight w, or None for the dense case's
+    i.i.d. rows.  rows maps each distinct key, in first-seen order, to
+    (count, psi, r -> phi(2r/n)).  With capped, the exact-mode cap is
+    checked before any row is built.
+    """
+    if n % 2:
+        raise ParameterError("n must be even")
+    if n < 2:
+        raise ParameterError(f"n must be >= 2, got {n}")
+    if case == "bernoulli_parity_dense":
+        if m is None:
+            raise ParameterError("dense case needs m")
+        keys = [None] * m
+    elif w is None:
+        raise ParameterError("fixed-weight cases need w")
+    elif isinstance(w, int):
+        if m is None:
+            raise ParameterError("scalar w needs m")
+        keys = [w] * m
+    else:
+        keys = list(w)
+    if not keys:
+        raise ParameterError("need at least one row (m >= 1)")
+    if capped and (n > EXACT_N_CAP or len(keys) > EXACT_M_CAP):
+        raise CapacityError(
+            f"exact ratio capped at n<={EXACT_N_CAP}, m<={EXACT_M_CAP}; "
+            "pass exact=False for the log-space fallback"
+        )
+    rows = {}
+    for key, count in Counter(keys).items():
+        psi, phi = _row_psi_phi_functions(case, n, p=p, w=key, band_radius=band_radius)
+        if psi == 0:
+            raise ParameterError(
+                f"band radius {band_radius} is unreachable for w={key} (psi = 0)"
+            )
+        rows[key] = (count, psi, phi)
+    return keys, rows
+
+
+def _combine(start, factors, exact):
+    """start * prod f**count over (f, count) in factors, or in log space
+    start + sum count * log f."""
+    for f, count in factors:
+        if exact:
+            start *= f**count
+        else:
+            start += count * _log_fraction(f)
+    return start
+
+
+def _log_fraction(fr):
+    return log(fr.numerator) - log(fr.denominator)
 
 
 @dataclass
@@ -279,43 +336,15 @@ def expected_solution_count(case, *, n, m=None, p=None, w=None, band_radius=0):
     Exact for n <= 64; always reports the log value (relative error below
     1e-12 past the cap).
     """
-    psis = _per_row_psis(case, n=n, m=m, p=p, w=w, band_radius=band_radius)
-    if n <= EXACT_N_CAP:
-        value = Fraction(comb(n, n // 2))
-        for ps in psis:
-            value *= ps
-        return ExpectedCount(value, _log_fraction(value))
-    logv = lgamma(n + 1) - 2 * lgamma(n // 2 + 1)
-    for ps in psis:
-        logv += _log_fraction(ps)
-    return ExpectedCount(None, logv)
+    return _first_moment(n, *_row_plan(case, n, m, p, w, band_radius, capped=False))
 
 
-def _per_row_psis(case, *, n, m=None, p=None, w=None, band_radius=0):
-    if case == "bernoulli_parity_dense":
-        if m is None or p is None:
-            raise ParameterError("dense case needs m and p")
-        return [psi_dense(n, p)] * m
-    ws = _weights_list(w, m)
-    psis = {
-        wi: _row_psi_phi_functions(case, n, w=wi, band_radius=band_radius)[0]
-        for wi in dict.fromkeys(ws)
-    }
-    return [psis[wi] for wi in ws]
-
-
-def _weights_list(w, m):
-    if w is None:
-        raise ParameterError("fixed-weight cases need w")
-    if isinstance(w, int):
-        if m is None:
-            raise ParameterError("scalar w needs m")
-        return [w] * m
-    return list(w)
-
-
-def _log_fraction(fr):
-    return log(fr.numerator) - log(fr.denominator)
+def _first_moment(n, keys, rows):
+    exact = n <= EXACT_N_CAP
+    start = Fraction(comb(n, n // 2)) if exact else lgamma(n + 1) - 2 * lgamma(n // 2 + 1)
+    # row by row in row order: the log sum's rounding depends on the order
+    total = _combine(start, [(rows[key][1], 1) for key in keys], exact)
+    return ExpectedCount(total, _log_fraction(total)) if exact else ExpectedCount(None, total)
 
 
 @dataclass
@@ -338,62 +367,24 @@ def second_moment_ratio(case, *, n, m=None, p=None, w=None, band_radius=0, exact
     Exact mode is capped at n <= 64, m <= 8 (CapacityError beyond; pass
     exact=False for the log-space float fallback).
     """
-    if n % 2:
-        raise ParameterError("n must be even")
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    if case == "bernoulli_parity_dense":
-        if m is None:
-            raise ParameterError("dense case needs m")
-        rows = [("dense", None)] * m
-    else:
-        rows = [("w", wi) for wi in _weights_list(w, m)]
-    m_eff = len(rows)
-    if not m_eff:
-        raise ParameterError("the ratio needs at least one row (m >= 1)")
-    if exact and (n > EXACT_N_CAP or m_eff > EXACT_M_CAP):
-        raise CapacityError(
-            f"exact ratio capped at n<={EXACT_N_CAP}, m<={EXACT_M_CAP}; "
-            "pass exact=False for the log-space fallback"
-        )
+    return _overlap_ratio(n, _row_plan(case, n, m, p, w, band_radius, capped=exact)[1], exact)
 
-    # group identical rows so the per-overlap product is a small power product
-    groups = {}
-    for tag in rows:
-        groups[tag] = groups.get(tag, 0) + 1
-    fns = {}
-    for tag, wi in groups:
-        fns[(tag, wi)] = _row_psi_phi_functions(case, n, p=p, w=wi, band_radius=band_radius)
-        if fns[(tag, wi)][0] == 0:
-            raise ParameterError(
-                f"band radius {band_radius} is unreachable for w={wi} (psi = 0)"
-            )
 
+def _overlap_ratio(n, rows, exact):
+    """The overlap sum over the plan's distinct rows, each group's
+    phi/psi^2 raised to its row count; the profile keeps the first
+    group's phi/psi^2."""
     half = n // 2
     denom = comb(n, half)
     total = Fraction(0) if exact else 0.0
     profile = []
     for r in range(half + 1):
-        beta = Fraction(2 * r, n)
-        ratio_prod = Fraction(1) if exact else 0.0
-        rep_ratio = None
-        for (tag, wi), cnt in groups.items():
-            psi, phi_fn = fns[(tag, wi)]
-            rr = phi_fn(r) / psi**2
-            if rep_ratio is None:
-                rep_ratio = rr
-            if exact:
-                ratio_prod *= rr**cnt
-            else:
-                ratio_prod += cnt * _log_fraction(rr)
+        factors = [(phi(r) / psi**2, count) for count, psi, phi in rows.values()]
+        prod = _combine(Fraction(1) if exact else 0.0, factors, exact)
         coeff = Fraction(comb(half, r) ** 2, denom)
-        if exact:
-            term = coeff * ratio_prod
-            total += term
-        else:
-            term = float(coeff) * exp(ratio_prod)
-            total += term
-        profile.append(OverlapTerm(r, beta, rep_ratio, term))
+        term = coeff * prod if exact else float(coeff) * exp(prod)
+        total += term
+        profile.append(OverlapTerm(r, Fraction(2 * r, n), factors[0][0], term))
     return RatioResult(total, profile)
 
 
@@ -479,21 +470,15 @@ def check_smm_conditions(report: MomentReport, m, delta, eps):
 
 
 def moment_report(case, *, n, m=None, p=None, w=None, band_radius=0, exact=True):
-    """Assemble psi, the full phi grid, E[Z] and the overlap ratio."""
-    ratio = second_moment_ratio(
-        case, n=n, m=m, p=p, w=w, band_radius=band_radius, exact=exact
-    )
-    wi, m_eff = None, m
-    if case != "bernoulli_parity_dense":
-        ws = _weights_list(w, m)
-        if len(set(ws)) != 1:
-            raise ParameterError("moment_report needs identical row weights")
-        wi, m_eff = ws[0], len(ws)
-    psi = _row_psi_phi_functions(case, n, p=p, w=wi, band_radius=band_radius)[0]
+    """Assemble psi, the full phi grid, E[Z] and the overlap ratio from one
+    row plan."""
+    keys, rows = _row_plan(case, n, m, p, w, band_radius, capped=exact)
+    ratio = _overlap_ratio(n, rows, exact)
+    if len(rows) != 1:
+        raise ParameterError("moment_report needs identical row weights")
+    ((_, psi, _),) = rows.values()
     # the profile holds phi/psi^2 exactly in both modes
     psi2 = psi**2
     phi_at = {t.beta: t.phi_over_psi2 * psi2 for t in ratio.profile}
-    first = expected_solution_count(
-        case, n=n, m=m_eff, p=p, w=w, band_radius=band_radius
-    )
-    return MomentReport(case, n, m_eff, psi, phi_at, first, ratio.ratio)
+    first = _first_moment(n, keys, rows)
+    return MomentReport(case, n, len(keys), psi, phi_at, first, ratio.ratio)

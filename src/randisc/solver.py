@@ -143,12 +143,12 @@ def disc_exhaustive(A: IntMatrix, balanced_only=False, cap=EXHAUSTIVE_CAP) -> So
     return SolveResult(best_val, SignVector(signs, balanced_only))
 
 
-def count_solutions(A: IntMatrix, r, cap=EXHAUSTIVE_CAP, mitm_caps=None) -> int:
+def count_solutions(A: IntMatrix, r, cap=EXHAUSTIVE_CAP) -> int:
     """Exact number of balanced u with ||Au||_inf <= r."""
     if A.n % 2:
         raise ParameterError("balanced vectors require even n")
     # the checks of the branch that counts: caps, radius and int64 range
-    mat = _mitm_matrix(A, r, True, mitm_caps) if A.n > cap else _int64_matrix(A)
+    mat = _mitm_matrix(A, r, True, None) if A.n > cap else _int64_matrix(A)
     if r >= max_abs_row_sum(A):
         # no |u . row| exceeds the largest row sum, so every balanced u counts
         return comb(A.n, A.n // 2)

@@ -263,7 +263,7 @@ def pair_density(case, scenario: OverlapScenario, point: LatticePoint) -> Fracti
             raise ParameterError(f"band offset k={k} out of range for w={w}")
     elif k != 0:
         raise ParameterError("bernoulli case conditions on the zero band")
-    sb, sc, den = _cached_laws(case, scenario, k)
+    sb, sc, den = _cached_laws(scenario, k)
     num = sb[s - c] * sc[c] if s - c < len(sb) and c < len(sc) else 0
     return Fraction(num, den)
 
@@ -309,7 +309,7 @@ def _pair_stats(case, scenario):
         ks, masses = (0,), [1]
     g0, g1, g2, band = ([0] * (w + 1) for _ in range(4))
     for k, mk in zip(ks, masses):
-        sb_law, sc_law, den = _cached_laws(case, scenario, k)
+        sb_law, sc_law, den = _cached_laws(scenario, k)
         sb_law = [mk * v for v in sb_law]
         c0 = convolve_integer(sb_law, sc_law)
         c1 = convolve_integer([i * v for i, v in enumerate(sb_law)], sc_law)
@@ -399,14 +399,15 @@ def _admissible(scenario, sigma):
     return sigma.k in scenario.band.members()
 
 
-def _validate_sigma(case, scenario, sigma, conditioned):
+def _validate_sigma(scenario, sigma, conditioned):
     if sigma.w != scenario.w:
         raise ParameterError("sigma total does not match scenario weight")
-    labels = _label_weights(case, scenario)
-    if case == "bernoulli" and any(s > p for s, p in zip(sigma.as_tuple(), labels)):
+    labels = _label_weights(scenario)
+    bernoulli = scenario.case == "bernoulli_fixed_weight"
+    if bernoulli and any(s > p for s, p in zip(sigma.as_tuple(), labels)):
         raise ParameterError("sigma exceeds an urn population")
     if conditioned and not _admissible(scenario, sigma):
-        if case == "bernoulli":
+        if bernoulli:
             raise ParameterError("conditioned sigma needs w/2 draws of each type")
         raise ParameterError(f"sigma band offset {sigma.k} outside the band")
 
@@ -445,11 +446,11 @@ def pair_chain_step(case, scenario, sigma: PairCounts, conditioned, seed) -> Pai
     unselected ball of the same type).
     """
     _check_case(case, scenario)
-    _validate_sigma(case, scenario, sigma, conditioned)
+    _validate_sigma(scenario, sigma, conditioned)
     stream = Stream(derive_key(seed, _DOMAIN_CHAIN))
     counts = sigma.as_tuple()
     x = _pick(stream, counts)
-    labels = _label_weights(case, scenario)
+    labels = _label_weights(scenario)
     y = _pick(stream, _move_weights(case, labels, counts, x, conditioned))
     return PairCounts(*_move(counts, x, y))
 
@@ -461,7 +462,7 @@ def enumerate_sigmas(case, scenario, conditioned):
     for Poisson, prod(comb(urn size, count)) for Bernoulli.
     """
     _check_case(case, scenario)
-    w, labels = scenario.w, _label_weights(case, scenario)
+    w, labels = scenario.w, _label_weights(scenario)
     out = []
     for sa in range(w + 1):
         for sb in range(w + 1 - sa):
@@ -485,7 +486,7 @@ def exact_transition_matrix(case, scenario, conditioned):
     counts[x] / w * weights[y] / sum(weights), weights from _move_weights."""
     states = enumerate_sigmas(case, scenario, conditioned)
     index = {sig.as_tuple(): i for i, (sig, _) in enumerate(states)}
-    w, labels = scenario.w, _label_weights(case, scenario)
+    w, labels = scenario.w, _label_weights(scenario)
     kernel = {}
     for i, (sig, _) in enumerate(states):
         counts = sig.as_tuple()

@@ -317,3 +317,50 @@ def test_walk_zero_probs_match_binomial_difference_oracle(p):
     assert len(zeros) == 41
     for j, z in enumerate(zeros):
         assert z == lazy_walk_oracle(j, p)[0], j
+
+
+BAD_SPECS = {
+    "psi_zero": ("poisson_fixed_weight", dict(n=4, m=1, w=3)),
+    "psi_zero_log": ("poisson_fixed_weight", dict(n=128, m=1, w=3)),
+    "dense_p_none": ("bernoulli_parity_dense", dict(n=8, m=2)),
+    "m_zero": ("bernoulli_parity_dense", dict(n=8, m=0, p=F(1, 2))),
+    "m_negative": ("poisson_fixed_weight", dict(n=8, m=-1, w=2)),
+    "w_empty": ("bernoulli_fixed_weight", dict(n=8, w=[])),
+    "dense_band": ("bernoulli_parity_dense", dict(n=8, m=2, p=F(1, 2), band_radius=2)),
+    "n_zero": ("bernoulli_parity_dense", dict(n=0, m=2, p=F(1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SPECS))
+def test_moment_entry_points_share_refusals(name):
+    case, kw = BAD_SPECS[name]
+    exact = kw["n"] <= mo.EXACT_N_CAP
+    for fn, extra in (
+        (mo.expected_solution_count, {}),
+        (mo.second_moment_ratio, {"exact": exact}),
+        (mo.moment_report, {"exact": exact}),
+    ):
+        with pytest.raises(ParameterError):
+            fn(case, **kw, **extra)
+
+
+@pytest.mark.parametrize(
+    "case,kw",
+    [
+        ("bernoulli_parity_dense", dict(p=F(1, 3))),
+        ("bernoulli_fixed_weight", dict(w=4)),
+        ("poisson_fixed_weight", dict(w=4, band_radius=2)),
+    ],
+)
+def test_moment_report_builds_each_row_once(case, kw, monkeypatch):
+    calls = []
+    source = mo._row_psi_phi_functions
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return source(*args, **kwargs)
+
+    monkeypatch.setattr(mo, "_row_psi_phi_functions", counted)
+    rep = mo.moment_report(case, n=16, m=3, **kw)
+    assert len(calls) == 1
+    assert rep.m == 3
