@@ -92,16 +92,8 @@ def run_phase_scan(cfg: PhaseScanConfig):
     reduced in grid order after all trials complete, so the output is
     byte-identical for any thread count.
     """
-    offending = [
-        n
-        for n in cfg.n_values
-        if n > solver.MITM_N_CAP or cfg.m > solver.MITM_M_CAP
-    ]
-    if offending:
-        raise CapacityError(
-            f"grid points n in {offending} (m={cfg.m}) exceed mitm caps "
-            f"(n<={solver.MITM_N_CAP}, m<={solver.MITM_M_CAP})"
-        )
+    for n in cfg.n_values:
+        solver.check_mitm_shape(n, cfg.m)
     jobs = [
         (pi, n, t)
         for pi, n in enumerate(cfg.n_values)
@@ -149,22 +141,20 @@ def _cmd_gen(args):
     if args.out:
         ensembles.write_matrix(args.out, A)
     else:
-        sys.stdout.write(f"{A.m} {A.n}\n")
-        for i in range(A.m):
-            sys.stdout.write(" ".join(str(v) for v in A.row(i)) + "\n")
+        sys.stdout.write(ensembles.format_matrix(A))
     return 0
 
 
 def _cmd_disc(args):
     A = ensembles.read_matrix(args.infile)
     if args.method == "brute":
-        cap = args.cap if args.cap else solver.EXHAUSTIVE_CAP
+        cap = args.cap or solver.EXHAUSTIVE_CAP
         res = solver.disc_exhaustive(A, balanced_only=args.balanced, cap=cap)
     else:
         if args.r is None:
             raise ParameterError("--method mitm needs --r")
-        caps = (args.cap, solver.MITM_M_CAP) if args.cap else None
-        ok, wit = solver.disc_exists_mitm(A, args.r, balanced_only=args.balanced, caps=caps)
+        cap = args.cap or solver.MITM_N_CAP
+        ok, wit = solver.disc_exists_mitm(A, args.r, balanced_only=args.balanced, cap=cap)
         print(json.dumps({"feasible": ok, "r": args.r, "witness": str(wit) if wit else None}))
         return 0
     print(json.dumps(res.to_json_dict()))
@@ -252,13 +242,6 @@ def _cmd_ratio(args):
     return 0
 
 
-def _stein_scenario(args, case):
-    scen_case = stein.SCENARIO_CASES[case]
-    n = args.n if args.n is not None else 2 * args.w
-    band = moments.SymmetricBand(args.band, args.w % 2)
-    return moments.OverlapScenario(scen_case, n, args.w, _fraction(args.beta), band)
-
-
 def _load_birth_death(path):
     """JSON file with fields w, a, b; coefficients as "num/den" strings."""
     try:
@@ -279,81 +262,83 @@ def _load_birth_death(path):
     )
 
 
-def _cmd_stein(args):
-    if args.stein_cmd == "verify-inverse":
-        if args.spec == "binomial":
-            bd = stein.binomial_pair_spec(args.w)
-        elif args.spec == "hypergeometric":
-            if args.n is None:
-                raise ParameterError("hypergeometric spec needs --n")
-            bd = stein.hypergeometric_pair_spec(args.n, args.w)
-        else:
-            if args.file is None:
-                raise ParameterError("--spec file needs --file PATH")
-            bd = _load_birth_death(args.file)
-            if bd.w != args.w:
-                raise ParameterError(f"spec file has w={bd.w}, flag says {args.w}")
-        sol = stein.stein_invert(bd, args.t)
-        mu = stein.stationary_pmf(bd)
-        image = stein_apply_residual(bd, sol, mu)
-        print(
-            json.dumps(
-                {
-                    "w": args.w,
-                    "t": args.t,
-                    "max_delta": _fmt_fraction(sol.max_delta()),
-                    "l1_delta": _fmt_fraction(sol.l1_delta()),
-                    "bound": _fmt_fraction(min(1 / bd.a[args.t], 1 / bd.b[args.t])),
-                    "inverse_residual": _fmt_fraction(image),
-                }
-            )
+def _cmd_verify_inverse(args):
+    if args.spec == "binomial":
+        bd = stein.binomial_pair_spec(args.w)
+    elif args.spec == "hypergeometric":
+        if args.n is None:
+            raise ParameterError("hypergeometric spec needs --n")
+        bd = stein.hypergeometric_pair_spec(args.n, args.w)
+    else:
+        if args.file is None:
+            raise ParameterError("--spec file needs --file PATH")
+        bd = _load_birth_death(args.file)
+        if bd.w != args.w:
+            raise ParameterError(f"spec file has w={bd.w}, flag says {args.w}")
+    sol = stein.stein_invert(bd, args.t)
+    mu = stein.stationary_pmf(bd)
+    image = stein_apply_residual(bd, sol, mu)
+    print(
+        json.dumps(
+            {
+                "w": args.w,
+                "t": args.t,
+                "max_delta": _fmt_fraction(sol.max_delta()),
+                "l1_delta": _fmt_fraction(sol.l1_delta()),
+                "bound": _fmt_fraction(min(1 / bd.a[args.t], 1 / bd.b[args.t])),
+                "inverse_residual": _fmt_fraction(image),
+            }
         )
-        return 0
-    if args.stein_cmd == "verify-identity":
-        scen = _stein_scenario(args, args.case)
-        rep = stein.identity_report(args.case, scen)
-        print(
-            json.dumps(
-                {
-                    "case": args.case,
-                    "w": args.w,
-                    "beta": args.beta,
-                    "band": args.band,
-                    "lhs": _fmt_fraction(rep.lhs),
-                    "rhs": _fmt_fraction(rep.rhs),
-                    "residual": _fmt_fraction(rep.residual),
-                    "band_term": _fmt_fraction(rep.band_term),
-                    "corrected_residual": _fmt_fraction(rep.corrected_residual),
-                }
-            )
+    )
+    return 0
+
+
+def _cmd_verify_identity(args):
+    n = args.n if args.n is not None else 2 * args.w
+    band = moments.SymmetricBand(args.band, args.w % 2)
+    scen = moments.OverlapScenario(
+        stein.SCENARIO_CASES[args.case], n, args.w, _fraction(args.beta), band
+    )
+    rep = stein.identity_report(args.case, scen)
+    print(
+        json.dumps(
+            {
+                "case": args.case,
+                "w": args.w,
+                "beta": args.beta,
+                "band": args.band,
+                "lhs": _fmt_fraction(rep.lhs),
+                "rhs": _fmt_fraction(rep.rhs),
+                "residual": _fmt_fraction(rep.residual),
+                "band_term": _fmt_fraction(rep.band_term),
+                "corrected_residual": _fmt_fraction(rep.corrected_residual),
+            }
         )
-        return 0
-    if args.stein_cmd == "scan-bounds":
-        ws = _int_list("--w-list", args.w_list)
-        beta = _fraction(args.beta)
-        out = []
-        for w in ws:
-            n = args.n_factor * w
-            scen_case = stein.SCENARIO_CASES[args.case]
-            band = moments.SymmetricBand(0, w % 2)
-            scen = moments.OverlapScenario(scen_case, n, w, beta, band)
-            g1 = stein.fit_g1_bound(args.case, scen)
-            scen_half = moments.OverlapScenario(scen_case, n, w, Fraction(1, 2), band)
-            g2_ref, c2 = stein.fit_g2_bound(args.case, scen_half)
-            g2, _ = stein.fit_g2_bound(args.case, scen, c2_reference=c2)
-            out.append(
-                {
-                    "w": w,
-                    "g1_constant": g1.constant,
-                    "g1_decay": g1.decay,
-                    "g2_c2": c2,
-                    "g2_c1": g2.constant,
-                    "g2_decay": g2.decay,
-                }
-            )
-        print(json.dumps(out))
-        return 0
-    raise ParameterError(f"unknown stein subcommand {args.stein_cmd!r}")
+    )
+    return 0
+
+
+def _cmd_scan_bounds(args):
+    ws = _int_list("--w-list", args.w_list)
+    beta = _fraction(args.beta)
+    scen_case = stein.SCENARIO_CASES[args.case]
+    out = []
+    for w in ws:
+        scen = moments.OverlapScenario(scen_case, args.n_factor * w, w, beta)
+        g1 = stein.fit_g1_bound(args.case, scen)
+        g2, c2 = stein.fit_g2_bound(args.case, scen)
+        out.append(
+            {
+                "w": w,
+                "g1_constant": g1.constant,
+                "g1_decay": g1.decay,
+                "g2_c2": c2,
+                "g2_c1": g2.constant,
+                "g2_decay": g2.decay,
+            }
+        )
+    print(json.dumps(out))
+    return 0
 
 
 def stein_apply_residual(bd, sol, mu):
@@ -374,35 +359,21 @@ def _int_list(flag, text):
 
 
 def _cmd_lclt(args):
-    grid = []
     points = _int_list("--points", args.points)
     sizes = _int_list("--sizes", args.sizes)
-    if args.kind == "hyp_tail" and (args.ksucc is None or args.npop is None):
-        raise ParameterError("--kind hyp_tail needs --ksucc and --npop")
+    size_key, *names = locallimits.APPROX_PARAMS[args.kind]
+    flags = {"p": args.p, "lam": args.p, "ksucc": args.ksucc, "npop": args.npop}
+    missing = [f"--{name}" for name in names if flags[name] is None]
+    if missing:
+        raise ParameterError(f"--kind {args.kind} needs {' and '.join(missing)}")
+    fixed = {
+        name: _fraction(flags[name]) if name in ("p", "lam") else flags[name]
+        for name in names
+    }
+    grid = []
     for size in sizes:
-        for point in points:
-            entry = {"point": point}
-            if args.kind in ("demoivre", "cramer_tail"):
-                entry.update(n=size, p=_fraction(args.p))
-            elif args.kind == "stirling_binom":
-                entry.update(n=size)
-            elif args.kind == "edgeworth_lazy":
-                entry.update(r=size, p=_fraction(args.p))
-            elif args.kind == "hyp_tail":
-                entry.update(w=size, ksucc=args.ksucc, npop=args.npop)
-            elif args.kind == "poisson_tail":
-                entry.update(lam=_fraction(args.p))
-            else:
-                raise ParameterError(f"unknown kind {args.kind!r}")
-            grid.append(entry)
-    size_key = {
-        "demoivre": "n",
-        "cramer_tail": "n",
-        "stirling_binom": "n",
-        "edgeworth_lazy": "r",
-        "hyp_tail": "w",
-        "poisson_tail": None,
-    }[args.kind]
+        sized = {size_key: size} if size_key else {}
+        grid.extend({"point": point, **sized, **fixed} for point in points)
     scan = locallimits.error_scan(args.kind, grid, size_key=size_key)
     keys = sorted(scan.rows[0].params) if scan.rows else []
     out = ["kind," + ",".join(keys) + ",point,exact,approx,rel_error"]
@@ -492,25 +463,27 @@ def _build_parser():
     ra.set_defaults(fn=_cmd_ratio)
 
     st = sub.add_parser("stein", help="stein-inverse and pair-identity verification")
-    stsub = st.add_subparsers(dest="stein_cmd")
+    stsub = st.add_subparsers(required=True)
     vi = stsub.add_parser("verify-inverse")
     vi.add_argument("--w", type=int, required=True)
     vi.add_argument("--t", type=int, required=True)
     vi.add_argument("--spec", choices=("binomial", "hypergeometric", "file"), default="binomial")
     vi.add_argument("--n", type=int)
     vi.add_argument("--file", help="JSON birth-death spec for --spec file")
+    vi.set_defaults(fn=_cmd_verify_inverse)
     vd = stsub.add_parser("verify-identity")
     vd.add_argument("--case", choices=("poisson", "bernoulli"), required=True)
     vd.add_argument("--w", type=int, required=True)
     vd.add_argument("--n", type=int)
     vd.add_argument("--beta", required=True)
     vd.add_argument("--band", type=int, default=0)
+    vd.set_defaults(fn=_cmd_verify_identity)
     sc = stsub.add_parser("scan-bounds")
     sc.add_argument("--case", choices=("poisson", "bernoulli"), required=True)
     sc.add_argument("--w-list", required=True)
     sc.add_argument("--beta", default="5/8")
     sc.add_argument("--n-factor", type=int, default=4)
-    st.set_defaults(fn=_cmd_stein)
+    sc.set_defaults(fn=_cmd_scan_bounds)
 
     lc = sub.add_parser("lclt", help="error scans for the local-limit formulas")
     lc.add_argument("--kind", choices=locallimits.APPROX_KINDS, required=True)

@@ -324,11 +324,15 @@ def sample_fixed_weight(kind, n, w, seed):
 _HEADER = re.compile(r"^(\d+)\s+(\d+)$")
 
 
+def format_matrix(A: IntMatrix) -> str:
+    return f"{A.m} {A.n}\n" + "".join(
+        " ".join(str(v) for v in A.row(i)) + "\n" for i in range(A.m)
+    )
+
+
 def write_matrix(path, A: IntMatrix):
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"{A.m} {A.n}\n")
-        for i in range(A.m):
-            fh.write(" ".join(str(v) for v in A.row(i)) + "\n")
+        fh.write(format_matrix(A))
 
 
 def read_matrix(path) -> IntMatrix:

@@ -273,8 +273,7 @@ def exact_pmf(family, **params):
 
 @dataclass(frozen=True)
 class LatticePoint:
-    """A point (s, c) of a conditioned-pair lattice with band offset k;
-    l = s - w/2 and j = c - beta*s are the recentred coordinates."""
+    """A point (s, c) of a conditioned-pair lattice with band offset k."""
 
     w: int
     s: int
@@ -287,24 +286,21 @@ class LatticePoint:
         if not 0 <= self.c <= self.s:
             raise ParameterError(f"c={self.c} outside [0, s={self.s}]")
 
-    def l(self):
-        return Fraction(2 * self.s - self.w, 2)
-
-    def j(self, beta):
-        return self.c - Fraction(beta) * self.s
-
 
 # ---------------------------------------------------------------------------
 # Approximations and tail bounds
 
-APPROX_KINDS = (
-    "demoivre",
-    "stirling_binom",
-    "cramer_tail",
-    "hyp_tail",
-    "poisson_tail",
-    "edgeworth_lazy",
-)
+# Each approximation kind's parameter names, the size parameter first (None
+# when the kind has no size); approx_eval documents their meaning.
+APPROX_PARAMS = {
+    "demoivre": ("n", "p"),
+    "stirling_binom": ("n",),
+    "cramer_tail": ("n", "p"),
+    "hyp_tail": ("w", "ksucc", "npop"),
+    "poisson_tail": (None, "lam"),
+    "edgeworth_lazy": ("r", "p"),
+}
+APPROX_KINDS = tuple(APPROX_PARAMS)
 
 _DELTA = Fraction(1, 10)  # validity window for the de Moivre approximation
 # The quarter-variance Gaussian bound needs p(1-p) >= 1/8 to dominate the

@@ -232,8 +232,8 @@ def _row_psi_phi_functions(case, n, p=None, w=None, band_radius=0):
     row plan builds each distinct row through it.
 
     psi is phi at full overlap (u = v), where the pair event is the
-    single-vector event.  The Bernoulli fixed-weight case always has the
-    zero band.
+    single-vector event.  OverlapScenario refuses a Bernoulli fixed-weight
+    band other than 0.
     """
     if case == "bernoulli_parity_dense":
         if band_radius != 0:
@@ -247,7 +247,7 @@ def _row_psi_phi_functions(case, n, p=None, w=None, band_radius=0):
             return zeros[r] * zeros[n // 2 - r] / pp
 
         return phi(n // 2), phi
-    band = SymmetricBand(band_radius, w % 2) if case == "poisson_fixed_weight" else None
+    band = SymmetricBand(band_radius, w % 2)
 
     def phi(r):
         return phi_fixed_weight(OverlapScenario(case, n, w, Fraction(2 * r, n), band))

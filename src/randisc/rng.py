@@ -148,10 +148,6 @@ class Stream:
         """Uniform integer on [0, n), exact via rejection."""
         return self.below_many((n,))[0]
 
-    def bernoulli(self, p) -> bool:
-        """Exact Bernoulli draw for a rational p in [0, 1]."""
-        return self.below(p.denominator) < p.numerator
-
     def shuffle_prefixes(self, n: int, w: int, count: int) -> list:
         """First w entries of each of `count` uniform permutations of range(n),
         drawn one after another (Fisher-Yates)."""

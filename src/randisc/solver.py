@@ -148,7 +148,7 @@ def count_solutions(A: IntMatrix, r, cap=EXHAUSTIVE_CAP) -> int:
     if A.n % 2:
         raise ParameterError("balanced vectors require even n")
     # the checks of the branch that counts: caps, radius and int64 range
-    mat = _mitm_matrix(A, r, True, None) if A.n > cap else _int64_matrix(A)
+    mat = _mitm_matrix(A, r, True, MITM_N_CAP) if A.n > cap else _int64_matrix(A)
     if r >= max_abs_row_sum(A):
         # no |u . row| exceeds the largest row sum, so every balanced u counts
         return comb(A.n, A.n // 2)
@@ -159,7 +159,7 @@ def count_solutions(A: IntMatrix, r, cap=EXHAUSTIVE_CAP) -> int:
     return 2 * sum(int((vals <= r).sum()) for _, _, vals in blocks)
 
 
-def disc_exists_mitm(A: IntMatrix, r, balanced_only=False, caps=None):
+def disc_exists_mitm(A: IntMatrix, r, balanced_only=False, cap=MITM_N_CAP):
     """Feasibility of ||Au||_inf <= r via meet in the middle.
 
     Returns (feasible, witness or None).  A short deterministic probe of
@@ -177,7 +177,7 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False, caps=None):
     delta, then left index, then the right half's last-row sum, then right
     index; a half's index reads its signs as binary with '-' = 1.
     """
-    mat = _mitm_matrix(A, r, balanced_only, caps)
+    mat = _mitm_matrix(A, r, balanced_only, cap)
     if r >= max_abs_row_sum(A):
         # any vector lands inside [-r, r] on every row
         signs = tuple(1 if j % 2 == 0 else -1 for j in range(A.n))
@@ -191,20 +191,26 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False, caps=None):
     return True, hit
 
 
-def _mitm_matrix(A, r, balanced_only, caps):
+def check_mitm_shape(n, m, cap=MITM_N_CAP):
+    """Refuse a meet-in-the-middle run on an n-column, m-row matrix past the
+    caps, with an estimate of the memory it would take."""
+    if n > cap or m > MITM_M_CAP:
+        # two int64 tables of 2^(n/2) signatures, m + 2 words each; the
+        # exponent stops where a float would overflow (n past 2046)
+        est = 2.0 ** min((n + 1) // 2, 1023) * (m + 2) * 8 * 2
+        raise CapacityError(
+            f"mitm capped at n<={cap}, m<={MITM_M_CAP} (got {n}x{m})",
+            estimate=f"~{est / 1e6:.0f} MB of signatures",
+        )
+
+
+def _mitm_matrix(A, r, balanced_only, cap):
     """A as an int64 array, after the checks every meet-in-the-middle call makes."""
     if r < 0:
         raise ParameterError("radius must be >= 0")
     if balanced_only and A.n % 2:
         raise ParameterError("balanced vectors require even n")
-    n_cap, m_cap = caps if caps else (MITM_N_CAP, MITM_M_CAP)
-    if A.n > n_cap or A.m > m_cap:
-        half = (A.n + 1) // 2
-        est = (1 << half) * (A.m + 2) * 8 * 2
-        raise CapacityError(
-            f"mitm capped at n<={n_cap}, m<={m_cap} (got {A.n}x{A.m})",
-            estimate=f"~{est / 1e6:.0f} MB of signatures",
-        )
+    check_mitm_shape(A.n, A.m, cap)
     return _int64_matrix(A)
 
 

@@ -16,7 +16,7 @@ operator identity multiplies f(w+1) by a coefficient that vanishes at s = w.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -519,69 +519,46 @@ def fit_g1_bound(case, scenario: OverlapScenario) -> BoundFit:
     half the fitted decay, so it provably undercuts the true rate and the
     covering constant is attained in the bulk, making it stable in w.
     """
-    stats = conditioned_pair_stats(case, scenario)
-    w = scenario.w
     x = float(abs(scenario.x))
     if x == 0:
         raise ParameterError("g1 bound fit needs beta != 1/2")
-    pts = [
-        ((s - w / 2) ** 2 / w, log(abs(float(v))), abs(float(v)))
-        for s, v in enumerate(stats.g1)
-        if v != 0
-    ]
-    c = _fit_decay(pts)
+    w = scenario.w
+    c, pts = _decay_envelope(conditioned_pair_stats(case, scenario).g1, w)
     scale = x * sqrt(w)
-    constant = max(
-        abs(float(v)) / (scale * exp(-(c / 2) * (s - w / 2) ** 2 / w))
-        for s, v in enumerate(stats.g1)
-        if v != 0
-    )
-    return BoundFit(w, constant, c)
+    return BoundFit(w, max(v / (scale * env) for v, env in pts), c)
 
 
-def fit_g2_bound(case, scenario: OverlapScenario, c2_reference=None):
+def fit_g2_bound(case, scenario: OverlapScenario):
     """Fit g2(s) <= (C1 x^2 w^(3/2) + C2 sqrt(w)) exp(-c (s - w/2)^2 / w).
 
-    C2 is taken from the beta = 1/2 scan (x = 0), where the first term
-    drops; pass it back in via `c2_reference` when fitting x != 0.
-    Returns (BoundFit for C1 or C2, c2 used).  Decay handling as in
-    fit_g1_bound.
+    C2 is fitted on the same scenario at beta = 1/2 (x = 0), where the first
+    term drops.  Returns (BoundFit for C1, or for C2 when x = 0; C2).  Decay
+    handling as in fit_g1_bound.
     """
-    stats = conditioned_pair_stats(case, scenario)
     w = scenario.w
     x = float(abs(scenario.x))
-    pts = [
-        ((s - w / 2) ** 2 / w, log(float(v)), float(v))
-        for s, v in enumerate(stats.g2)
-        if v != 0
-    ]
-    c = _fit_decay(pts)
+    c, pts = _decay_envelope(conditioned_pair_stats(case, scenario).g2, w)
     if x == 0:
-        c2 = max(
-            float(v) / (sqrt(w) * exp(-(c / 2) * (s - w / 2) ** 2 / w))
-            for s, v in enumerate(stats.g2)
-            if v != 0
-        )
+        c2 = max(v / (sqrt(w) * env) for v, env in pts)
         return BoundFit(w, c2, c), c2
-    if c2_reference is None:
-        raise ParameterError("x != 0 fit needs the x = 0 reference constant")
-    c1 = max(
-        (float(v) / exp(-(c / 2) * (s - w / 2) ** 2 / w) - c2_reference * sqrt(w))
-        / (x * x * w**1.5)
-        for s, v in enumerate(stats.g2)
-        if v != 0
-    )
-    return BoundFit(w, max(c1, 0.0), c), c2_reference
+    _, c2 = fit_g2_bound(case, replace(scenario, beta=Fraction(1, 2)))
+    c1 = max((v / env - c2 * sqrt(w)) / (x * x * w**1.5) for v, env in pts)
+    return BoundFit(w, max(c1, 0.0), c), c2
 
 
-def _fit_decay(pts):
-    """Mass-weighted least-squares slope of log value against l^2/w."""
+def _decay_envelope(values, w):
+    """Decay c of the nonzero |values[s]|: minus the mass-weighted
+    least-squares slope of log |value| against l^2/w, l = s - w/2.  Returns c
+    and each such |value| paired with its envelope exp(-(c/2) l^2 / w) at
+    half that decay."""
+    pts = [(s, abs(float(v))) for s, v in enumerate(values) if v != 0]
     if len(pts) < 3:
         raise ParameterError("bound fit needs at least 3 lattice points")
-    wsum = sum(m for _, _, m in pts)
-    xbar = sum(x * m for x, _, m in pts) / wsum
-    ybar = sum(y * m for _, y, m in pts) / wsum
-    sxx = sum(m * (x - xbar) ** 2 for x, _, m in pts)
-    sxy = sum(m * (x - xbar) * (y - ybar) for x, y, m in pts)
-    slope = sxy / sxx if sxx else 0.0
-    return max(-slope, 1e-9)
+    fit = [((s - w / 2) ** 2 / w, log(v), v) for s, v in pts]
+    wsum = sum(m for _, _, m in fit)
+    xbar = sum(x * m for x, _, m in fit) / wsum
+    ybar = sum(y * m for _, y, m in fit) / wsum
+    sxx = sum(m * (x - xbar) ** 2 for x, _, m in fit)
+    sxy = sum(m * (x - xbar) * (y - ybar) for x, y, m in fit)
+    c = max(-(sxy / sxx if sxx else 0.0), 1e-9)
+    return c, [(v, exp(-(c / 2) * (s - w / 2) ** 2 / w)) for s, v in pts]

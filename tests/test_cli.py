@@ -40,6 +40,13 @@ def test_unknown_subcommand_exit_2(capsys):
     assert cli.dispatch(["frobnicate"]) == 2
 
 
+def test_stein_without_subcommand_prints_usage_exit_2(capsys):
+    code, out, err = run(["stein"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: randisc stein")
+    assert "scan-bounds" in err
+
+
 def test_zcount(tmp_path, capsys):
     path = str(tmp_path / "z.mat")
     ensembles.write_matrix(path, ensembles.IntMatrix.from_rows([[0, 0, 0, 0]]))
@@ -87,6 +94,18 @@ def test_capacity_exit_3(tmp_path, capsys):
     code, _, err = run(["disc", "--in", path, "--method", "brute"], capsys)
     assert code == 3
     assert "cap" in err
+
+
+def test_phase_grid_past_mitm_cap_exits_3_before_any_trial(monkeypatch, capsys):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "_phase_trial", no_trial)
+    argv = ["phase", "--m", "2", "--p", "1/2", "--r", "1", "--n-start", "4",
+            "--n-stop", str(solver.MITM_N_CAP + 4), "--trials", "1", "--seed", "0"]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("capacity:")
 
 
 def test_parameter_error_exit_2(capsys):

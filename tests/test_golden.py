@@ -159,3 +159,43 @@ def test_log_mode_moment_report_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "c900031e03256568a0185be0079eac025c260db68e1c15d12efb0f58d490f1b4"
     )
+
+
+# lclt and stein scan-bounds outputs recorded before the CLI read each kind's
+# parameters from locallimits.APPROX_PARAMS and left the beta = 1/2 reference
+# fit to stein.fit_g2_bound.
+LCLT_FLAGS = {
+    "demoivre": ["--sizes", "16,32,64", "--points", "8,10", "--p", "1/2"],
+    "stirling_binom": ["--sizes", "16,32,64", "--points", "4,8"],
+    "cramer_tail": ["--sizes", "16,32,64", "--points", "4,8", "--p", "1/3"],
+    "hyp_tail": ["--sizes", "8,16", "--points", "2,4", "--ksucc", "20", "--npop", "64"],
+    # no size parameter: each size repeats the same rows
+    "poisson_tail": ["--sizes", "1,2", "--points", "0,3", "--p", "5/2"],
+    "edgeworth_lazy": ["--sizes", "4,8,16", "--points", "0,1", "--p", "1/3"],
+}
+LCLT_SHA256 = {
+    "demoivre": "166240cf7fc431e4f602791530318771e26fd7b4e0b3ae6be0d232ff1ad67dd2",
+    "stirling_binom": "27cec4afd42fe5e1bf41e7ab1eaf1be2846a381f8e3b373a42a37798c908cfef",
+    "cramer_tail": "7a2b70d2d84624b940af6689f4384bdca73b95060de6a5ee33fbcd16b2477ea8",
+    "hyp_tail": "0dcf443bb3eb6b9bfdfbd12aaec14ef80938952f7a23ec3a6b901fed2ef3ed0b",
+    "poisson_tail": "8e9bf26675849048bf6b22e79c9ddc7478a06e720f3b6c6c8370fd0ebf927239",
+    "edgeworth_lazy": "f4f9ec3ff71a84325382a7f69bb8eaec8d525fa4893654cfe62578e9b52875ba",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LCLT_SHA256))
+def test_lclt_output_pinned(kind, capsys):
+    out = run(["lclt", "--kind", kind, *LCLT_FLAGS[kind]], capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == LCLT_SHA256[kind]
+
+
+SCAN_BOUNDS_SHA256 = {
+    "bernoulli": "6eb6d471703dfadbb14a428447e2c20726356c26c1f1368f9a80006e763319b4",
+    "poisson": "82c2baef69368e9a7250d182f0d6bdd7bd8f3ad43e9d87a357d1cdc255ecf005",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_BOUNDS_SHA256))
+def test_scan_bounds_output_pinned(case, capsys):
+    out = run(["stein", "scan-bounds", "--case", case, "--w-list", "8,16,32"], capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_BOUNDS_SHA256[case]

@@ -327,6 +327,7 @@ BAD_SPECS = {
     "m_negative": ("poisson_fixed_weight", dict(n=8, m=-1, w=2)),
     "w_empty": ("bernoulli_fixed_weight", dict(n=8, w=[])),
     "dense_band": ("bernoulli_parity_dense", dict(n=8, m=2, p=F(1, 2), band_radius=2)),
+    "bernoulli_band": ("bernoulli_fixed_weight", dict(n=8, m=2, w=2, band_radius=2)),
     "n_zero": ("bernoulli_parity_dense", dict(n=0, m=2, p=F(1, 2))),
 }
 
