@@ -53,6 +53,8 @@ class PhaseScanConfig:
     seed: int
 
     def __post_init__(self):
+        if not self.n_values:
+            raise ParameterError("the n grid is empty")
         if any(n % 2 for n in self.n_values):
             raise ParameterError("all n values must be even")
         if self.trials < 1:
@@ -276,8 +278,6 @@ def _cmd_verify_inverse(args):
         if bd.w != args.w:
             raise ParameterError(f"spec file has w={bd.w}, flag says {args.w}")
     sol = stein.stein_invert(bd, args.t)
-    mu = stein.stationary_pmf(bd)
-    image = stein_apply_residual(bd, sol, mu)
     print(
         json.dumps(
             {
@@ -286,7 +286,7 @@ def _cmd_verify_inverse(args):
                 "max_delta": _fmt_fraction(sol.max_delta()),
                 "l1_delta": _fmt_fraction(sol.l1_delta()),
                 "bound": _fmt_fraction(min(1 / bd.a[args.t], 1 / bd.b[args.t])),
-                "inverse_residual": _fmt_fraction(image),
+                "inverse_residual": _fmt_fraction(stein.stein_apply_residual(bd, sol)),
             }
         )
     )
@@ -341,16 +341,6 @@ def _cmd_scan_bounds(args):
     return 0
 
 
-def stein_apply_residual(bd, sol, mu):
-    """Max |T f - (indicator - mu_t)| over the state space; 0 when exact."""
-    image = stein.stein_apply(bd, sol.f)
-    worst = Fraction(0)
-    for s in range(bd.w + 1):
-        target = (1 if s == sol.t else 0) - mu[sol.t]
-        worst = max(worst, abs(image[s] - target))
-    return worst
-
-
 def _int_list(flag, text):
     try:
         return [int(tok) for tok in text.split(",")]
@@ -370,10 +360,9 @@ def _cmd_lclt(args):
         name: _fraction(flags[name]) if name in ("p", "lam") else flags[name]
         for name in names
     }
-    grid = []
-    for size in sizes:
-        sized = {size_key: size} if size_key else {}
-        grid.extend({"point": point, **sized, **fixed} for point in points)
+    # a kind without a size parameter takes its grid once, whatever --sizes says
+    sized = [{size_key: size} for size in sizes] if size_key else [{}]
+    grid = [{"point": point, **size, **fixed} for size in sized for point in points]
     scan = locallimits.error_scan(args.kind, grid, size_key=size_key)
     keys = sorted(scan.rows[0].params) if scan.rows else []
     out = ["kind," + ",".join(keys) + ",point,exact,approx,rel_error"]

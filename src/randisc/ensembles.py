@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import InvariantViolation, ParameterError, UnsupportedDistributionError
 from .locallimits import Pmf, binomial_pmf, truncated_poisson_pmf
-from .rng import IntegerTable, Stream, derive_key, table_from_fractions
+from .rng import IntegerTable, Stream, derive_key
 
 POISSON_SAMPLER_TAIL = Fraction(1, 2**60)
 PINELIS_DEFAULT_TAIL = Fraction(1, 10**15)
@@ -101,7 +101,7 @@ def _entry_table(kind, param):
     if kind == "bernoulli":
         return IntegerTable([param.denominator - param.numerator, param.numerator])
     pmf, _ = truncated_poisson_pmf(param, POISSON_SAMPLER_TAIL)
-    return table_from_fractions(pmf.weights)
+    return IntegerTable(pmf.counts)
 
 
 def sample(spec: EnsembleSpec) -> IntMatrix:
@@ -147,45 +147,44 @@ def pinelis_joint(mu: Pmf, truncation=None) -> CouplingTable:
 
     The overlap masses t_{2j} follow the recursion
     t_{2j+2} = t_{2j} + mu_{2j} (1 - 1/Q) + mu_{2j+1}, with Q the even mass
-    of mu.  Requires mu log-concave (binomial with p <= 1/2, Poisson);
-    violation of 0 <= t_{2j} <= mu_{2j-1} is detected exactly and raised.
+    of mu; over mu's counts c and den, with E the even count total, it runs
+    in integers as t_{2j} = T_{2j} / (den E), T_{2j+2} = T_{2j} +
+    (E - den) c_{2j} + E c_{2j+1}.  Requires mu log-concave (binomial with
+    p <= 1/2, Poisson); violation of 0 <= t_{2j} <= mu_{2j-1} is detected
+    exactly and raised.
     """
-    if mu.mode != "exact":
-        raise ParameterError("pinelis_joint requires an exact pmf")
     if mu.lo < 0:
         raise ParameterError("pinelis_joint requires support on nonnegative integers")
-    Q = sum(mu[k] for k in mu.support() if k % 2 == 0)
-    if Q == 0:
+    counts = dict(zip(mu.support(), mu.counts))
+    even_counts = [c if k % 2 == 0 else 0 for k, c in counts.items()]
+    even = sum(even_counts)
+    if even == 0:
         raise UnsupportedDistributionError("base pmf has no even mass")
-    even_weights = tuple(mu[k] / Q if k % 2 == 0 else Fraction(0) for k in mu.support())
-    even_marginal = Pmf(mu.offset, even_weights)
+    even_marginal = Pmf.from_masses(mu.offset, even_counts)
 
-    joint = {}
-    t = {}
-    prev = Fraction(0)
+    scale = mu.den * even
+    tnum, acc = {}, 0
     for twoj in range(0, mu.hi + 3, 2):
-        t[twoj] = prev
-        prev = prev + mu[twoj] * (1 - 1 / Q) + mu[twoj + 1]
-    for twoj in sorted(t):
-        lo_ok = t[twoj] >= 0
-        hi_ok = t[twoj] <= mu[twoj - 1]
-        if not (lo_ok and hi_ok):
+        if not 0 <= acc <= even * counts.get(twoj - 1, 0):
             raise InvariantViolation(
-                f"t_{twoj}={t[twoj]} outside [0, mu_{twoj - 1}={mu[twoj - 1]}]; "
+                f"t_{twoj}={Fraction(acc, scale)} outside [0, mu_{twoj - 1}={mu[twoj - 1]}]; "
                 "base pmf is not log-concave"
             )
-    for k in mu.support():
-        if mu[k] == 0:
+        tnum[twoj] = acc
+        acc += (even - mu.den) * counts.get(twoj, 0) + even * counts.get(twoj + 1, 0)
+    t = {k: Fraction(v, scale) for k, v in tnum.items()}
+    joint = {}
+    for k, c in counts.items():
+        if c == 0:
             continue
         if k % 2 == 0:
-            joint[(k, k)] = mu[k]
+            joint[(k, k)] = Fraction(c, mu.den)
         else:
-            up = t[k + 1]
-            down = mu[k] - t[k + 1]
+            up, down = tnum[k + 1], even * c - tnum[k + 1]
             if up:
-                joint[(k, k + 1)] = up
+                joint[(k, k + 1)] = t[k + 1]
             if down:
-                joint[(k, k - 1)] = down
+                joint[(k, k - 1)] = Fraction(down, scale)
     table = CouplingTable(mu, even_marginal, t, joint, truncation)
     _check_coupling(table)
     return table

@@ -1,16 +1,17 @@
 """Exact lattice pmfs (binomial, hypergeometric, lazy walk) and the classical
 local-limit approximations / tail bounds used to sanity-check them.
 
-Exact mode keeps every weight as a Fraction; a pmf sums to exactly 1 with
-zero tolerance.  Log mode stores log-weights as floats for sizes past the
-exact cap.  The lazy walk R(r, p) is the law of a sum of r i.i.d. steps on
-{-1, 0, 1} with P(+1) = P(-1) = p(1-p); equivalently the difference of two
-independent Binomial(r, p) counts.  Its step variance is 2p(1-p).
+A pmf holds its law as nonnegative integer counts over their sum and sums to
+exactly 1 with zero tolerance; past EXACT_SIZE_CAP every builder refuses the
+size with CapacityError.  The lazy walk R(r, p) is the law of a sum of r
+i.i.d. steps on {-1, 0, 1} with P(+1) = P(-1) = p(1-p); equivalently the
+difference of two independent Binomial(r, p) counts.  Its step variance is
+2p(1-p).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, factorial, lcm, lgamma, log, pi, sqrt
+from math import comb, exp, gcd, lcm, log, pi, sqrt
 
 from .errors import CapacityError, ParameterError
 
@@ -25,38 +26,57 @@ CRAMER_PREFACTOR = 1.25
 HYP_TAIL_PREFACTOR = 4.2
 
 
-@dataclass(frozen=True)
-class Pmf:
-    """Probability mass function over the contiguous range
-    [offset, offset + len(weights)).
+def over_one_denominator(values):
+    """(numerators, den): rationals or integers as integer numerators over
+    their least common denominator, so a sum of them is one integer sum."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
-    In exact mode `weights` are Fractions summing to exactly 1; in log mode
-    they are float log-probabilities (-inf allowed) summing to 1 within
-    1e-12 after exponentiation.
-    """
+
+@dataclass(frozen=True, init=False)
+class Pmf:
+    """Probability mass function P(offset + i) = counts[i] / den: integer
+    counts with no common factor over their sum den, so equal laws compare
+    equal.  Pmf(offset, weights) takes probabilities summing to exactly 1."""
 
     offset: int
-    weights: tuple
-    mode: str = "exact"
+    counts: tuple
+    den: int
     step_variance: Fraction = None  # set for lazy-walk pmfs
 
-    def __post_init__(self):
-        if self.mode not in ("exact", "log"):
-            raise ParameterError(f"unknown pmf mode {self.mode!r}")
-        if not self.weights:
+    def __init__(self, offset, weights, step_variance=None):
+        nums, den = over_one_denominator(weights)
+        if sum(nums) != den:
+            raise ParameterError("exact pmf must sum to exactly 1")
+        self._fill(offset, nums, step_variance)
+
+    @classmethod
+    def from_masses(cls, offset, masses, step_variance=None):
+        """The pmf proportional to nonnegative integer or rational masses."""
+        pmf = cls.__new__(cls)
+        pmf._fill(offset, over_one_denominator(masses)[0], step_variance)
+        return pmf
+
+    def _fill(self, offset, nums, step_variance):
+        if not nums:
             raise ParameterError("empty pmf")
-        if self.mode == "exact":
-            if any(w < 0 for w in self.weights):
-                raise ParameterError("negative weight in exact pmf")
-            # exact, as one integer sum over the common denominator: a Fraction
-            # sum reduces to lowest terms at every step
-            den = lcm(*(w.denominator for w in self.weights))
-            if sum(w.numerator * (den // w.denominator) for w in self.weights) != den:
-                raise ParameterError("exact pmf must sum to exactly 1")
-        else:
-            total = sum(exp(w) for w in self.weights)
-            if abs(total - 1.0) > 1e-12:
-                raise ParameterError(f"log pmf sums to {total}, not 1")
+        if any(v < 0 for v in nums):
+            raise ParameterError("negative weight in exact pmf")
+        den = sum(nums)
+        if den == 0:
+            raise ParameterError("pmf has no mass")
+        # from den: the counts themselves (alpha**r and its neighbours in the
+        # lazy walk) can share large factors, which makes gcd slow
+        g = gcd(den, *nums)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "counts", tuple(v // g for v in nums))
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "step_variance", step_variance)
+
+    @property
+    def weights(self):
+        """The probabilities counts[i] / den as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.counts)
 
     @property
     def lo(self):
@@ -64,7 +84,7 @@ class Pmf:
 
     @property
     def hi(self):
-        return self.offset + len(self.weights) - 1
+        return self.offset + len(self.counts) - 1
 
     def support(self):
         return range(self.lo, self.hi + 1)
@@ -72,21 +92,21 @@ class Pmf:
     def __getitem__(self, k):
         """Probability at integer k (0 outside the stored range)."""
         if self.lo <= k <= self.hi:
-            w = self.weights[k - self.offset]
-            return w if self.mode == "exact" else exp(w)
-        return Fraction(0) if self.mode == "exact" else 0.0
+            return Fraction(self.counts[k - self.offset], self.den)
+        return Fraction(0)
 
     def mass(self, ks):
         """Total probability of a set of integers."""
-        zero = Fraction(0) if self.mode == "exact" else 0.0
-        return sum((self[k] for k in ks), zero)
+        return Fraction(
+            sum(self.counts[k - self.offset] for k in ks if self.lo <= k <= self.hi), self.den
+        )
 
     def mean(self):
-        return sum(k * self[k] for k in self.support())
+        return Fraction(sum(k * c for k, c in zip(self.support(), self.counts)), self.den)
 
     def variance(self):
-        mu = self.mean()
-        return sum((k - mu) ** 2 * self[k] for k in self.support())
+        s2 = sum(k * k * c for k, c in zip(self.support(), self.counts))
+        return Fraction(s2, self.den) - self.mean() ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -122,111 +142,72 @@ def convolve_integer(xs, ys):
     return out
 
 
-def binomial_pmf(n, p, mode="auto"):
-    """Binomial(n, p) pmf, exact for n <= EXACT_SIZE_CAP."""
+def binomial_pmf(n, p):
+    """Binomial(n, p) pmf, exact for n <= EXACT_SIZE_CAP; with p = a/b the
+    counts C(n, k) a**k (b - a)**(n - k) come from their ratio recurrence."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ParameterError(f"binomial p={p} outside [0, 1]")
     if n < 0:
         raise ParameterError("binomial n must be >= 0")
-    if mode == "auto":
-        mode = "exact" if n <= EXACT_SIZE_CAP else "log"
-    if mode == "exact":
-        if n > EXACT_SIZE_CAP:
-            raise CapacityError(f"exact binomial capped at n={EXACT_SIZE_CAP}")
-        a, b = p.numerator, p.denominator
-        den = b**n
-        weights = tuple(
-            Fraction(comb(n, k) * a**k * (b - a) ** (n - k), den) for k in range(n + 1)
-        )
-        return Pmf(0, weights)
-    if p in (0, 1):
-        raise ParameterError("log-mode binomial needs 0 < p < 1")
-    lp, lq = log(p), log(1 - p)
-    lw = [
-        lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1) + k * lp + (n - k) * lq
-        for k in range(n + 1)
-    ]
-    return Pmf(0, tuple(lw), mode="log")
+    if n > EXACT_SIZE_CAP:
+        raise CapacityError(f"exact binomial capped at n={EXACT_SIZE_CAP}")
+    a, b = p.numerator, p.denominator
+    if a in (0, b):  # p in {0, 1}: a point mass
+        return Pmf.from_masses(0, [0] * n + [1] if a else [1] + [0] * n)
+    counts = [(b - a) ** n]
+    for k in range(n):
+        counts.append(counts[-1] * (n - k) * a // ((k + 1) * (b - a)))
+    return Pmf.from_masses(0, counts)
 
 
-def hypergeometric_pmf(w, ksucc, npop, mode="auto"):
+def hypergeometric_pmf(w, ksucc, npop):
     """Hypergeometric pmf: w draws without replacement, ksucc successes in a
-    population of npop."""
-    if ksucc > npop:
-        raise ParameterError(f"successes {ksucc} exceed population {npop}")
+    population of npop, exact for npop <= EXACT_SIZE_CAP; the counts
+    C(ksucc, k) C(npop - ksucc, w - k) come from their ratio recurrence."""
+    if not 0 <= ksucc <= npop:
+        raise ParameterError(f"successes {ksucc} outside [0, {npop}]")
     if not 0 <= w <= npop:
         raise ParameterError(f"draws w={w} outside [0, {npop}]")
-    if mode == "auto":
-        mode = "exact" if npop <= EXACT_SIZE_CAP else "log"
-    lo = max(0, w - (npop - ksucc))
-    hi = min(w, ksucc)
-    if mode == "exact":
-        if npop > EXACT_SIZE_CAP:
-            raise CapacityError(f"exact hypergeometric capped at N={EXACT_SIZE_CAP}")
-        den = comb(npop, w)
-        weights = tuple(
-            Fraction(comb(ksucc, k) * comb(npop - ksucc, w - k), den)
-            for k in range(lo, hi + 1)
-        )
-        return Pmf(lo, weights)
-
-    def lcomb(a, b):
-        return lgamma(a + 1) - lgamma(b + 1) - lgamma(a - b + 1)
-
-    lden = lcomb(npop, w)
-    lw = [lcomb(ksucc, k) + lcomb(npop - ksucc, w - k) - lden for k in range(lo, hi + 1)]
-    return Pmf(lo, tuple(lw), mode="log")
+    if npop > EXACT_SIZE_CAP:
+        raise CapacityError(f"exact hypergeometric capped at N={EXACT_SIZE_CAP}")
+    fail = npop - ksucc
+    lo = max(0, w - fail)
+    counts = [comb(ksucc, lo) * comb(fail, w - lo)]
+    for k in range(lo, min(w, ksucc)):
+        counts.append(counts[-1] * (ksucc - k) * (w - k) // ((k + 1) * (fail - w + k + 1)))
+    return Pmf.from_masses(lo, counts)
 
 
-def lazy_walk_pmf(r, p, mode="auto"):
+def lazy_walk_pmf(r, p):
     """Law of the r-step lazy walk R(r, p), exact for r <= EXACT_SIZE_CAP.
 
-    With p = a/b, exact mode writes P(R = k) = c_k / b**(2r), where c_k is
-    the coefficient of z**k in (alpha z + beta + alpha/z)**r, alpha =
-    a(b - a), beta = a**2 + (b - a)**2.  Differentiating that power gives
-    the three-term recurrence alpha (r - k + 1) c_{k-1} = alpha (r + k + 1)
-    c_{k+1} + beta k c_k, run down from c_r = alpha**r, c_{r+1} = 0 with
-    exact integer division; c_{-k} = c_k.
+    With p = a/b, P(R = k) is proportional to c_k, the coefficient of z**k
+    in (alpha z + beta + alpha/z)**r, alpha = a(b - a), beta = a**2 +
+    (b - a)**2.  Differentiating that power gives the three-term recurrence
+    alpha (r - k + 1) c_{k-1} = alpha (r + k + 1) c_{k+1} + beta k c_k, run
+    down from c_r = alpha**r, c_{r+1} = 0 with exact integer division;
+    c_{-k} = c_k.
     """
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ParameterError(f"lazy walk p={p} outside [0, 1]")
     if r < 0:
         raise ParameterError("lazy walk length must be >= 0")
-    sigma2 = 2 * p * (1 - p)
-    if mode == "auto":
-        mode = "exact" if r <= EXACT_SIZE_CAP else "log"
-    if mode == "exact":
-        if r > EXACT_SIZE_CAP:
-            raise CapacityError(f"exact lazy walk capped at r={EXACT_SIZE_CAP}")
-        if r == 0:
-            return Pmf(0, (Fraction(1),), step_variance=sigma2)
-        a, b = p.numerator, p.denominator
-        alpha, beta = a * (b - a), a * a + (b - a) ** 2
-        if alpha == 0:  # p in {0, 1}: every step stays put
-            side = [0] * r + [1]
-        else:
-            up, cur = 0, alpha**r
-            side = [cur]  # c_r, c_{r-1}, ..., c_0
-            for k in range(r, 0, -1):
-                nxt = (alpha * (r + k + 1) * up + beta * k * cur) // (alpha * (r - k + 1))
-                up, cur = cur, nxt
-                side.append(cur)
-        den = b ** (2 * r)
-        side = [Fraction(v, den) for v in side]
-        return Pmf(-r, tuple(side + side[-2::-1]), step_variance=sigma2)
-    # log mode: P(V = k) = sum_x C(r,x) C(r,x-k) p^(2x-k) q^(2r-2x+k),
-    # the cross-correlation of Binomial(r, p) with itself.
-    if p in (0, 1):
-        raise ParameterError("log-mode lazy walk needs 0 < p < 1")
-    lb = binomial_pmf(r, p, mode="log").weights
-    lw = []
-    for k in range(-r, r + 1):
-        terms = [lb[x] + lb[x - k] for x in range(max(0, k), min(r, r + k) + 1)]
-        m = max(terms)
-        lw.append(m + log(sum(exp(t - m) for t in terms)))
-    return Pmf(-r, tuple(lw), mode="log", step_variance=sigma2)
+    if r > EXACT_SIZE_CAP:
+        raise CapacityError(f"exact lazy walk capped at r={EXACT_SIZE_CAP}")
+    a, b = p.numerator, p.denominator
+    alpha, beta = a * (b - a), a * a + (b - a) ** 2
+    if alpha == 0:  # p in {0, 1}: every step stays put
+        side = [0] * r + [1]
+    else:
+        up, cur = 0, alpha**r
+        side = [cur]  # c_r, c_{r-1}, ..., c_0
+        for k in range(r, 0, -1):
+            nxt = (alpha * (r + k + 1) * up + beta * k * cur) // (alpha * (r - k + 1))
+            up, cur = cur, nxt
+            side.append(cur)
+    return Pmf.from_masses(-r, side + side[-2::-1], step_variance=2 * p * (1 - p))
 
 
 def truncated_poisson_pmf(lam, tail_bound=Fraction(1, 2**60)):
@@ -241,18 +222,13 @@ def truncated_poisson_pmf(lam, tail_bound=Fraction(1, 2**60)):
     if lam == 0:
         return Pmf(0, (Fraction(1),)), 0
     hi = max(2, int(lam) + 2)
-    term = lam**hi / factorial(hi)  # lam^hi / hi!
-    while not (lam < hi + 2 and term * (hi + 2) / (hi + 2 - lam) < tail_bound):
+    raw = [Fraction(1)]  # lam^k / k!, k = 0..hi
+    for k in range(1, hi + 1):
+        raw.append(raw[-1] * lam / k)
+    while not (lam < hi + 2 and raw[hi] * (hi + 2) / (hi + 2 - lam) < tail_bound):
         hi += 1
-        term = term * lam / hi
-    raw = []
-    t = Fraction(1)
-    for k in range(hi + 1):
-        if k:
-            t = t * lam / k
-        raw.append(t)
-    total = sum(raw)
-    return Pmf(0, tuple(w / total for w in raw)), hi
+        raw.append(raw[-1] * lam / hi)
+    return Pmf.from_masses(0, raw), hi
 
 
 def exact_pmf(family, **params):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, exp, gcd, lgamma, log
 
 from .errors import CapacityError, ParameterError
-from .locallimits import convolve_integer
+from .locallimits import convolve_integer, over_one_denominator
 
 CASES = ("bernoulli_parity_dense", "bernoulli_fixed_weight", "poisson_fixed_weight")
 
@@ -373,18 +373,23 @@ def second_moment_ratio(case, *, n, m=None, p=None, w=None, band_radius=0, exact
 def _overlap_ratio(n, rows, exact):
     """The overlap sum over the plan's distinct rows, each group's
     phi/psi^2 raised to its row count; the profile keeps the first
-    group's phi/psi^2."""
+    group's phi/psi^2.  Exact terms are summed over one denominator and
+    reduced once."""
     half = n // 2
     denom = comb(n, half)
-    total = Fraction(0) if exact else 0.0
+    total = 0.0
     profile = []
     for r in range(half + 1):
         factors = [(phi(r) / psi**2, count) for count, psi, phi in rows.values()]
         prod = _combine(Fraction(1) if exact else 0.0, factors, exact)
         coeff = Fraction(comb(half, r) ** 2, denom)
         term = coeff * prod if exact else float(coeff) * exp(prod)
-        total += term
+        if not exact:
+            total += term
         profile.append(OverlapTerm(r, Fraction(2 * r, n), factors[0][0], term))
+    if exact:
+        nums, den = over_one_denominator([t.term for t in profile])
+        total = Fraction(sum(nums), den)
     return RatioResult(total, profile)
 
 

@@ -13,7 +13,6 @@ weights (a_0, ..., a_k) hits index i with probability exactly a_i / sum(a).
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
-from math import lcm
 
 import numpy as np
 
@@ -186,9 +185,3 @@ class IntegerTable:
 
     def draw(self, stream: Stream) -> int:
         return self.draw_many(stream, 1)[0]
-
-
-def table_from_fractions(fracs) -> IntegerTable:
-    """Exact sampler for rational weights (scaled to a common denominator)."""
-    den = lcm(*(f.denominator for f in fracs))
-    return IntegerTable([f.numerator * (den // f.denominator) for f in fracs])

@@ -115,8 +115,7 @@ def stationary_pmf(bd: BirthDeathSpec) -> Pmf:
     raw = [Fraction(1)]
     for s in range(1, bd.w + 1):
         raw.append(raw[-1] * bd.a[s - 1] / bd.b[s])
-    total = sum(raw)
-    return Pmf(0, tuple(v / total for v in raw))
+    return Pmf.from_masses(0, raw)
 
 
 def stein_apply(bd: BirthDeathSpec, f):
@@ -129,6 +128,14 @@ def stein_apply(bd: BirthDeathSpec, f):
         up = bd.a[s] * f[s + 1] if s < bd.w else Fraction(0)
         out.append(up - bd.b[s] * f[s])
     return out
+
+
+def stein_apply_residual(bd: BirthDeathSpec, sol):
+    """Max |T f - (1_{s=t} - mu_t)| over the state space for a solution
+    `sol` of bd; 0 when the inverse is exact."""
+    image = stein_apply(bd, sol.f)
+    mt = stationary_pmf(bd)[sol.t]
+    return max(abs(image[s] - ((1 if s == sol.t else 0) - mt)) for s in range(bd.w + 1))
 
 
 @dataclass(frozen=True)
@@ -158,17 +165,18 @@ def _inverse_table(bd: BirthDeathSpec):
     """Target-free part of stein_invert, cached per spec like stationary_pmf.
 
     Returns (mu, lo, hi, dlo, dhi): for s = 1..w, lo[s] =
-    -mu({0..s-1})/(b_s mu_s) and hi[s] = (1 - mu({0..s-1}))/(b_s mu_s);
-    lo = hi = 0 at s = 0 and s = w + 1; dlo and dhi are their first
-    differences, dlo[s] = lo[s+1] - lo[s] for s = 0..w.
+    -mu({0..s-1})/(b_s mu_s) and hi[s] = (1 - mu({0..s-1}))/(b_s mu_s),
+    taken over the law's integer counts (the denominator cancels); lo = hi
+    = 0 at s = 0 and s = w + 1; dlo and dhi are their first differences,
+    dlo[s] = lo[s+1] - lo[s] for s = 0..w.
     """
-    mu = stationary_pmf(bd).weights
-    cdf, lo, hi = 0, [0], [0]
+    mu = stationary_pmf(bd)
+    cum, lo, hi = 0, [0], [0]
     for s in range(1, bd.w + 1):
-        cdf += mu[s - 1]
-        scale = 1 / (bd.b[s] * mu[s])
-        lo.append(-cdf * scale)
-        hi.append((1 - cdf) * scale)
+        cum += mu.counts[s - 1]
+        scale = bd.b[s] * mu.counts[s]
+        lo.append(-cum / scale)
+        hi.append((mu.den - cum) / scale)
     lo, hi = (*lo, 0), (*hi, 0)
     dlo, dhi = (tuple(y - x for x, y in zip(v, v[1:])) for v in (lo, hi))
     return mu, lo, hi, dlo, dhi
@@ -320,8 +328,8 @@ def _pair_stats(case, scenario):
             g2[s] += s * s * v0 - 4 * s * v1 + 4 * v2
             band[s] += k * v0
     den *= sum(masses)  # the laws' den is the same for every k
-    g0, g1, g2 = (tuple(Fraction(v, den) for v in g) for g in (g0, g1, g2))
-    return PairStats(mu0, Pmf(0, g0), g1, g2), band, den
+    g1, g2 = (tuple(Fraction(v, den) for v in g) for g in (g1, g2))
+    return PairStats(mu0, Pmf.from_masses(0, g0), g1, g2), band, den
 
 
 @dataclass

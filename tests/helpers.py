@@ -82,6 +82,35 @@ def lazy_walk_oracle(r, p):
     return out
 
 
+def binomial_masses(n, p):
+    """C(n, k) a**k (b - a)**(n - k), k = 0..n, for p = a/b: the integer
+    masses of Binomial(n, p) over their total b**n, straight from math.comb."""
+    p = Fraction(p)
+    a, b = p.numerator, p.denominator
+    up, down = [1], [1]
+    for _ in range(n):
+        up.append(up[-1] * a)
+        down.append(down[-1] * (b - a))
+    return [comb(n, k) * up[k] * down[n - k] for k in range(n + 1)]
+
+
+def lazy_walk_masses(r, p, ks):
+    """{k: b**(2r) P[V = k]} for V ~ R(r, p), p = a/b, as integers: the
+    difference-of-binomials identity of lazy_walk_oracle as sum_x B_x
+    B_(x-k) over the Binomial(r, p) masses B, fast enough for r = 4096."""
+    masses = binomial_masses(r, p)
+    return {
+        k: sum(masses[x] * masses[x - k] for x in range(max(0, k), min(r, r + k) + 1))
+        for k in ks
+    }
+
+
+def hypergeometric_masses(w, ksucc, npop):
+    """C(ksucc, k) C(npop - ksucc, w - k), k = 0..w: the integer masses of
+    the hypergeometric law over their total C(npop, w)."""
+    return [comb(ksucc, k) * comb(npop - ksucc, w - k) for k in range(w + 1)]
+
+
 def row_value_counts(row, radius=0):
     """Number of balanced u with |<u, row>| <= radius (direct enumeration)."""
     n = len(row)

@@ -108,6 +108,25 @@ def test_phase_grid_past_mitm_cap_exits_3_before_any_trial(monkeypatch, capsys):
     assert err.startswith("capacity:")
 
 
+def test_lclt_past_exact_cap_exits_3(capsys):
+    # sizes past locallimits.EXACT_SIZE_CAP are refused, not approximated
+    argv = ["lclt", "--kind", "demoivre", "--sizes", "5000", "--points", "2500", "--p", "1/2"]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("capacity:")
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [["--n-start", "40", "--n-stop", "8"], ["--n-start", "8", "--n-stop", "40", "--n-stride", "-4"]],
+)
+def test_phase_empty_grid_exits_2(grid, capsys):
+    argv = ["phase", "--m", "4", "--p", "1/2", "--r", "1", *grid, "--trials", "3", "--seed", "1"]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_parameter_error_exit_2(capsys):
     code, _, err = run(
         ["gen", "--ensemble", "bernoulli", "--m", "2", "--n", "5", "--p", "1/2",

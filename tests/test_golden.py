@@ -163,13 +163,14 @@ def test_log_mode_moment_report_pinned():
 
 # lclt and stein scan-bounds outputs recorded before the CLI read each kind's
 # parameters from locallimits.APPROX_PARAMS and left the beta = 1/2 reference
-# fit to stein.fit_g2_bound.
+# fit to stein.fit_g2_bound; poisson_tail re-recorded once its grid stopped
+# repeating per --sizes entry (the old output with the repeated rows dropped).
 LCLT_FLAGS = {
     "demoivre": ["--sizes", "16,32,64", "--points", "8,10", "--p", "1/2"],
     "stirling_binom": ["--sizes", "16,32,64", "--points", "4,8"],
     "cramer_tail": ["--sizes", "16,32,64", "--points", "4,8", "--p", "1/3"],
     "hyp_tail": ["--sizes", "8,16", "--points", "2,4", "--ksucc", "20", "--npop", "64"],
-    # no size parameter: each size repeats the same rows
+    # no size parameter: --sizes is parsed but the grid is taken once
     "poisson_tail": ["--sizes", "1,2", "--points", "0,3", "--p", "5/2"],
     "edgeworth_lazy": ["--sizes", "4,8,16", "--points", "0,1", "--p", "1/3"],
 }
@@ -178,7 +179,7 @@ LCLT_SHA256 = {
     "stirling_binom": "27cec4afd42fe5e1bf41e7ab1eaf1be2846a381f8e3b373a42a37798c908cfef",
     "cramer_tail": "7a2b70d2d84624b940af6689f4384bdca73b95060de6a5ee33fbcd16b2477ea8",
     "hyp_tail": "0dcf443bb3eb6b9bfdfbd12aaec14ef80938952f7a23ec3a6b901fed2ef3ed0b",
-    "poisson_tail": "8e9bf26675849048bf6b22e79c9ddc7478a06e720f3b6c6c8370fd0ebf927239",
+    "poisson_tail": "4c3cb2fea8c695b269da20e2a7b60cc26f538b3deee5ce3466ad9d74a0f76ca9",
     "edgeworth_lazy": "f4f9ec3ff71a84325382a7f69bb8eaec8d525fa4893654cfe62578e9b52875ba",
 }
 

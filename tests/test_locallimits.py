@@ -2,8 +2,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import lazy_walk_oracle
+from helpers import binomial_masses, hypergeometric_masses, lazy_walk_masses, lazy_walk_oracle
 from randisc import locallimits as ll
 from randisc.errors import CapacityError, ParameterError
 
@@ -89,19 +91,53 @@ def test_convolve_integer_matches_schoolbook():
         assert ll.convolve_integer(xs, ys) == want
 
 
-def test_log_mode_matches_exact_mode():
-    exact = ll.lazy_walk_pmf(60, F(1, 10))
-    logged = ll.lazy_walk_pmf(60, F(1, 10), mode="log")
-    for k in (0, 1, 5, 20):
-        assert math.isclose(logged[k], float(exact[k]), rel_tol=1e-10)
-    bexact = ll.binomial_pmf(200, F(1, 3))
-    blog = ll.binomial_pmf(200, F(1, 3), mode="log")
-    assert math.isclose(blog[66], float(bexact[66]), rel_tol=1e-10)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["binomial", "hypergeometric", "lazy_walk"]),
+    st.integers(0, 40),
+    st.fractions(0, 1, max_denominator=12),
+    st.integers(0, 10**6),
+)
+@example("binomial", ll.EXACT_SIZE_CAP, F(1, 3), 0)
+@example("hypergeometric", ll.EXACT_SIZE_CAP, F(1, 3), 1500)
+@example("lazy_walk", ll.EXACT_SIZE_CAP, F(1, 10), 0)
+@example("lazy_walk", 0, F(1, 2), 0)
+@example("binomial", 0, F(1, 3), 0)
+@example("hypergeometric", 0, F(0), 0)
+@example("binomial", 7, F(0), 0)
+@example("binomial", 7, F(1), 0)
+@example("hypergeometric", 9, F(0), 4)
+@example("hypergeometric", 9, F(1), 4)
+@example("lazy_walk", 5, F(0), 0)
+@example("lazy_walk", 5, F(1), 0)
+def test_pmf_counts_match_comb_oracle(family, size, p, u):
+    # w and ksucc for the hypergeometric law come from u and p
+    w, ksucc = u % (size + 1), int(p * size)
+    if family == "binomial":
+        pmf = ll.binomial_pmf(size, p)
+        total, masses = p.denominator**size, dict(enumerate(binomial_masses(size, p)))
+    elif family == "hypergeometric":
+        pmf = ll.hypergeometric_pmf(w, ksucc, size)
+        total = math.comb(size, w)
+        masses = dict(enumerate(hypergeometric_masses(w, ksucc, size)))
+    else:
+        pmf = ll.lazy_walk_pmf(size, p)
+        total = p.denominator ** (2 * size)
+        ks = range(-size, size + 1) if size <= 40 else (-1, 0, size // 2, size)
+        masses = lazy_walk_masses(size, p, ks)
+    assert sum(pmf.counts) == pmf.den
+    # equal to gcd(*counts) == 1 given the sum, and faster from den
+    assert math.gcd(pmf.den, *pmf.counts) == 1
+    if family != "lazy_walk" or size <= 40:  # every k is listed
+        assert sum(masses.values()) == total
+    for k, mass in masses.items():
+        count = pmf.counts[k - pmf.offset] if pmf.lo <= k <= pmf.hi else 0
+        assert count * total == mass * pmf.den, (family, size, p, k)
 
 
 def test_exact_cap_raises():
     with pytest.raises(CapacityError):
-        ll.binomial_pmf(5000, F(1, 2), mode="exact")
+        ll.binomial_pmf(5000, F(1, 2))
 
 
 def test_lattice_point_validation():
