@@ -6,8 +6,9 @@ Library layout:
   moments      exact psi/phi overlap functions, first/second moments, smm checks
   locallimits  exact binomial/hypergeometric/lazy-walk pmfs and approximations
   stein        birth-death Stein operators, exchangeable pairs, identity checks
+  phase        Monte Carlo phase scan over n with Wilson intervals
   cli          command-line front end (gen, disc, zcount, moments, ratio,
-               stein, lclt, phase)
+               stein, lclt, phase); parses and prints only
 """
 
 from .ensembles import (

@@ -9,18 +9,12 @@ unchanged into the exact moment computations.
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
 
 from . import ensembles, locallimits, moments, solver, stein
 from .errors import CapacityError, InvariantViolation, ParameterError
-from .rng import derive_key
-
-WILSON_Z = 1.959963984540054  # 95%
+from .phase import PhaseScanConfig, run_phase_scan
 
 
 def _fraction(text):
@@ -37,109 +31,12 @@ def _fmt_fraction(fr):
 
 
 # ---------------------------------------------------------------------------
-# Phase scan
-
-
-@dataclass
-class PhaseScanConfig:
-    kind: str
-    m: int
-    param: Fraction
-    r: int
-    n_values: tuple
-    trials: int
-    parity: str  # "none" | "even"
-    threads: int
-    seed: int
-
-    def __post_init__(self):
-        if not self.n_values:
-            raise ParameterError("the n grid is empty")
-        if any(n % 2 for n in self.n_values):
-            raise ParameterError("all n values must be even")
-        if self.trials < 1:
-            raise ParameterError("trials must be >= 1")
-        if self.parity not in ("none", "even"):
-            raise ParameterError(f"parity must be none or even, got {self.parity!r}")
-        if self.threads < 1:
-            raise ParameterError("threads must be >= 1")
-
-
-def wilson_interval(successes, trials, z=WILSON_Z):
-    """95% Wilson score interval for a binomial proportion."""
-    if trials == 0:
-        return 0.0, 1.0
-    phat = successes / trials
-    z2 = z * z
-    denom = 1 + z2 / trials
-    centre = phat + z2 / (2 * trials)
-    half = z * sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials))
-    return (centre - half) / denom, (centre + half) / denom
-
-
-def _phase_trial(cfg, point_idx, n, trial_idx):
-    seed = derive_key(cfg.seed, point_idx, trial_idx)
-    spec = ensembles.EnsembleSpec(cfg.kind, cfg.m, n, cfg.param, seed)
-    A = ensembles.sample(spec)
-    if cfg.parity == "even":
-        A = ensembles.couple_even_parity(A, spec, derive_key(seed, 0xEE))
-    found, _ = solver.disc_exists_mitm(A, cfg.r, balanced_only=True)
-    return found
-
-
-def run_phase_scan(cfg: PhaseScanConfig):
-    """Monte Carlo feasibility frequencies over the n grid.
-
-    Rows: (n, trials, successes, p_hat, wilson_lo, wilson_hi).  Results are
-    reduced in grid order after all trials complete, so the output is
-    byte-identical for any thread count.
-    """
-    for n in cfg.n_values:
-        solver.check_mitm_shape(n, cfg.m)
-    jobs = [
-        (pi, n, t)
-        for pi, n in enumerate(cfg.n_values)
-        for t in range(cfg.trials)
-    ]
-    # the executor may start one thread per submitted job, so never ask for more
-    workers = min(cfg.threads, len(jobs))
-    if workers <= 1:
-        outcomes = [_phase_trial(cfg, pi, n, t) for pi, n, t in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(lambda job: _phase_trial(cfg, *job), jobs, chunksize=8)
-            )
-    rows = []
-    for pi, n in enumerate(cfg.n_values):
-        wins = sum(
-            1
-            for (qi, _, t), ok in zip(jobs, outcomes)
-            if qi == pi and ok
-        )
-        lo, hi = wilson_interval(wins, cfg.trials)
-        rows.append((n, cfg.trials, wins, wins / cfg.trials, lo, hi))
-    return rows
-
-
-def _phase_csv(rows):
-    lines = ["n,trials,successes,p_hat,wilson_lo,wilson_hi"]
-    for n, trials, wins, phat, lo, hi in rows:
-        lines.append(f"{n},{trials},{wins},{phat:.6f},{lo:.6f},{hi:.6f}")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # Subcommand handlers
 
 
 def _cmd_gen(args):
-    spec = ensembles.EnsembleSpec(
-        args.ensemble, args.m, args.n, _fraction(args.p), args.seed
-    )
-    A = ensembles.sample(spec)
-    if args.parity == "even":
-        A = ensembles.couple_even_parity(A, spec, derive_key(args.seed, 0xEE))
+    spec = ensembles.EnsembleSpec(args.ensemble, args.m, args.n, _fraction(args.p), args.seed)
+    A = ensembles.sample_at_parity(spec, args.parity)
     if args.out:
         ensembles.write_matrix(args.out, A)
     else:
@@ -149,14 +46,14 @@ def _cmd_gen(args):
 
 def _cmd_disc(args):
     A = ensembles.read_matrix(args.infile)
+    # without --cap each solver applies its own default
+    cap = {} if args.cap is None else {"cap": args.cap}
     if args.method == "brute":
-        cap = args.cap or solver.EXHAUSTIVE_CAP
-        res = solver.disc_exhaustive(A, balanced_only=args.balanced, cap=cap)
+        res = solver.disc_exhaustive(A, balanced_only=args.balanced, **cap)
     else:
         if args.r is None:
             raise ParameterError("--method mitm needs --r")
-        cap = args.cap or solver.MITM_N_CAP
-        ok, wit = solver.disc_exists_mitm(A, args.r, balanced_only=args.balanced, cap=cap)
+        ok, wit = solver.disc_exists_mitm(A, args.r, balanced_only=args.balanced, **cap)
         print(json.dumps({"feasible": ok, "r": args.r, "witness": str(wit) if wit else None}))
         return 0
     print(json.dumps(res.to_json_dict()))
@@ -378,6 +275,13 @@ def _cmd_lclt(args):
     return 0
 
 
+def _phase_csv(rows):
+    lines = ["n,trials,successes,p_hat,wilson_lo,wilson_hi"]
+    for n, trials, wins, phat, lo, hi in rows:
+        lines.append(f"{n},{trials},{wins},{phat:.6f},{lo:.6f},{hi:.6f}")
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_phase(args):
     if args.n_stride == 0:
         raise ParameterError("--n-stride must not be 0")
@@ -417,7 +321,7 @@ def _build_parser():
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--p", required=True, help="p or rate; rational like 1/3 or decimal")
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--parity", choices=("none", "even"), default="none")
+    g.add_argument("--parity", choices=ensembles.PARITIES, default="none")
     g.add_argument("--out")
     g.set_defaults(fn=_cmd_gen)
 
@@ -492,22 +396,12 @@ def _build_parser():
     ph.add_argument("--n-stop", type=int, required=True)
     ph.add_argument("--n-stride", type=int, default=4)
     ph.add_argument("--trials", type=int, required=True)
-    ph.add_argument("--parity", choices=("none", "even"), default="none")
-    ph.add_argument("--threads", type=int, default=None)
+    ph.add_argument("--parity", choices=ensembles.PARITIES, default="none")
+    ph.add_argument("--threads", type=int, default=1)
     ph.add_argument("--seed", type=int, required=True)
     ph.add_argument("--out")
     ph.set_defaults(fn=_cmd_phase)
     return top
-
-
-def _env_threads():
-    env = os.environ.get("RANDISC_THREADS")
-    if not env:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise ParameterError(f"RANDISC_THREADS must be an integer, got {env!r}") from None
 
 
 def dispatch(argv) -> int:
@@ -521,8 +415,6 @@ def dispatch(argv) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        if getattr(args, "cmd", None) == "phase" and args.threads is None:
-            args.threads = _env_threads()
         return args.fn(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

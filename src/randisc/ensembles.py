@@ -24,6 +24,9 @@ PINELIS_DEFAULT_TAIL = Fraction(1, 10**15)
 _DOMAIN_SAMPLE = 0x5A
 _DOMAIN_COUPLE = 0xC0
 _DOMAIN_FIXED = 0xF1
+_DOMAIN_PARITY = 0xEE  # the coupling seed, derived from the sample seed
+
+PARITIES = ("none", "even")
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,17 @@ def sample(spec: EnsembleSpec) -> IntMatrix:
     return IntMatrix(spec.m, spec.n, tuple(entries))
 
 
+def sample_at_parity(spec: EnsembleSpec, parity) -> IntMatrix:
+    """Draw a matrix from the ensemble; with parity "even", couple it so
+    every row sum is even, seeded by derive_key(spec.seed, _DOMAIN_PARITY)."""
+    if parity not in PARITIES:
+        raise ParameterError(f"parity must be none or even, got {parity!r}")
+    A = sample(spec)
+    if parity == "even":
+        A = couple_even_parity(A, spec, derive_key(spec.seed, _DOMAIN_PARITY))
+    return A
+
+
 # ---------------------------------------------------------------------------
 # Parity coupling
 
@@ -172,42 +186,43 @@ def pinelis_joint(mu: Pmf, truncation=None) -> CouplingTable:
             )
         tnum[twoj] = acc
         acc += (even - mu.den) * counts.get(twoj, 0) + even * counts.get(twoj + 1, 0)
-    t = {k: Fraction(v, scale) for k, v in tnum.items()}
-    joint = {}
+    # joint masses as integers over scale, checked before any Fraction is made
+    jnum = {}
     for k, c in counts.items():
         if c == 0:
             continue
         if k % 2 == 0:
-            joint[(k, k)] = Fraction(c, mu.den)
+            jnum[(k, k)] = even * c
         else:
             up, down = tnum[k + 1], even * c - tnum[k + 1]
             if up:
-                joint[(k, k + 1)] = t[k + 1]
+                jnum[(k, k + 1)] = up
             if down:
-                joint[(k, k - 1)] = Fraction(down, scale)
-    table = CouplingTable(mu, even_marginal, t, joint, truncation)
-    _check_coupling(table)
-    return table
+                jnum[(k, k - 1)] = down
+    _check_coupling(jnum, scale, mu, even_marginal)
+    t = {k: Fraction(v, scale) for k, v in tnum.items()}
+    joint = {key: Fraction(v, scale) for key, v in jnum.items()}
+    return CouplingTable(mu, even_marginal, t, joint, truncation)
 
 
-def _check_coupling(table):
-    """Exact marginal/support checks (zero tolerance)."""
-    row = {}
-    col = {}
-    for (x, x2), mass in table.joint.items():
+def _check_coupling(jnum, scale, base, even_marginal):
+    """Exact marginal/support checks on joint masses held as integers over `scale`."""
+    row, col = {}, {}
+    for (x, x2), mass in jnum.items():
         if mass < 0:
             raise InvariantViolation("negative joint mass")
         if abs(x - x2) > 1:
             raise InvariantViolation("joint support leaves |x - x'| <= 1")
         if x2 % 2:
             raise InvariantViolation("coupled value must be even")
-        row[x] = row.get(x, Fraction(0)) + mass
-        col[x2] = col.get(x2, Fraction(0)) + mass
-    for k in table.base.support():
-        if row.get(k, Fraction(0)) != table.base[k]:
+        row[x] = row.get(x, 0) + mass
+        col[x2] = col.get(x2, 0) + mass
+    # a mass c / den equals M / scale exactly when M * den == c * scale
+    for k, c in zip(base.support(), base.counts):
+        if row.get(k, 0) * base.den != c * scale:
             raise InvariantViolation(f"row marginal mismatch at {k}")
-    for k in table.even_marginal.support():
-        if col.get(k, Fraction(0)) != table.even_marginal[k]:
+    for k, c in zip(even_marginal.support(), even_marginal.counts):
+        if col.get(k, 0) * even_marginal.den != c * scale:
             raise InvariantViolation(f"column marginal mismatch at {k}")
 
 

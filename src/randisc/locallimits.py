@@ -278,6 +278,8 @@ APPROX_PARAMS = {
 }
 APPROX_KINDS = tuple(APPROX_PARAMS)
 
+# stirling_binom's 2**n and its reference C(n, r) overflow a double past this n
+STIRLING_SIZE_CAP = 1023
 _DELTA = Fraction(1, 10)  # validity window for the de Moivre approximation
 # The quarter-variance Gaussian bound needs p(1-p) >= 1/8 to dominate the
 # binomial large-deviation rate; 1/6 leaves margin.
@@ -316,6 +318,8 @@ def approx_eval(kind, params, point):
         return exp(-k * k / (2 * v)) / sqrt(2 * pi * v)
     if kind == "stirling_binom":
         n = params["n"]
+        if n > STIRLING_SIZE_CAP:
+            raise CapacityError(f"stirling_binom capped at n={STIRLING_SIZE_CAP}")
         r = point
         _require_range(kind, r, 0, n)
         return sqrt(2 / (pi * n)) * 2.0**n * exp(-2 * (r - n / 2) ** 2 / n)

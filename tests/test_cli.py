@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from randisc import cli, ensembles, solver
+from randisc import cli, ensembles, locallimits, phase, solver
 from randisc.errors import ParameterError
 
 
@@ -100,7 +100,7 @@ def test_phase_grid_past_mitm_cap_exits_3_before_any_trial(monkeypatch, capsys):
     def no_trial(*args):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(cli, "_phase_trial", no_trial)
+    monkeypatch.setattr(phase, "_phase_trial", no_trial)
     argv = ["phase", "--m", "2", "--p", "1/2", "--r", "1", "--n-start", "4",
             "--n-stop", str(solver.MITM_N_CAP + 4), "--trials", "1", "--seed", "0"]
     code, out, err = run(argv, capsys)
@@ -196,9 +196,9 @@ def test_phase_scan_csv_and_thread_independence(tmp_path):
 
 
 def test_wilson_interval_basic():
-    lo, hi = cli.wilson_interval(9, 10)
+    lo, hi = phase.wilson_interval(9, 10)
     assert 0 < lo < 0.9 < hi <= 1
-    lo0, hi0 = cli.wilson_interval(0, 10)
+    lo0, hi0 = phase.wilson_interval(0, 10)
     assert lo0 == pytest.approx(0.0, abs=1e-12) and hi0 < 0.35
 
 
@@ -296,33 +296,48 @@ def test_disc_directory_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and str(tmp_path) in err
 
 
-def test_phase_bad_thread_env_exit_2(monkeypatch, capsys):
-    monkeypatch.setenv("RANDISC_THREADS", "abc")
-    code, out, err = run(
-        ["phase", "--m", "2", "--p", "1/2", "--r", "1", "--n-start", "4",
-         "--n-stop", "4", "--trials", "2", "--seed", "1"],
-        capsys,
-    )
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "RANDISC_THREADS" in err
-
-
 def test_phase_pool_clamped_to_job_count(monkeypatch):
     asked = []
 
-    class Recording(cli.ThreadPoolExecutor):
+    class Recording(phase.ThreadPoolExecutor):
         def __init__(self, max_workers=None, **kw):
             asked.append(max_workers)
             super().__init__(max_workers=max_workers, **kw)
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
-    cfg = cli.PhaseScanConfig(
+    monkeypatch.setattr(phase, "ThreadPoolExecutor", Recording)
+    cfg = phase.PhaseScanConfig(
         kind="bernoulli", m=2, param=F(1, 2), r=1, n_values=(4, 8), trials=3,
         parity="none", threads=64, seed=5,
     )
-    rows = cli.run_phase_scan(cfg)
+    rows = phase.run_phase_scan(cfg)
     assert asked == [6]
-    assert rows == cli.run_phase_scan(cli.PhaseScanConfig(**{**cfg.__dict__, "threads": 1}))
+    assert rows == phase.run_phase_scan(phase.PhaseScanConfig(**{**cfg.__dict__, "threads": 1}))
+
+
+@pytest.mark.parametrize("method", [["--method", "brute"], ["--method", "mitm", "--r", "1"]])
+def test_disc_cap_zero_is_a_cap(method, tmp_path, capsys):
+    # --cap 0 used to be read as "no override" and answered with exit 0
+    path = str(tmp_path / "a.mat")
+    A = ensembles.IntMatrix.from_rows([[1, 0, 1, 1, 0, 1], [0, 1, 1, 0, 1, 0]])
+    ensembles.write_matrix(path, A)
+    code, out, err = run(["disc", "--in", path, *method, "--cap", "0"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("capacity:")
+    # without --cap the solver's own default applies
+    code, out, _ = run(["disc", "--in", path, *method], capsys)
+    assert code == 0 and json.loads(out)
+
+
+def test_lclt_stirling_binom_past_float_range_exits_3(capsys):
+    # 2**n overflowed a double at n = 1024 and escaped as OverflowError
+    n = locallimits.STIRLING_SIZE_CAP
+    argv = ["lclt", "--kind", "stirling_binom", "--points", "511", "--sizes"]
+    code, out, err = run([*argv, str(n + 1)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("capacity:") and "Traceback" not in err
+    code, out, _ = run([*argv, str(n)], capsys)
+    assert code == 0
+    assert out.splitlines()[1].startswith(f"stirling_binom,{n},511,")
 
 
 def test_disc_non_utf8_file_exit_2(tmp_path, capsys):

@@ -124,8 +124,37 @@ def test_pinelis_detects_non_log_concave():
         ens.pinelis_joint(mu)
 
 
+@pytest.mark.parametrize("where", ["row", "column"])
+def test_coupling_check_catches_a_moved_mass(where):
+    # binomial(2, 1/2) over scale = den * even = 4 * 2: the joint of
+    # test_pinelis_binomial_2_half with one unit of mass moved
+    mu = binomial_pmf(2, F(1, 2))
+    even = ens.Pmf.from_masses(0, [1, 0, 1])
+    jnum = {(0, 0): 2, (1, 2): 2, (1, 0): 2, (2, 2): 2}
+    ens._check_coupling(jnum, 8, mu, even)
+    if where == "row":
+        jnum.update({(0, 0): 1, (2, 2): 3})
+    else:
+        jnum.update({(1, 2): 1, (1, 0): 3})
+    with pytest.raises(InvariantViolation, match=f"{where} marginal"):
+        ens._check_coupling(jnum, 8, mu, even)
+
+
 # ---------------------------------------------------------------------------
 # Parity coupling on matrices
+
+
+@pytest.mark.parametrize("kind, param", [("bernoulli", F(1, 3)), ("poisson", F(3, 2))])
+def test_sample_at_parity(kind, param):
+    spec = ens.EnsembleSpec(kind, 5, 8, param, 21)
+    A = ens.sample(spec)
+    assert ens.sample_at_parity(spec, "none") == A
+    B = ens.sample_at_parity(spec, "even")
+    assert all(s % 2 == 0 for s in B.row_sums())
+    for a, b in zip(A.rows(), B.rows()):
+        assert sum(abs(x - y) for x, y in zip(a, b)) == sum(a) % 2
+    with pytest.raises(ParameterError):
+        ens.sample_at_parity(spec, "odd")
 
 
 def test_couple_even_parity_structure():
