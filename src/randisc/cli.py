@@ -8,6 +8,7 @@ unchanged into the exact moment computations.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -285,7 +286,8 @@ def _phase_csv(rows):
 def _cmd_phase(args):
     if args.n_stride == 0:
         raise ParameterError("--n-stride must not be 0")
-    n_values = tuple(range(args.n_start, args.n_stop + 1, args.n_stride))
+    step = 1 if args.n_stride > 0 else -1  # --n-stop is inclusive either way
+    n_values = tuple(range(args.n_start, args.n_stop + step, args.n_stride))
     cfg = PhaseScanConfig(
         kind=args.ensemble,
         m=args.m,
@@ -311,6 +313,8 @@ def _cmd_phase(args):
 # Parser
 
 
+# one per process: no handler or default reads call-time state
+@functools.cache
 def _build_parser():
     top = argparse.ArgumentParser(prog="randisc", description=__doc__)
     sub = top.add_subparsers(dest="cmd")

@@ -12,7 +12,7 @@ weights (a_0, ..., a_k) hits index i with probability exactly a_i / sum(a).
 
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -60,6 +60,14 @@ def _plan(b):
     return words, shift, b << shift
 
 
+@lru_cache(maxsize=256)
+def _fisher_yates_plans(n, w):
+    """(i, shift, limit) of each draw below n - i of a w-entry Fisher-Yates
+    prefix that takes an output: all but a final bound of 1."""
+    plans = (_plan(n - i) for i in range(w))  # ValueError when w > n
+    return tuple((i, shift, limit) for i, (words, shift, limit) in enumerate(plans) if words)
+
+
 def derive_key(key: int, *path: int) -> int:
     """Derive a child stream key from a master key and an index path."""
     h = key & MASK64
@@ -87,6 +95,20 @@ class Stream:
         z *= _U_GOLDEN
         z += np.uint64(self._state)
         return _mix64_block(z)
+
+    def _ahead(self, skip, count):
+        """_peek as a list of ints; short runs skip numpy, which costs more there."""
+        if count > _SMALL_RUN:
+            return self._peek(skip, count).tolist()
+        z = self._state + skip * _GOLDEN
+        return [mix64(z + k * _GOLDEN) for k in range(1, count + 1)]
+
+    def _blocks(self, first):
+        """Lists of the outputs ahead of the state; each after the first doubles the total."""
+        have, more = 0, first
+        while True:
+            yield self._ahead(have, more)
+            have = more = have + more
 
     def _advance(self, count):
         self._state = (self._state + count * _GOLDEN) & MASK64
@@ -122,13 +144,7 @@ class Stream:
                     # least doubles the total
                     need = (len(bounds) - len(out)) * words * 3 // 2
                     more = max(end - have, have, need)
-                    if more > _SMALL_RUN:
-                        outputs += self._peek(have, more).tolist()
-                    else:
-                        z = self._state + have * _GOLDEN
-                        for _ in range(more):
-                            z += _GOLDEN
-                            outputs.append(mix64(z))
+                    outputs += self._ahead(have, more)
                     have += more
                 if words == 1:
                     x = outputs[pos]
@@ -149,16 +165,21 @@ class Stream:
 
     def shuffle_prefixes(self, n: int, w: int, count: int) -> list:
         """First w entries of each of `count` uniform permutations of range(n),
-        drawn one after another (Fisher-Yates)."""
-        draws = iter(self.below_many([n - i for i in range(w)] * count))
+        drawn one after another (Fisher-Yates) with the draws of below(n - i)."""
+        plans = _fisher_yates_plans(n, w)
+        outputs = chain.from_iterable(self._blocks(len(plans) * count * 3 // 2))
         identity = list(range(n))
-        out = []
+        out, rejected = [], 0
         for _ in range(count):
             arr = identity[:]
-            for i, d in zip(range(w), draws):
-                j = i + d
+            for (i, shift, limit), x in zip(plans, outputs):
+                while x >= limit:
+                    x = next(outputs)
+                    rejected += 1
+                j = i + (x >> shift)
                 arr[i], arr[j] = arr[j], arr[i]
             out.append(arr[:w])
+        self._advance(len(plans) * count + rejected)
         return out
 
     def shuffle_prefix(self, n: int, w: int) -> list:

@@ -127,6 +127,34 @@ def test_phase_empty_grid_exits_2(grid, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "grid, want",
+    [(["8", "16", "4"], [8, 12, 16]), (["16", "8", "-4"], [16, 12, 8])],
+)
+def test_phase_n_stop_inclusive_either_direction(grid, want, capsys):
+    start, stop, stride = grid
+    argv = ["phase", "--m", "2", "--p", "1/2", "--r", "1", "--n-start", start, "--n-stop", stop,
+            "--n-stride", stride, "--trials", "2", "--seed", "1"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    _, *rows = out.strip().split("\n")
+    assert [int(row.split(",")[0]) for row in rows] == want
+
+
+def test_cached_parser_holds_no_state(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    gen = ["gen", "--ensemble", "bernoulli", "--m", "3", "--n", "6", "--p", "1/2", "--seed", "4",
+           "--parity", "even"]
+    code, before, _ = run(gen, capsys)
+    assert code == 0 and before
+    code, out, err = run(["gen", "--ensemble", "bernoulli", "--m", "x"], capsys)
+    assert code == 2 and out == ""
+    assert "usage: randisc gen" in err and "invalid int value" in err
+    code, out, err = run(["--help"], capsys)
+    assert code == 0 and out.startswith("usage: randisc") and err == ""
+    assert run(gen, capsys) == (0, before, "")
+
+
 def test_parameter_error_exit_2(capsys):
     code, _, err = run(
         ["gen", "--ensemble", "bernoulli", "--m", "2", "--n", "5", "--p", "1/2",

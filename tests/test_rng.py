@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import RefSplitMix64, reference_probe
 from randisc import ensembles, solver
@@ -85,6 +87,51 @@ def test_shuffle_prefixes_equal_one_at_a_time():
     assert many.next64() == one.next64()
 
 
+def _reference_prefixes(gen, n, w, count):
+    out = []
+    for _ in range(count):
+        perm = list(range(n))
+        for i in range(w):
+            j = i + gen.below(n - i)
+            perm[i], perm[j] = perm[j], perm[i]
+        out.append(perm[:w])
+    return out
+
+
+@st.composite
+def _shuffles(draw):
+    # powers of two: bound 32 has limit 2**64 and accepts every output
+    n = draw(st.one_of(st.sampled_from([1, 2, 4, 8, 16, 32, 64]), st.integers(0, 64)))
+    return n, draw(st.integers(0, n)), draw(st.integers(0, 40)), draw(st.integers(0, MASK64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_shuffles())
+@example((33, 1, 40, 3))  # bound 33 accepts 33/64: the walk runs past its first block
+@example((64, 64, 40, 3))
+def test_shuffle_prefixes_equal_reference_fisher_yates(case):
+    n, w, count, key = case
+    fused, ref = Stream(key), RefSplitMix64(key)
+    assert fused.shuffle_prefixes(n, w, count) == _reference_prefixes(ref, n, w, count)
+    assert fused.next64() == ref.next64()
+
+
+def test_shuffle_prefixes_example_refills():
+    # the first block holds 1.5 outputs per draw; this run takes more.  The
+    # counter moves by GOLDEN per output, and GOLDEN is odd, so it inverts.
+    ref = RefSplitMix64(3)
+    _reference_prefixes(ref, 33, 1, 40)
+    taken = ((ref.state - 3) * pow(GOLDEN, -1, 2**64)) & MASK64
+    assert taken > 40 * 3 // 2
+
+
+def test_shuffle_prefix_longer_than_n_raises():
+    with pytest.raises(ValueError):
+        Stream(1).shuffle_prefixes(3, 4, 1)
+    with pytest.raises(ValueError):
+        Stream(1).shuffle_prefix(0, 1)
+
+
 def test_table_draw_many_equals_single_draws():
     table = IntegerTable([3, 0, 5, 1])
     many, one = Stream(12), Stream(12)
@@ -107,3 +154,18 @@ def test_probe_matches_scalar_reference():
         hits += want is not None
         misses += want is None
     assert hits > 50 and misses > 50
+
+
+@pytest.mark.parametrize("n", [24, 28, 32, 36, 40])
+def test_probe_matches_scalar_reference_at_phase_sizes(n):
+    rng = random.Random(n)
+    hits = misses = 0
+    for m, r in [(4, 1), (4, 1), (4, 1), (6, 0), (6, 0)]:
+        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+        A = ensembles.IntMatrix.from_rows(rows)
+        got = solver._probe(A, r, True, A.to_numpy())
+        want = reference_probe(rows, r, True)
+        assert (got.signs if got else None) == want, (rows, r)
+        hits += want is not None
+        misses += want is None
+    assert hits and misses
