@@ -69,12 +69,15 @@ def _signed_sums(cols):
     (m, k) array cols, and the count of -1 signs of each: row i gives
     column j the sign -1 iff bit (k-1-j) of i is 1, so ascending i is
     lexicographic with '+' < '-'.  Built by doubling over the columns in
-    reverse, so no sign table is held."""
-    sums = np.zeros((1, cols.shape[0]), dtype=np.int64)
-    neg = np.zeros(1, dtype=np.int64)
+    reverse into one preallocated table, so no sign table is held."""
+    sums = np.zeros((1 << cols.shape[1], cols.shape[0]), dtype=np.int64)
+    neg = np.zeros(len(sums), dtype=np.int64)
+    h = 1
     for c in cols.T[::-1]:
-        sums = np.concatenate((sums + c, sums - c))
-        neg = np.concatenate((neg, neg + 1))
+        np.subtract(sums[:h], c, out=sums[h : 2 * h])
+        sums[:h] += c
+        np.add(neg[:h], 1, out=neg[h : 2 * h])
+        h *= 2
     return sums, neg
 
 
@@ -145,10 +148,10 @@ def disc_exhaustive(A: IntMatrix, balanced_only=False, cap=EXHAUSTIVE_CAP) -> So
 
 def count_solutions(A: IntMatrix, r, cap=EXHAUSTIVE_CAP) -> int:
     """Exact number of balanced u with ||Au||_inf <= r."""
-    if A.n % 2:
-        raise ParameterError("balanced vectors require even n")
-    # the checks of the branch that counts: caps, radius and int64 range
-    mat = _mitm_matrix(A, r, True, MITM_N_CAP) if A.n > cap else _int64_matrix(A)
+    _check_radius(A, r, True)
+    if A.n > cap:
+        check_mitm_shape(A.n, A.m)
+    mat = _int64_matrix(A)
     if r >= max_abs_row_sum(A):
         # no |u . row| exceeds the largest row sum, so every balanced u counts
         return comb(A.n, A.n // 2)
@@ -168,16 +171,19 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False, cap=MITM_N_CAP):
     infeasibility.
 
     The full scan matches the per-row sums of the first n//2 columns' sign
-    vectors (left) with those of the rest (right), which are indexed as
-    rank-compressed prefixes (see _Meet).  Depth first, in lexicographic
-    order, it fixes the offsets delta_k = (Au)_k in [-r, r] of rows
-    k < m-1 (after the half imbalance when balanced_only); left rows with no
-    matching right prefix drop out, a branch with none left is skipped, and
-    the last row is one range query.  The witness is the first match by:
-    delta, then left index, then the right half's last-row sum, then right
-    index; a half's index reads its signs as binary with '-' = 1.
+    vectors (left) with those of the rest (right).  Each half is a tree of
+    its distinct prefixes (see _prefix_tree): the half imbalance first when
+    balanced_only, then rows 0..m-1.  Depth first, in lexicographic order,
+    it fixes the offsets delta_k = (Au)_k in [-r, r] of rows k < m-1 and
+    joins the trees over the (left prefix, right prefix) pairs that meet
+    them, skipping a branch with no pair left; the last row is one range
+    query per left leaf.  The witness is the first match by: delta, then
+    left index, then the right half's last-row sum, then right index; a
+    half's index reads its signs as binary with '-' = 1.
     """
-    mat = _mitm_matrix(A, r, balanced_only, cap)
+    _check_radius(A, r, balanced_only)
+    check_mitm_shape(A.n, A.m, cap)
+    mat = _int64_matrix(A)
     if r >= max_abs_row_sum(A):
         # any vector lands inside [-r, r] on every row
         signs = tuple(1 if j % 2 == 0 else -1 for j in range(A.n))
@@ -195,23 +201,24 @@ def check_mitm_shape(n, m, cap=MITM_N_CAP):
     """Refuse a meet-in-the-middle run on an n-column, m-row matrix past the
     caps, with an estimate of the memory it would take."""
     if n > cap or m > MITM_M_CAP:
-        # two int64 tables of 2^(n/2) signatures, m + 2 words each; the
-        # exponent stops where a float would overflow (n past 2046)
-        est = 2.0 ** min((n + 1) // 2, 1023) * (m + 2) * 8 * 2
+        # peak RSS fitted at n = 36..40 and m = 1..10, within 12%: per sign
+        # vector of the larger half, the sums and the tree build's
+        # temporaries take 8 (m + 4) bytes until the prefix trees fill up
+        # (8 (2m - 1)), plus 32 MB for the interpreter; the exponent stops
+        # where a float would overflow (n past 2046)
+        est = 2.0 ** min((n + 1) // 2, 1023) * 8 * max(m + 4, 2 * m - 1) + 32e6
         raise CapacityError(
             f"mitm capped at n<={cap}, m<={MITM_M_CAP} (got {n}x{m})",
-            estimate=f"~{est / 1e6:.0f} MB of signatures",
+            estimate=f"~{est / 1e6:.0f} MB peak memory",
         )
 
 
-def _mitm_matrix(A, r, balanced_only, cap):
-    """A as an int64 array, after the checks every meet-in-the-middle call makes."""
+def _check_radius(A, r, balanced_only):
+    """The checks of every solver call with a radius, made before any branch."""
     if r < 0:
         raise ParameterError("radius must be >= 0")
     if balanced_only and A.n % 2:
         raise ParameterError("balanced vectors require even n")
-    check_mitm_shape(A.n, A.m, cap)
-    return _int64_matrix(A)
 
 
 def _probe(A, r, balanced_only, mat):
@@ -249,91 +256,103 @@ def _probe(A, r, balanced_only, mat):
 def _scan(mat, r, balanced_only, count):
     """The full meet-in-the-middle scan: the number of sign vectors u with
     ||Au||_inf <= r (and zero sum when balanced_only), or the signs of the
-    first one in _Meet.descend's order (None when there is none)."""
-    n = mat.shape[1]
-    nl = n // 2
-    ls, lneg = _signed_sums(mat[:, :nl])
-    rs, rneg = _signed_sums(mat[:, nl:])
-    li, ri = nl - 2 * lneg, n - nl - 2 * rneg  # each half's sign sum
-    rows = np.arange(ls.shape[0])
-    found = _Meet(ls, li, rs, ri, r, balanced_only).descend(rows, np.zeros_like(rows), 0, count)
+    first one in _Join.descend's order (None when there is none)."""
+    nl = mat.shape[1] // 2
+    root = np.zeros(1, dtype=np.intp)
+    found = _Join(mat, r, balanced_only).descend(0, root, root, count)
     if count or found is None:
         return found
-    lidx, ridx = found
-    return _signs_of_index(lidx, nl) + _signs_of_index(ridx, n - nl)
+    return _signs_of_index(found[0], nl) + _signs_of_index(found[1], mat.shape[1] - nl)
 
 
-class _Meet:
-    """The right half's sums as rank-compressed prefixes, field by field: a
-    row's prefix id is the rank of (parent id, rank of its value among the
-    field's distinct values), so ids stay below the row count and keys
-    cannot overflow.  levels[d] holds the field's sorted distinct values and
-    sorted keys parent id * |values| + value rank; a key's position is the
-    child id.  The last row is kept as stably sorted keys, with `order`
-    mapping them back to right rows.
-    """
+def _prefix_tree(cols, balanced_only):
+    """One half's fields (its sign sum when balanced_only, then each row's
+    sum) as a tree of distinct prefixes, from one stable LSD sort of its sign
+    vectors.  Returns (levels, rows, ends): levels[d] = (vals, keys) holds
+    field d's sorted distinct values and each node's key parent id * |vals|
+    + value rank, ascending, so a key's position is the node's id, keys stay
+    ranks and parent p's children hold [p |vals|, (p + 1) |vals|).  Leaf i,
+    a distinct full tuple, has smallest sign vector rows[i] and multiplicity
+    ends[i + 1] - ends[i]."""
+    sums, neg = _signed_sums(cols)
+    fields = ([cols.shape[1] - 2 * neg] if balanced_only else []) + list(sums.T)
+    # each field as its offset from its least value in the smallest unsigned
+    # type: a radix sort below a span of 2**16, and exact at any span
+    lows = [int(col.min()) for col in fields]
+    fields = [(f - lo).astype(np.min_scalar_type(int(f.max()) - lo)) for f, lo in zip(fields, lows)]
+    del sums, neg  # the offsets replace the table before the sort
+    order, vals = np.arange(len(fields[0])), []
+    for field in fields[::-1]:
+        order = order[np.argsort(field[order], kind="stable")]
+        ordered = field[order]
+        vals.append(ordered[np.append(True, ordered[1:] != ordered[:-1])])
+    levels, new = [], np.arange(len(order)) == 0  # rows that start a node; the root: row 0
+    for field, low, val in zip(fields, lows, vals[::-1]):
+        ordered = field[order]
+        child = np.flatnonzero(new | np.append(False, ordered[1:] != ordered[:-1]))
+        parent = np.cumsum(new[child]) - 1
+        new[child] = True
+        key = parent * len(val) + np.searchsorted(val, ordered[child])
+        levels.append((val.astype(np.int64) + low, key))
+    return levels, order[child], np.append(child, len(order))
 
-    def __init__(self, ls, li, rs, ri, r, balanced_only):
-        m = ls.shape[1]
-        # the imbalance meets with offset 0, rows 0..m-2 with offsets in [-r, r]
-        exact = [(li, ri)] if balanced_only else []
-        fields = exact + [(ls[:, k], rs[:, k]) for k in range(m - 1)]
-        self.left = [lf for lf, _ in fields]
-        self.radii = [0] * len(exact) + [r] * (m - 1)
-        self.left_last, self.r = ls[:, m - 1], r
-        pid = np.zeros(rs.shape[0], dtype=np.int64)
-        self.levels = []
-        for _, col in fields:
-            vals, rank = np.unique(col, return_inverse=True)
-            keys, pid = np.unique(pid * len(vals) + rank, return_inverse=True)
-            self.levels.append((vals, keys))
-        self.last_vals, rank = np.unique(rs[:, m - 1], return_inverse=True)
-        key = pid * len(self.last_vals) + rank
-        self.order = np.argsort(key, kind="stable")
-        self.last_keys = key[self.order]
 
-    def descend(self, rows, pid, depth, count):
-        """Match left rows `rows`, whose fields before `depth` agree with
-        right prefixes `pid`, over every completion of delta in product
-        order.  Returns the number of meeting (left, right) pairs, or the
-        first pair: first delta, then smallest left row, then smallest
-        last-row value, then smallest right row (None when there is none)."""
-        if depth == len(self.levels):
-            col = self.left_last[rows]
-            base = pid * len(self.last_vals)
-            lo = base + np.searchsorted(self.last_vals, -self.r - col, side="left")
-            hi = base + np.searchsorted(self.last_vals, self.r - col, side="right")
-            a = np.searchsorted(self.last_keys, lo)
-            b = np.searchsorted(self.last_keys, hi)
-            if count:
-                return int((b - a).sum())
-            hits = np.flatnonzero(a < b)
-            return (int(rows[hits[0]]), int(self.order[a[hits[0]]])) if hits.size else None
-        vals, keys = self.levels[depth]
-        col = self.left[depth][rows]
+class _Join:
+    """Both halves' prefix trees (see _prefix_tree), joined depth first over
+    matched (left prefix, right prefix) pairs."""
+
+    def __init__(self, mat, r, balanced_only):
+        nl = mat.shape[1] // 2
+        self.left, self.lrows, self.lends = _prefix_tree(mat[:, :nl], balanced_only)
+        self.right, self.rrows, self.rends = _prefix_tree(mat[:, nl:], balanced_only)
+        # the imbalance meets with offset 0, every row with offsets in [-r, r]
+        self.radii = [0] * balanced_only + [r] * mat.shape[0]
+
+    def descend(self, depth, left, right, count):
+        """Match the children of left prefixes `left` with those of their
+        partners `right` over every completion of delta in product order.
+        Returns the number of meeting (left, right) sign vector pairs, or the
+        first pair: first delta, then smallest left index, then smallest
+        last-row value, then smallest right index (None when there is none)."""
+        vals, keys = self.left[depth]
+        rvals, rkeys = self.right[depth]
+        first = np.searchsorted(keys, left * len(vals))
+        size = np.searchsorted(keys, (left + 1) * len(vals)) - first
+        child = np.repeat(first - np.cumsum(size) + size, size) + np.arange(size.sum())
+        col = vals[keys[child] % len(vals)]
+        base = np.repeat(right, size) * len(rvals)
         rad = self.radii[depth]
+        if depth == len(self.radii) - 1:
+            # the last row: each left leaf meets a range of right leaves
+            a = np.searchsorted(rkeys, base + np.searchsorted(rvals, -rad - col, side="left"))
+            b = np.searchsorted(rkeys, base + np.searchsorted(rvals, rad - col, side="right"))
+            if count:
+                lmult = self.lends[child + 1] - self.lends[child]
+                return int((lmult * (self.rends[b] - self.rends[a])).sum())
+            k = np.where(a < b, self.lrows[child], np.iinfo(np.intp).max).argmin()
+            return (int(self.lrows[child[k]]), int(self.rrows[a[k]])) if a[k] < b[k] else None
         # a meeting right value v gives delta = v + col, which bounds the range
-        lo = max(-rad, int(vals[0] + col.min()))
-        hi = min(rad, int(vals[-1] + col.max()))
+        lo = max(-rad, int(rvals[0] + col.min()))
+        hi = min(rad, int(rvals[-1] + col.max()))
         total = 0
         for delta in range(lo, hi + 1):
-            sub_rows, child = _lookup(vals, keys, rows, pid, delta - col)
-            if not sub_rows.size:
+            sub_left, sub_right = self._match(depth, child, base, delta - col)
+            if not sub_left.size:
                 continue
-            sub = self.descend(sub_rows, child, depth + 1, count)
+            sub = self.descend(depth + 1, sub_left, sub_right, count)
             if count:
                 total += sub
             elif sub is not None:
                 return sub
         return total if count else None
 
-
-def _lookup(vals, keys, rows, pid, want):
-    """The rows that have a right prefix with parent `pid` and next field
-    `want`, and that prefix's id.  Apart from descend so that its
-    temporaries are freed before the recursion goes deeper."""
-    rank = np.minimum(np.searchsorted(vals, want), len(vals) - 1)
-    key = pid * len(vals) + rank
-    pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-    hit = np.flatnonzero((vals[rank] == want) & (keys[pos] == key))
-    return rows[hit], pos[hit]
+    def _match(self, depth, child, base, want):
+        """The left children that have a right partner (parent key `base`,
+        field value `want`), and its id; apart from descend so that its
+        temporaries are freed before the recursion goes deeper."""
+        vals, keys = self.right[depth]
+        rank = np.minimum(np.searchsorted(vals, want), len(vals) - 1)
+        key = base + rank
+        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        hit = np.flatnonzero((vals[rank] == want) & (keys[pos] == key))
+        return child[hit], pos[hit]

@@ -55,6 +55,17 @@ def test_zcount(tmp_path, capsys):
     assert json.loads(out)["count"] == 6
 
 
+@pytest.mark.parametrize("n", [10, 28])
+def test_zcount_negative_radius_exit_2(n, tmp_path, capsys):
+    # n = 10 counts by enumeration and n = 28 by meet in the middle; both
+    # refuse r < 0 (the enumeration branch used to print a count of 0)
+    path = str(tmp_path / "z.mat")
+    ensembles.write_matrix(path, ensembles.IntMatrix.from_rows([[1] * n]))
+    code, out, err = run(["zcount", "--in", path, "--r", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert "radius" in err
+
+
 def test_moments_worked_example(capsys):
     code, out, _ = run(
         ["moments", "--case", "dense", "--m", "1", "--n", "4", "--p", "1/2"], capsys

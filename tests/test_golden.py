@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from randisc import cli, ensembles, moments
+from randisc import cli, ensembles, moments, solver
 
 
 def run(argv, capsys):
@@ -88,6 +88,28 @@ def test_disc_mitm_witness_pinned(rows, balanced, witness, tmp_path, capsys):
     argv = ["disc", "--in", path, "--method", "mitm", "--r", "1"]
     out = run(argv + (["--balanced"] if balanced else []), capsys)
     assert out == json.dumps({"feasible": True, "r": 1, "witness": witness}) + "\n"
+
+
+# Full scans past the exhaustive cap, recorded before the two prefix trees
+# replaced the scan over left rows.  The n = 32 matrix is trial 3 at n = 32
+# in the first round of the phase_edge benchmark's trial set (seed 20240808),
+# one the probe misses, so its witness comes from the full scan.
+FULL_SCANS = [
+    ("32", "8840976512429012943", ["disc", "--method", "mitm", "--balanced", "--r", "1"],
+     {"feasible": True, "r": 1, "witness": "+++++++++++---+-+---++--+-------"}),
+    ("30", "5", ["zcount", "--r", "1"], {"r": 1, "count": 1901342}),
+]
+
+
+@pytest.mark.parametrize("n,seed,argv,want", FULL_SCANS)
+def test_full_scan_output_pinned(n, seed, argv, want, tmp_path, capsys):
+    path = str(tmp_path / "a.mat")
+    run(["gen", "--ensemble", "bernoulli", "--m", "6", "--n", n, "--p", "1/2",
+         "--seed", seed, "--out", path], capsys)
+    if argv[0] == "disc":
+        A = ensembles.read_matrix(path)
+        assert solver._probe(A, 1, True, solver._int64_matrix(A)) is None
+    assert run(argv + ["--in", path], capsys) == json.dumps(want) + "\n"
 
 
 PHASE_CSVS = [

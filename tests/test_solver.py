@@ -127,7 +127,8 @@ def test_mitm_agrees_with_exhaustive(balanced):
 
 
 def test_mitm_tuple_fallback_path():
-    # ten rows force tuple keys (packed fields would exceed 63 bits)
+    # ten rows, the row cap: eleven fields per half, the case that once
+    # needed tuple keys; the prefix trees' keys are ranks at any row count
     for seed in range(10):
         A = ens.sample(ens.EnsembleSpec("bernoulli", 10, 10, F(1, 2), seed))
         disc = solver.disc_exhaustive(A, balanced_only=True).value
@@ -145,6 +146,14 @@ def test_mitm_counting_beyond_exhaustive_cap():
     from math import comb
 
     assert solver.count_solutions(A, 0) == comb(28, 14)
+
+
+@pytest.mark.parametrize("n", [10, 28])
+def test_count_refuses_negative_radius(n):
+    # n = 10 is counted by enumeration and n = 28 by meet in the middle;
+    # the enumeration branch used to answer 0
+    with pytest.raises(ParameterError):
+        solver.count_solutions(mat([[1] * n, [0] * n]), -1)
 
 
 def test_exhaustive_cap_error():
@@ -236,6 +245,39 @@ def test_scan_matches_reference_pairs():
         count, first = reference_mitm(rows, r, balanced)
         assert solver._scan(mat, r, balanced, count=True) == count, case
         assert solver._scan(mat, r, balanced, count=False) == first, case
+
+
+def _repeated_column_rows(rng, m, n):
+    # Poisson entries, then columns copied from earlier ones or zeroed, so
+    # many sign vectors of a half share one tuple of row sums
+    # (the Poisson ensemble takes even n only, so an odd n drops a column)
+    spec = ens.EnsembleSpec("poisson", m, n + n % 2, F(rng.choice((1, 2, 3)), 2), rng.getrandbits(32))
+    cols = [list(col) for col in zip(*ens.sample(spec).rows())][:n]
+    for j in range(n):
+        pick = rng.random()
+        if pick < 0.3 and j:
+            cols[j] = list(cols[rng.randrange(j)])
+        elif pick < 0.5:
+            cols[j] = [0] * m
+    return [list(row) for row in zip(*cols)]
+
+
+def test_scan_matches_reference_on_shared_half_tuples():
+    # a prefix tree's leaf then holds many sign vectors, and the witness must
+    # take the smallest of them on each side; m = 1 unbalanced has no prefix
+    # field at all, only the last row's range query
+    rng = random.Random(11)
+    witnesses = 0
+    for case in range(120):
+        m, r, balanced = (1, 2, 3, 5)[case % 4], case % 3, case % 8 >= 4
+        n = rng.randrange(2, 13, 2) if balanced else rng.randint(1, 12)
+        rows = _repeated_column_rows(rng, m, n)
+        mat = solver._int64_matrix(ens.IntMatrix.from_rows(rows))
+        count, first = reference_mitm(rows, r, balanced)
+        assert solver._scan(mat, r, balanced, count=True) == count, case
+        assert solver._scan(mat, r, balanced, count=False) == first, case
+        witnesses += first is not None
+    assert witnesses >= 30
 
 
 def test_full_scans_leave_no_reference_cycles():
