@@ -214,21 +214,23 @@ def truncated_poisson_pmf(lam, tail_bound=Fraction(1, 2**60)):
     """Poisson(lam) truncated and renormalized so the discarded true tail is
     below `tail_bound`; the cut point is chosen by pure rational arithmetic
     (tail(K) <= lam^(K+1)/(K+1)! * (1 - lam/(K+2))^-1), so it is identical on
-    every platform.  Returns (pmf, truncation_point).
+    every platform.  Returns (pmf, truncation_point); CapacityError once the
+    cut would pass EXACT_SIZE_CAP, with no term built past it.
     """
     lam = Fraction(lam)
     if lam < 0:
         raise ParameterError(f"poisson rate {lam} is negative")
     if lam == 0:
         return Pmf(0, (Fraction(1),)), 0
-    hi = max(2, int(lam) + 2)
+    hi = max(2, int(lam) + 2)  # so lam < K + 2, where the bound holds
     raw = [Fraction(1)]  # lam^k / k!, k = 0..hi
-    for k in range(1, hi + 1):
-        raw.append(raw[-1] * lam / k)
-    while not (lam < hi + 2 and raw[hi] * (hi + 2) / (hi + 2 - lam) < tail_bound):
+    while hi <= EXACT_SIZE_CAP:
+        while len(raw) <= hi:
+            raw.append(raw[-1] * lam / len(raw))
+        if raw[hi] * (hi + 2) / (hi + 2 - lam) < tail_bound:
+            return Pmf.from_masses(0, raw), hi
         hi += 1
-        raw.append(raw[-1] * lam / hi)
-    return Pmf.from_masses(0, raw), hi
+    raise CapacityError(f"exact poisson truncation capped at K={EXACT_SIZE_CAP}")
 
 
 def exact_pmf(family, **params):

@@ -36,6 +36,8 @@ class PhaseScanConfig:
             raise ParameterError("trials must be >= 1")
         if self.threads < 1:
             raise ParameterError("threads must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ParameterError("seed must fit in 64 bits")
 
 
 def wilson_interval(successes, trials, z=WILSON_Z):

@@ -64,21 +64,20 @@ class SolveResult:
         }
 
 
-def _signed_sums(cols):
-    """Per-row sums of every sign assignment of the columns of the int64
-    (m, k) array cols, and the count of -1 signs of each: row i gives
-    column j the sign -1 iff bit (k-1-j) of i is 1, so ascending i is
-    lexicographic with '+' < '-'.  Built by doubling over the columns in
-    reverse into one preallocated table, so no sign table is held."""
-    sums = np.zeros((1 << cols.shape[1], cols.shape[0]), dtype=np.int64)
-    neg = np.zeros(len(sums), dtype=np.int64)
+def _plus_sums(c):
+    """u . c + sum(c) (twice the '+'-signed part) for every sign vector u on
+    the nonnegative int64 k-vector c, in the smallest unsigned type: entry i
+    gives c_j the sign -1 iff bit (k-1-j) of i is 1, so ascending i is
+    lexicographic with '+' < '-'.  Built by doubling over c in reverse, each
+    step a scalar of the output type so numpy computes in it."""
+    top = 2 * int(c.sum())
+    out = np.empty(1 << len(c), dtype=np.min_scalar_type(top))
+    out[0] = top
     h = 1
-    for c in cols.T[::-1]:
-        np.subtract(sums[:h], c, out=sums[h : 2 * h])
-        sums[:h] += c
-        np.add(neg[:h], 1, out=neg[h : 2 * h])
+    for v in c[::-1]:
+        np.subtract(out[:h], out.dtype.type(2 * int(v)), out=out[h : 2 * h])
         h *= 2
-    return sums, neg
+    return out
 
 
 def _signs_of_index(idx, k):
@@ -110,16 +109,19 @@ def _exhaustive_blocks(mat, balanced_only):
     n = mat.shape[1]
     lo_w = min(n - 1, _BLOCK_BITS)
     hi_w = n - 1 - lo_w
-    lo_part, lo_neg = _signed_sums(mat[:, 1 + hi_w :])  # (2^lo, m)
-    hi_part, hi_neg = _signed_sums(mat[:, 1 : 1 + hi_w])
+    lo_part, hi_part = (  # (2^w, m); int64 first, as uint64 - int64 is float64
+        np.stack([_plus_sums(c).astype(np.int64) - int(c.sum()) for c in cols], axis=1)
+        for cols in (mat[:, 1 + hi_w :], mat[:, 1 : 1 + hi_w])
+    )
     hi_part += mat[:, 0]
     if balanced_only:
-        groups = [np.flatnonzero(lo_neg == c) for c in range(lo_w + 1)]
+        lo_plus, hi_plus = (_plus_sums(np.ones(w, np.int64)) for w in (lo_w, hi_w))
+        groups = [np.flatnonzero(lo_plus == 2 * p) for p in range(lo_w + 1)]
         parts = [lo_part[idx] for idx in groups]
     for hi_idx in range(1 << hi_w):
         lo_idx, part = None, lo_part
         if balanced_only:
-            need = n // 2 - int(hi_neg[hi_idx])
+            need = n // 2 - 1 - int(hi_plus[hi_idx]) // 2  # low '+' signs left
             if not 0 <= need <= lo_w:
                 continue
             lo_idx, part = groups[need], parts[need]
@@ -201,12 +203,12 @@ def check_mitm_shape(n, m, cap=MITM_N_CAP):
     """Refuse a meet-in-the-middle run on an n-column, m-row matrix past the
     caps, with an estimate of the memory it would take."""
     if n > cap or m > MITM_M_CAP:
-        # peak RSS fitted at n = 36..40 and m = 1..10, within 12%: per sign
-        # vector of the larger half, the sums and the tree build's
-        # temporaries take 8 (m + 4) bytes until the prefix trees fill up
-        # (8 (2m - 1)), plus 32 MB for the interpreter; the exponent stops
-        # where a float would overflow (n past 2046)
-        est = 2.0 ** min((n + 1) // 2, 1023) * 8 * max(m + 4, 2 * m - 1) + 32e6
+        # a count's peak RSS, fitted on three matrices at each n = 36..40 and
+        # m = 1..10, within 8%: per sign vector of the larger half, the fields
+        # and the sort's temporaries take 30 + 3m bytes until the prefix trees
+        # fill up (26m - 144), plus 32 MB for the interpreter; the exponent
+        # stops where a float would overflow (n past 2046)
+        est = 2.0 ** min((n + 1) // 2, 1023) * max(30 + 3 * m, 26 * m - 144) + 32e6
         raise CapacityError(
             f"mitm capped at n<={cap}, m<={MITM_M_CAP} (got {n}x{m})",
             estimate=f"~{est / 1e6:.0f} MB peak memory",
@@ -274,13 +276,10 @@ def _prefix_tree(cols, balanced_only):
     ranks and parent p's children hold [p |vals|, (p + 1) |vals|).  Leaf i,
     a distinct full tuple, has smallest sign vector rows[i] and multiplicity
     ends[i + 1] - ends[i]."""
-    sums, neg = _signed_sums(cols)
-    fields = ([cols.shape[1] - 2 * neg] if balanced_only else []) + list(sums.T)
-    # each field as its offset from its least value in the smallest unsigned
-    # type: a radix sort below a span of 2**16, and exact at any span
-    lows = [int(col.min()) for col in fields]
-    fields = [(f - lo).astype(np.min_scalar_type(int(f.max()) - lo)) for f, lo in zip(fields, lows)]
-    del sums, neg  # the offsets replace the table before the sort
+    # unsigned offsets from each field's least value -sum(c); numpy radix-sorts spans below 2**16
+    vecs = ([np.ones(cols.shape[1], np.int64)] if balanced_only else []) + list(cols)
+    fields = [_plus_sums(c) for c in vecs]
+    lows = [-int(c.sum()) for c in vecs]
     order, vals = np.arange(len(fields[0])), []
     for field in fields[::-1]:
         order = order[np.argsort(field[order], kind="stable")]

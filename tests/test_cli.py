@@ -127,6 +127,14 @@ def test_lclt_past_exact_cap_exits_3(capsys):
     assert err.startswith("capacity:")
 
 
+def test_gen_poisson_rate_past_exact_cap_exits_3(capsys):
+    # the entry table's Poisson cut passes locallimits.EXACT_SIZE_CAP; this used to hang
+    argv = ["gen", "--ensemble", "poisson", "--m", "1", "--n", "2", "--p", "1e400", "--seed", "1"]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("capacity:")
+
+
 @pytest.mark.parametrize(
     "grid",
     [["--n-start", "40", "--n-stop", "8"], ["--n-start", "8", "--n-stop", "40", "--n-stride", "-4"]],

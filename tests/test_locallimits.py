@@ -77,6 +77,15 @@ def test_truncated_poisson_cut_is_deep():
     assert pmf[0] > 0 and pmf[cut] > 0
 
 
+def test_truncated_poisson_cut_past_cap_raises():
+    # 10**400 and EXACT_SIZE_CAP - 1 start past the cap and are refused before
+    # any term is built (the first grew its list without bound); rate 1500
+    # passes the cap while the cut is searched
+    for lam in (F(10) ** 400, F(ll.EXACT_SIZE_CAP - 1), F(1500)):
+        with pytest.raises(CapacityError):
+            ll.truncated_poisson_pmf(lam)
+
+
 def test_convolve_integer_matches_schoolbook():
     import random
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randisc import ensembles, phase, solver
+from randisc import cli, ensembles, phase, solver
 from randisc.errors import ParameterError
 
 PARAMS = {"bernoulli": (F(1, 4), F(1, 3), F(1, 2)), "poisson": (F(1, 2), F(1), F(3, 2))}
@@ -64,3 +64,18 @@ def test_scan_rejects_unknown_parity(threads):
     )
     with pytest.raises(ParameterError, match="parity"):
         phase.run_phase_scan(cfg)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_exits_2(seed, capsys):
+    # as gen refuses it; the scan used to reduce the seed mod 2**64
+    with pytest.raises(ParameterError, match="seed"):
+        phase.PhaseScanConfig(
+            kind="bernoulli", m=2, param=F(1, 2), r=1, n_values=(4,), trials=2,
+            parity="even", threads=1, seed=seed,
+        )
+    argv = ["phase", "--m", "2", "--p", "1/2", "--r", "1", "--n-start", "4", "--n-stop", "4",
+            "--trials", "2", "--seed", str(seed)]
+    assert cli.dispatch(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:")

@@ -42,15 +42,27 @@ def test_balanced_witness_lexicographic():
     assert res.witness.balanced
 
 
+# a row sum s on each side of an unsigned type's range: the solvers hold
+# twice a sign vector's '+' part, up to 2s, in the smallest unsigned type
+_TYPE_EDGES = ((127, 128), (32767, 32768), (2**31 - 1, 2**31))
+
+
 def test_exhaustive_matches_full_enumeration():
-    # fixing u_1 = +1 loses no value (sign symmetry)
-    for seed in range(20):
-        A = ens.sample(ens.EnsembleSpec("bernoulli", 3, 8, F(1, 2), seed))
+    # fixing u_1 = +1 loses no value (sign symmetry); the last matrices' low
+    # columns (all but the first) sum to each side of a type edge
+    mats = [ens.sample(ens.EnsembleSpec("bernoulli", 3, 8, F(1, 2), seed)) for seed in range(20)]
+    mats += [
+        mat([[3, s - 6] + [1] * 6, [2, t - 6] + [1] * 6, [0, 1, 0, 1, 1, 0, 2, 1]])
+        for s, t in _TYPE_EDGES
+    ]
+    for A in mats:
         best = min(
             eval_inf(A, signs)
             for signs in product((1, -1), repeat=8)
         )
         assert solver.disc_exhaustive(A).value == best
+        best = min(eval_inf(A, signs) for signs in balanced_vectors(8))
+        assert solver.disc_exhaustive(A, balanced_only=True).value == best
 
 
 def test_witness_attains_value():
@@ -237,10 +249,16 @@ def test_scan_matches_reference_pairs():
     # the full scan, probe bypassed, against brute force over every pair of
     # halves: the count, and the first pair in the documented witness order
     rng = random.Random(7)
+    cases = []
     for case in range(200):
         m, r, balanced = (1, 6, 10)[case % 3], case % 9 // 3, case % 2 == 0
         n = rng.randrange(2, 13, 2) if balanced else rng.randint(1, 12)
-        rows = _scan_rows(rng, m, n, huge=case % 5 == 0)
+        cases.append((_scan_rows(rng, m, n, huge=case % 5 == 0), r, balanced))
+    # then each half of each row sums to one side of a type edge
+    for s, t in _TYPE_EDGES:
+        rows = [[s - 2, 1, 1, t - 2, 1, 1], [t - 2, 1, 1, s - 2, 1, 1]]
+        cases += [(rows, r, balanced) for r in range(3) for balanced in (False, True)]
+    for case, (rows, r, balanced) in enumerate(cases):
         mat = solver._int64_matrix(ens.IntMatrix.from_rows(rows))
         count, first = reference_mitm(rows, r, balanced)
         assert solver._scan(mat, r, balanced, count=True) == count, case
