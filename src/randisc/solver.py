@@ -9,7 +9,7 @@ u_1 = +1 on every platform.
 """
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from math import comb
 
 import numpy as np
@@ -203,14 +203,16 @@ def check_mitm_shape(n, m, cap=MITM_N_CAP):
     """Refuse a meet-in-the-middle run on an n-column, m-row matrix past the
     caps, with an estimate of the memory it would take."""
     if n > cap or m > MITM_M_CAP:
-        # a count's peak RSS, fitted on three matrices at each n = 36..40 and
-        # m = 1..10, within 8%: per sign vector of the larger half, the fields
-        # and the sort's temporaries take 30 + 3m bytes until the prefix trees
-        # fill up (26m - 144), plus 32 MB for the interpreter; the exponent
-        # stops where a float would overflow (n past 2046)
-        est = 2.0 ** min((n + 1) // 2, 1023) * max(30 + 3 * m, 26 * m - 144) + 32e6
+        # a count's peak RSS, fitted on three Bernoulli(1/2) matrices at each
+        # n = 36, 38, 40 and m = 1..10, within 6% of each median of three
+        # (single matrices spread by up to 20%): per sign vector of the
+        # larger half, the packed sort keys and their temporaries take 18
+        # bytes until the prefix trees fill up (24m - 144), plus 33 MB for the
+        # interpreter; the exponent stops where a float would overflow (n
+        # past 2046)
+        est = 2.0 ** min((n + 1) // 2, 1023) * max(18, 24 * m - 144) + 33e6
         raise CapacityError(
-            f"mitm capped at n<={cap}, m<={MITM_M_CAP} (got {n}x{m})",
+            f"mitm capped at n<={cap}, m<={MITM_M_CAP} (got n={n}, m={m})",
             estimate=f"~{est / 1e6:.0f} MB peak memory",
         )
 
@@ -267,33 +269,140 @@ def _scan(mat, r, balanced_only, count):
     return _signs_of_index(found[0], nl) + _signs_of_index(found[1], mat.shape[1] - nl)
 
 
+def _subset_sums(entries):
+    """The sorted distinct subset sums of a list of nonnegative ints: a set
+    of each half's sums, then their sumset, sorted (np.unique hashes, which
+    is far slower on a large sumset)."""
+    halves = []
+    for part in (entries[: len(entries) // 2], entries[len(entries) // 2 :]):
+        sums = {0}
+        for v in part:
+            sums |= {s + v for s in sums}
+        halves.append(np.fromiter(sums, np.int64, len(sums)))
+    out = np.add.outer(*halves).ravel()
+    out.sort()
+    return out[np.append(True, out[1:] != out[:-1])]
+
+
+def _packed_digits(entries, offs, cap):
+    """Every sign vector's digits (the sum of each field's '+'-signed
+    entries) packed into one nonnegative integer, digit d at bits
+    [offs[d + 1], offs[d]), split into words of cap bits, least significant
+    first: a list of 2^k-long uint64 arrays, entry i for the sign vector
+    with index i.  Built by doubling like _plus_sums; a '-' sign takes its
+    entries off every digit at once, borrowing across words where a digit
+    spans two."""
+    nwords = max(1, -(-offs[0] // cap))
+    mask = (1 << cap) - 1
+
+    def split(digits):
+        packed = sum(x << off for x, off in zip(digits, offs[1:]))
+        return [(packed >> (w * cap)) & mask for w in range(nwords)]
+
+    out = [np.empty(1 << len(entries[0]), np.uint64) for _ in range(nwords)]
+    for z, top in zip(out, split([sum(e) for e in entries])):
+        z[0] = top
+    h = 1
+    for column in reversed(list(zip(*entries))):
+        borrow = 0
+        for w, sub in enumerate(split(column)):
+            take, src, dst = sub + borrow, out[w][:h], out[w][h : 2 * h]
+            np.subtract(src, take, out=dst)
+            if w + 1 < nwords:
+                borrow = (src < take).astype(np.uint64)
+                dst += borrow << np.uint64(cap)
+        h *= 2
+    return out
+
+
+def _sort_words(words, k):
+    """Sort the sign vectors by their packed digits (see _packed_digits) in
+    one stable LSD sort, in place: each word, least significant first, takes
+    k index bits below its digits and is sorted with np.sort.  The index
+    bits make every key distinct, so the unstable sorts are stable where it
+    matters; a later word's index bits hold the position in the sort before.
+    Returns the sorted positions where a new digit tuple starts."""
+    index_bits, shift = np.uint64((1 << k) - 1), np.uint64(k)
+    pos = None  # between passes: the sign vector at each sorted position
+    for w, z in enumerate(words):
+        if w:
+            z[:] = z[pos]
+        z <<= shift
+        z |= np.arange(len(z), dtype=np.uint64)
+        z.sort()
+        if w + 1 < len(words):
+            rank = (z & index_bits).view(np.intp)
+            pos = rank if pos is None else pos[rank]
+    del pos
+    # a tuple starts where some word's digits differ from the previous key's:
+    # in the sorted last word, where a key passes its neighbour with every
+    # index bit set; each word below is read back through the index bits of
+    # the word above
+    z = words[-1]
+    step = z[1:] > (z[:-1] | index_bits)
+    for w in range(len(words) - 2, -1, -1):
+        z = words[w][(z & index_bits).view(np.intp)]
+        step |= (z[1:] ^ z[:-1]) > index_bits
+    return np.flatnonzero(np.append(True, step))
+
+
+def _leaf_fields(words, leaf, k, offs, cap, tops):
+    """Each field's digit (at most tops[d]) at each leaf, a sorted position
+    where a tuple starts (see _sort_words), and the sign vector there.
+    Empties words, top word first, so each is freed once read."""
+    index_bits = np.uint64((1 << k) - 1)
+    fields = [np.zeros(len(leaf), np.min_scalar_type(top)) for top in tops]
+    rows = leaf
+    while words:
+        w = len(words) - 1
+        z = words.pop()[rows]
+        rows = (z & index_bits).view(np.intp)
+        for field, lo, hi in zip(fields, offs[1:], offs):
+            a, b = max(lo, w * cap), min(hi, (w + 1) * cap)
+            if a < b:
+                piece = z >> np.uint64(k + a - w * cap)
+                piece &= np.uint64((1 << (b - a)) - 1)
+                field <<= b - a
+                field |= piece
+    return fields, rows
+
+
 def _prefix_tree(cols, balanced_only):
     """One half's fields (its sign sum when balanced_only, then each row's
-    sum) as a tree of distinct prefixes, from one stable LSD sort of its sign
-    vectors.  Returns (levels, rows, ends): levels[d] = (vals, keys) holds
-    field d's sorted distinct values and each node's key parent id * |vals|
-    + value rank, ascending, so a key's position is the node's id, keys stay
-    ranks and parent p's children hold [p |vals|, (p + 1) |vals|).  Leaf i,
-    a distinct full tuple, has smallest sign vector rows[i] and multiplicity
-    ends[i + 1] - ends[i]."""
-    # unsigned offsets from each field's least value -sum(c); numpy radix-sorts spans below 2**16
-    vecs = ([np.ones(cols.shape[1], np.int64)] if balanced_only else []) + list(cols)
-    fields = [_plus_sums(c) for c in vecs]
-    lows = [-int(c.sum()) for c in vecs]
-    order, vals = np.arange(len(fields[0])), []
-    for field in fields[::-1]:
-        order = order[np.argsort(field[order], kind="stable")]
-        ordered = field[order]
-        vals.append(ordered[np.append(True, ordered[1:] != ordered[:-1])])
-    levels, new = [], np.arange(len(order)) == 0  # rows that start a node; the root: row 0
-    for field, low, val in zip(fields, lows, vals[::-1]):
-        ordered = field[order]
-        child = np.flatnonzero(new | np.append(False, ordered[1:] != ordered[:-1]))
-        parent = np.cumsum(new[child]) - 1
-        new[child] = True
-        key = parent * len(val) + np.searchsorted(val, ordered[child])
-        levels.append((val.astype(np.int64) + low, key))
-    return levels, order[child], np.append(child, len(order))
+    sum) as a tree of distinct prefixes, from one sort of its sign vectors
+    (see _sort_words).  Returns (levels, rows, ends): levels[d] = (vals,
+    keys) holds field d's sorted distinct values and each node's key parent
+    id * |vals| + value rank, ascending, so a key's position is the node's
+    id, keys stay ranks and parent p's children hold [p |vals|, (p + 1)
+    |vals|).  Leaf i, a distinct full tuple, has smallest sign vector
+    rows[i] and multiplicity ends[i + 1] - ends[i]."""
+    k = cols.shape[1]
+    entries = [[1] * k] * balanced_only + cols.tolist()
+    tops = [sum(e) for e in entries]
+    # field d's digit, the sum of its '+'-signed entries, takes key bits
+    # [offs[d + 1], offs[d]), the first field most significant
+    offs = list(accumulate([0] + [top.bit_length() for top in tops[::-1]]))[::-1]
+    cap = 64 - k  # digit bits per word, above the index bits
+    words = _packed_digits(entries, offs, cap)
+    leaf = _sort_words(words, k)
+    fields, rows = _leaf_fields(words, leaf, k, offs, cap, tops)
+    levels, new = [], leaf == 0  # leaves that start a node; the root: leaf 0
+    for e, top in zip(entries, tops):
+        field = fields.pop(0)  # freed after its level
+        start = new.copy()
+        start[1:] |= field[1:] != field[:-1]
+        child = np.flatnonzero(start)
+        key, digit = new[child].astype(np.intp), field[child]
+        del child  # the keys are built in place, to keep the peak down
+        np.cumsum(key, out=key)  # the parent's id + 1
+        key -= 1
+        vals = _subset_sums(e)
+        key *= len(vals)
+        # ranks in field's own type, as uint64 against int64 compares in float64
+        key += np.searchsorted(vals.astype(field.dtype), digit)
+        new = start
+        levels.append((2 * vals - top, key))
+    return levels, rows, np.append(leaf, 1 << k)
 
 
 class _Join:

@@ -67,6 +67,36 @@ def reference_mitm(rows, r, balanced):
     return count, best and best[1]
 
 
+def reference_prefix_tree(cols, balanced):
+    """One half's prefix tree from sorted Python tuples.  cols is the half
+    as a list of rows; sign vector i (product((1, -1)) order) has the fields
+    (its sign sum when balanced, then u . row for each row).
+
+    Returns lists (levels, rows, ends): levels[d] = (vals, keys), vals the
+    sorted distinct values of field d, keys the depth-d prefixes in sorted
+    order as parent prefix position * len(vals) + rank of the last value;
+    rows[i] the smallest sign vector index of the i-th distinct full tuple
+    and ends the positions where each tuple starts among all sign vectors
+    sorted by (tuple, index), then their number."""
+    k = len(cols[0])
+    tuples = []
+    for u in product((1, -1), repeat=k):
+        sums = [sum(s * a for s, a in zip(u, row)) for row in cols]
+        tuples.append(tuple(([sum(u)] if balanced else []) + sums))
+    order = sorted(range(len(tuples)), key=lambda i: (tuples[i], i))
+    levels = []
+    for d in range(len(tuples[0])):
+        vals = sorted({t[d] for t in tuples})
+        rank = {v: i for i, v in enumerate(vals)}
+        parent = {p: i for i, p in enumerate(sorted({t[:d] for t in tuples}))}
+        prefixes = sorted({t[: d + 1] for t in tuples})
+        keys = [parent[p[:d]] * len(vals) + rank[p[d]] for p in prefixes]
+        levels.append((vals, keys))
+    ends = [j for j in range(len(order)) if j == 0 or tuples[order[j]] != tuples[order[j - 1]]]
+    rows = [order[j] for j in ends]
+    return levels, rows, ends + [len(order)]
+
+
 def lazy_walk_oracle(r, p):
     """P[V = k] for V ~ R(r, p) via the difference-of-binomials identity
     (independent of the production step-convolution route)."""

@@ -107,6 +107,15 @@ def test_capacity_exit_3(tmp_path, capsys):
     assert "cap" in err
 
 
+def test_mitm_past_row_cap_names_n_and_m(tmp_path, capsys):
+    # an 11-row, 8-column file (header "11 8"): the refusal names n and m
+    path = str(tmp_path / "tall.mat")
+    ensembles.write_matrix(path, ensembles.IntMatrix.from_rows([[1] * 8] * 11))
+    code, out, err = run(["disc", "--in", path, "--method", "mitm", "--r", "1"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("capacity: mitm capped at n<=40, m<=10 (got n=8, m=11) (~")
+
+
 def test_phase_grid_past_mitm_cap_exits_3_before_any_trial(monkeypatch, capsys):
     def no_trial(*args):
         raise AssertionError("a trial ran")

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from helpers import balanced_vectors, reference_mitm
+from helpers import balanced_vectors, reference_mitm, reference_prefix_tree
 from randisc import ensembles as ens
 from randisc import solver
 from randisc.errors import CapacityError, ParameterError
@@ -179,6 +179,7 @@ def test_mitm_cap_error_carries_estimate():
     with pytest.raises(CapacityError) as err:
         solver.disc_exists_mitm(A, 1)
     assert err.value.estimate
+    assert str(err.value) == "mitm capped at n<=40, m<=10 (got n=42, m=1)"
 
 
 def test_balanced_needs_even_n():
@@ -258,11 +259,40 @@ def test_scan_matches_reference_pairs():
     for s, t in _TYPE_EDGES:
         rows = [[s - 2, 1, 1, t - 2, 1, 1], [t - 2, 1, 1, s - 2, 1, 1]]
         cases += [(rows, r, balanced) for r in range(3) for balanced in (False, True)]
+    # then ten rows with entries up to 100, whose packed half keys need two
+    # or more 64-bit words though no single field is wide; the right half
+    # repeats the left one up to 2 per entry (odd n adds a 0/1 column), so
+    # u = (v, -v) nearly meets every row
+    for n in (5, 8, 11, 12):
+        rows = []
+        for _ in range(10):
+            half = [rng.randint(0, 100) for _ in range(n // 2)]
+            rows.append(half + [v + rng.randint(0, 2) for v in half] + [rng.randint(0, 1)] * (n % 2))
+        cases += [(rows, r, b) for r in (0, 3, 9) for b in (False, True) if not (b and n % 2)]
+    # then all-zero columns, so a half's fields can be zero bits wide
+    for rows in ([[0, 0, 0, 0, 0, 0]], [[0, 0, 0, 2, 1, 3], [0, 0, 0, 1, 1, 0]],
+                 [[0, 1, 0, 0, 2, 0], [0, 3, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0]]):
+        cases += [(rows, r, balanced) for r in range(3) for balanced in (False, True)]
     for case, (rows, r, balanced) in enumerate(cases):
         mat = solver._int64_matrix(ens.IntMatrix.from_rows(rows))
         count, first = reference_mitm(rows, r, balanced)
         assert solver._scan(mat, r, balanced, count=True) == count, case
         assert solver._scan(mat, r, balanced, count=False) == first, case
+
+
+def test_prefix_tree_matches_sorted_tuples():
+    # one half of a Poisson rate-3 matrix whose packed key (index bits, then
+    # each field's digit) needs two 64-bit words, against a tree built from
+    # sorted Python tuples
+    A = ens.sample(ens.EnsembleSpec("poisson", 10, 28, F(3), 4))
+    half = [list(row[:14]) for row in A.rows()]
+    assert 14 + (14).bit_length() + sum(sum(row).bit_length() for row in half) > 64
+    mat = solver._int64_matrix(A)
+    for balanced in (False, True):
+        levels, rows, ends = solver._prefix_tree(mat[:, :14], balanced)
+        want_levels, want_rows, want_ends = reference_prefix_tree(half, balanced)
+        assert [(v.tolist(), k.tolist()) for v, k in levels] == want_levels
+        assert rows.tolist() == want_rows and ends.tolist() == want_ends
 
 
 def _repeated_column_rows(rng, m, n):
