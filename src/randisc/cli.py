@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from math import log10
 
 from . import ensembles, locallimits, moments, solver, stein
 from .errors import CapacityError, InvariantViolation, ParameterError
@@ -28,7 +29,14 @@ def _fraction(text):
 def _fmt_fraction(fr):
     if fr is None:
         return None
-    return f"{fr.numerator}/{fr.denominator}"
+    try:
+        return f"{fr.numerator}/{fr.denominator}"
+    except ValueError:  # an integer past Python's int-to-str digit limit
+        digits = int(log10(max(abs(fr.numerator), fr.denominator))) + 1
+        limit = sys.get_int_max_str_digits()
+        raise CapacityError(
+            f"a {digits}-digit integer in the output passes sys.get_int_max_str_digits() = {limit}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -47,14 +55,12 @@ def _cmd_gen(args):
 
 def _cmd_disc(args):
     A = ensembles.read_matrix(args.infile)
-    # without --cap each solver applies its own default
-    cap = {} if args.cap is None else {"cap": args.cap}
     if args.method == "brute":
-        res = solver.disc_exhaustive(A, balanced_only=args.balanced, **cap)
+        res = solver.disc_exhaustive(A, balanced_only=args.balanced)
     else:
         if args.r is None:
             raise ParameterError("--method mitm needs --r")
-        ok, wit = solver.disc_exists_mitm(A, args.r, balanced_only=args.balanced, **cap)
+        ok, wit = solver.disc_exists_mitm(A, args.r, balanced_only=args.balanced)
         print(json.dumps({"feasible": ok, "r": args.r, "witness": str(wit) if wit else None}))
         return 0
     print(json.dumps(res.to_json_dict()))
@@ -334,7 +340,6 @@ def _build_parser():
     d.add_argument("--method", choices=("brute", "mitm"), default="brute")
     d.add_argument("--balanced", action="store_true")
     d.add_argument("--r", type=int)
-    d.add_argument("--cap", type=int, help="override the solver size cap")
     d.set_defaults(fn=_cmd_disc)
 
     z = sub.add_parser("zcount", help="count balanced solutions at radius r")

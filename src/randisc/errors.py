@@ -18,7 +18,7 @@ class UnsupportedDistributionError(ParameterError):
 
 
 class CapacityError(RandiscError, RuntimeError):
-    """The request exceeds a configured size/memory cap.
+    """The request passes a size limit or a fitted memory or time estimate.
 
     `estimate` (when set) is a human-readable string describing the
     projected requirement.

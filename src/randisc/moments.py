@@ -18,15 +18,14 @@ dichotomy of interest lives in 1 + Theta(1/n) corrections that floats blur.
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, exp, gcd, lgamma, log
+from math import comb, exp, gcd, inf, lgamma, log, log2
 
 from .errors import CapacityError, ParameterError
 from .locallimits import convolve_integer, over_one_denominator
 
 CASES = ("bernoulli_parity_dense", "bernoulli_fixed_weight", "poisson_fixed_weight")
 
-EXACT_N_CAP = 64
-EXACT_M_CAP = 8
+EXACT_SECONDS = 10.0  # exact mode refuses a spec whose sum _exact_seconds puts past this
 
 
 @dataclass(frozen=True)
@@ -238,8 +237,6 @@ def _row_psi_phi_functions(case, n, p=None, w=None, band_radius=0):
     if case == "bernoulli_parity_dense":
         if band_radius != 0:
             raise ParameterError("dense parity case uses the zero band")
-        if p is None:
-            raise ParameterError("dense case needs p")
         zeros = _walk_zero_probs(n // 2, p)
         pp = parity_prob(n, p)
 
@@ -263,46 +260,71 @@ def _row_psi_phi_functions(case, n, p=None, w=None, band_radius=0):
 # once.
 
 
-def _row_plan(case, n, m, p, w, band_radius, capped):
+def _exact_seconds(n, p, counts, band_radius):
+    """Estimated seconds of the exact overlap sum, from the row spec alone.
+
+    Fitted on a 2-core box within 0.5-1.7x of the measured time (up to 6x
+    over for Bernoulli rows of weight near n/2): each of the n/2 + 1
+    overlaps multiplies out B bits, the coefficient's 2n and each row's
+    phi/psi^2, at 3.9e-11 B^1.7 s, and builds each distinct row's phi:
+    dense rationals of twice a row's bits, or band convolutions of w^2
+    products.
+    """
+    try:
+        total, build = 2 * n, 0.0
+        for k, count in counts.items():
+            if k is None:  # a dense row at p = a/b
+                bits = n * (log2(Fraction(p).denominator) + 1)
+                build += 3.9e-11 * (2 * bits) ** 1.7
+            else:
+                bits = abs(k) * log2(n)
+                build += 2e-9 * (min(band_radius, k) + 1) * k**2 * bits**0.6
+            total += count * bits
+        return (n // 2 + 1) * (3.9e-11 * total**1.7 + build)
+    except OverflowError:  # n or w past a float
+        return inf
+
+
+def _row_plan(case, n, m, p, w, band_radius, exact_sum):
     """(keys, rows) for a row spec, validated once.
 
     keys holds one entry per row: its weight w, or None for the dense case's
     i.i.d. rows.  rows maps each distinct key, in first-seen order, to
-    (count, psi, r -> phi(2r/n)).  With capped, the exact-mode cap is
-    checked before any row is built.
+    (count, psi, r -> phi(2r/n)).  With exact_sum, the exact overlap sum's
+    estimated time is checked before any row is built.
     """
     if n % 2:
         raise ParameterError("n must be even")
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
     if case == "bernoulli_parity_dense":
-        if m is None:
-            raise ParameterError("dense case needs m")
-        keys = [None] * m
+        if m is None or p is None:
+            raise ParameterError("dense case needs m and p")
+        w = None
     elif w is None:
         raise ParameterError("fixed-weight cases need w")
-    elif isinstance(w, int):
-        if m is None:
-            raise ParameterError("scalar w needs m")
-        keys = [w] * m
-    else:
-        keys = list(w)
-    if not keys:
+    elif isinstance(w, int) and m is None:
+        raise ParameterError("scalar w needs m")
+    scalar = w is None or isinstance(w, int)
+    counts = {w: m} if scalar else Counter(w)
+    if sum(counts.values()) < 1:
         raise ParameterError("need at least one row (m >= 1)")
-    if capped and (n > EXACT_N_CAP or len(keys) > EXACT_M_CAP):
+    seconds = _exact_seconds(n, p, counts, band_radius) if exact_sum else 0
+    if seconds > EXACT_SECONDS:
         raise CapacityError(
-            f"exact ratio capped at n<={EXACT_N_CAP}, m<={EXACT_M_CAP}; "
-            "pass exact=False for the log-space fallback"
+            f"exact overlap sum at n={n}, m={sum(counts.values())} estimated past "
+            f"{EXACT_SECONDS:.0f} s; pass exact=False for the log-space fallback",
+            estimate=f"~{seconds:.3g} s on a 2-core box",
         )
     rows = {}
-    for key, count in Counter(keys).items():
+    for key, count in counts.items():
         psi, phi = _row_psi_phi_functions(case, n, p=p, w=key, band_radius=band_radius)
         if psi == 0:
             raise ParameterError(
                 f"band radius {band_radius} is unreachable for w={key} (psi = 0)"
             )
         rows[key] = (count, psi, phi)
-    return keys, rows
+    return [w] * m if scalar else list(w), rows
 
 
 def _combine(start, factors, exact):
@@ -322,7 +344,7 @@ def _log_fraction(fr):
 
 @dataclass
 class ExpectedCount:
-    """E[Z | conditioning]; exact value present when within the exact cap."""
+    """E[Z | conditioning]: the exact value (None in log mode) and its log."""
 
     value: Fraction
     log_value: float
@@ -333,14 +355,13 @@ def expected_solution_count(case, *, n, m=None, p=None, w=None, band_radius=0):
 
     `w` may be a single weight or a per-row sequence (fixed-weight cases);
     the dense case uses m i.i.d. parity-conditioned rows with K = {0}.
-    Exact for n <= 64; always reports the log value (relative error below
-    1e-12 past the cap).
+    Always exact, with its log: one product of the psi values the row plan
+    builds, so no cost estimate is checked.
     """
-    return _first_moment(n, *_row_plan(case, n, m, p, w, band_radius, capped=False))
+    return _first_moment(n, *_row_plan(case, n, m, p, w, band_radius, False), True)
 
 
-def _first_moment(n, keys, rows):
-    exact = n <= EXACT_N_CAP
+def _first_moment(n, keys, rows, exact):
     start = Fraction(comb(n, n // 2)) if exact else lgamma(n + 1) - 2 * lgamma(n // 2 + 1)
     # row by row in row order: the log sum's rounding depends on the order
     total = _combine(start, [(rows[key][1], 1) for key in keys], exact)
@@ -364,10 +385,10 @@ class RatioResult:
 def second_moment_ratio(case, *, n, m=None, p=None, w=None, band_radius=0, exact=True):
     """E[Z^2]/E[Z]^2 as the exact overlap sum, with a per-overlap profile.
 
-    Exact mode is capped at n <= 64, m <= 8 (CapacityError beyond; pass
-    exact=False for the log-space float fallback).
+    Exact mode refuses a spec whose sum _exact_seconds puts past
+    EXACT_SECONDS (CapacityError; exact=False is the log-space fallback).
     """
-    return _overlap_ratio(n, _row_plan(case, n, m, p, w, band_radius, capped=exact)[1], exact)
+    return _overlap_ratio(n, _row_plan(case, n, m, p, w, band_radius, exact)[1], exact)
 
 
 def _overlap_ratio(n, rows, exact):
@@ -476,8 +497,8 @@ def check_smm_conditions(report: MomentReport, m, delta, eps):
 
 def moment_report(case, *, n, m=None, p=None, w=None, band_radius=0, exact=True):
     """Assemble psi, the full phi grid, E[Z] and the overlap ratio from one
-    row plan."""
-    keys, rows = _row_plan(case, n, m, p, w, band_radius, capped=exact)
+    row plan; E[Z] and the ratio are exact or log-space as `exact` says."""
+    keys, rows = _row_plan(case, n, m, p, w, band_radius, exact)
     ratio = _overlap_ratio(n, rows, exact)
     if len(rows) != 1:
         raise ParameterError("moment_report needs identical row weights")
@@ -485,5 +506,5 @@ def moment_report(case, *, n, m=None, p=None, w=None, band_radius=0, exact=True)
     # the profile holds phi/psi^2 exactly in both modes
     psi2 = psi**2
     phi_at = {t.beta: t.phi_over_psi2 * psi2 for t in ratio.profile}
-    first = _first_moment(n, keys, rows)
+    first = _first_moment(n, keys, rows, exact)
     return MomentReport(case, n, len(keys), psi, phi_at, first, ratio.ratio)

@@ -18,8 +18,12 @@ from .errors import CapacityError, ParameterError
 from .ensembles import IntMatrix
 from .rng import Stream, derive_key, mix64
 
+MEMORY_BUDGET = 256 << 20  # bytes: every solver refuses a larger fitted peak
+# 2^(n-1) sign vectors (a count at n = 26 took 0.3-0.5 s at m <= 10); also
+# count_solutions' default cap, which perfbench reads and sets to 0 in checks
 EXHAUSTIVE_CAP = 26
-MITM_N_CAP = 40
+# _Join.descend takes one Python frame per row: at small n the memory budget
+# alone would admit files of thousands of rows and a RecursionError
 MITM_M_CAP = 10
 _BLOCK_BITS = 16
 _PROBE_TRIES = 512
@@ -64,18 +68,16 @@ class SolveResult:
         }
 
 
-def _plus_sums(c):
-    """u . c + sum(c) (twice the '+'-signed part) for every sign vector u on
-    the nonnegative int64 k-vector c, in the smallest unsigned type: entry i
-    gives c_j the sign -1 iff bit (k-1-j) of i is 1, so ascending i is
-    lexicographic with '+' < '-'.  Built by doubling over c in reverse, each
-    step a scalar of the output type so numpy computes in it."""
-    top = 2 * int(c.sum())
-    out = np.empty(1 << len(c), dtype=np.min_scalar_type(top))
-    out[0] = top
+def _signed_sums(c):
+    """u . c_i for every sign vector u and row c_i of the (m, k) int64
+    matrix c, as a (2^k, m) int64 array: row i gives column j the sign -1
+    iff bit (k-1-j) of i is 1, so ascending i is lexicographic with
+    '+' < '-'.  Built in place by doubling over the columns in reverse."""
+    out = np.empty((1 << c.shape[1], c.shape[0]), np.int64)
+    out[0] = c.sum(axis=1)
     h = 1
-    for v in c[::-1]:
-        np.subtract(out[:h], out.dtype.type(2 * int(v)), out=out[h : 2 * h])
+    for v in c.T[::-1]:
+        np.subtract(out[:h], 2 * v, out=out[h : 2 * h])
         h *= 2
     return out
 
@@ -99,6 +101,15 @@ def max_abs_row_sum(A):
     return max(sum(A.row(i)) for i in range(A.m))
 
 
+def _check_budget(what, n, m, limit, past_limit, est):
+    """Refuse `what` past `limit` or a fitted peak of est bytes past MEMORY_BUDGET."""
+    if past_limit or est > MEMORY_BUDGET:
+        raise CapacityError(
+            f"{what} refused at n={n}, m={m}: it takes {limit} and {MEMORY_BUDGET >> 20} MiB",
+            estimate=f"~{est / 1e6:.0f} MB peak memory",
+        )
+
+
 def _exhaustive_blocks(mat, balanced_only):
     """Every sign vector with u_1 = +1 for the int64 matrix mat, one block
     per setting of the high n-1-lo_w signs: yields (hi_idx, lo_idx, vals),
@@ -106,32 +117,33 @@ def _exhaustive_blocks(mat, balanced_only):
     (ascending).  lo_idx is None for all low indices; balanced blocks hold
     only the low signs that complete n/2 minus signs and are skipped when
     there are none."""
-    n = mat.shape[1]
+    m, n = mat.shape
     lo_w = min(n - 1, _BLOCK_BITS)
+    # fresh-process peaks at n = 12 to 26 and up to 4,789 rows: the (2^lo_w, m)
+    # int64 low part and two temporaries of its size per block take 24 bytes
+    # per row and low sign vector (25 covers the input matrix), plus 33 MB
+    est = 25.0 * m * 2**lo_w + 33e6
+    _check_budget("exhaustive search", n, m, f"n<={EXHAUSTIVE_CAP}", n > EXHAUSTIVE_CAP, est)
     hi_w = n - 1 - lo_w
-    lo_part, hi_part = (  # (2^w, m); int64 first, as uint64 - int64 is float64
-        np.stack([_plus_sums(c).astype(np.int64) - int(c.sum()) for c in cols], axis=1)
-        for cols in (mat[:, 1 + hi_w :], mat[:, 1 : 1 + hi_w])
-    )
+    lo_part, hi_part = _signed_sums(mat[:, 1 + hi_w :]), _signed_sums(mat[:, 1 : 1 + hi_w])
     hi_part += mat[:, 0]
     if balanced_only:
-        lo_plus, hi_plus = (_plus_sums(np.ones(w, np.int64)) for w in (lo_w, hi_w))
-        groups = [np.flatnonzero(lo_plus == 2 * p) for p in range(lo_w + 1)]
+        # each half's sign sum: 2 * (its '+' signs) - its width
+        lo_sum, hi_sum = (_signed_sums(np.ones((1, w), np.int64))[:, 0] for w in (lo_w, hi_w))
+        groups = [np.flatnonzero(lo_sum == 2 * p - lo_w) for p in range(lo_w + 1)]
         parts = [lo_part[idx] for idx in groups]
     for hi_idx in range(1 << hi_w):
         lo_idx, part = None, lo_part
         if balanced_only:
-            need = n // 2 - 1 - int(hi_plus[hi_idx]) // 2  # low '+' signs left
+            need = n // 2 - 1 - (int(hi_sum[hi_idx]) + hi_w) // 2  # low '+' signs left
             if not 0 <= need <= lo_w:
                 continue
             lo_idx, part = groups[need], parts[need]
         yield hi_idx, lo_idx, np.abs(hi_part[hi_idx] + part).max(axis=1)
 
 
-def disc_exhaustive(A: IntMatrix, balanced_only=False, cap=EXHAUSTIVE_CAP) -> SolveResult:
+def disc_exhaustive(A: IntMatrix, balanced_only=False) -> SolveResult:
     """Exact discrepancy by enumeration of all sign vectors with u_1 = +1."""
-    if A.n > cap:
-        raise CapacityError(f"exhaustive search capped at n={cap}, got n={A.n}")
     if balanced_only and A.n % 2:
         raise ParameterError("balanced vectors require even n")
     best_val = best_idx = None
@@ -164,7 +176,7 @@ def count_solutions(A: IntMatrix, r, cap=EXHAUSTIVE_CAP) -> int:
     return 2 * sum(int((vals <= r).sum()) for _, _, vals in blocks)
 
 
-def disc_exists_mitm(A: IntMatrix, r, balanced_only=False, cap=MITM_N_CAP):
+def disc_exists_mitm(A: IntMatrix, r, balanced_only=False):
     """Feasibility of ||Au||_inf <= r via meet in the middle.
 
     Returns (feasible, witness or None).  A short deterministic probe of
@@ -184,7 +196,7 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False, cap=MITM_N_CAP):
     half's index reads its signs as binary with '-' = 1.
     """
     _check_radius(A, r, balanced_only)
-    check_mitm_shape(A.n, A.m, cap)
+    check_mitm_shape(A.n, A.m)
     mat = _int64_matrix(A)
     if r >= max_abs_row_sum(A):
         # any vector lands inside [-r, r] on every row
@@ -199,22 +211,18 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False, cap=MITM_N_CAP):
     return True, hit
 
 
-def check_mitm_shape(n, m, cap=MITM_N_CAP):
-    """Refuse a meet-in-the-middle run on an n-column, m-row matrix past the
-    caps, with an estimate of the memory it would take."""
-    if n > cap or m > MITM_M_CAP:
-        # a count's peak RSS, fitted on three Bernoulli(1/2) matrices at each
-        # n = 36, 38, 40 and m = 1..10, within 6% of each median of three
-        # (single matrices spread by up to 20%): per sign vector of the
-        # larger half, the packed sort keys and their temporaries take 18
-        # bytes until the prefix trees fill up (24m - 144), plus 33 MB for the
-        # interpreter; the exponent stops where a float would overflow (n
-        # past 2046)
-        est = 2.0 ** min((n + 1) // 2, 1023) * max(18, 24 * m - 144) + 33e6
-        raise CapacityError(
-            f"mitm capped at n<={cap}, m<={MITM_M_CAP} (got n={n}, m={m})",
-            estimate=f"~{est / 1e6:.0f} MB peak memory",
-        )
+def check_mitm_shape(n, m):
+    """Refuse a meet-in-the-middle run on an n-column, m-row matrix past
+    MITM_M_CAP or the memory budget."""
+    # a count's peak RSS, fitted on three Bernoulli(1/2) matrices at each
+    # n = 36, 38, 40 and m = 1..10, within 6% of each median of three (single
+    # matrices spread by up to 20%), and above the peaks at the budget's edge
+    # ((44, 8) and (46, 7): 137 and 191 MiB): per sign vector of the larger
+    # half, the packed sort keys and their temporaries take 18 bytes until the
+    # prefix trees fill up (24m - 144), plus 33 MB for the interpreter; the
+    # exponent stops where a float would overflow (n past 2046)
+    est = 2.0 ** min((n + 1) // 2, 1023) * max(18, 24 * m - 144) + 33e6
+    _check_budget("mitm", n, m, f"m<={MITM_M_CAP}", m > MITM_M_CAP, est)
 
 
 def _check_radius(A, r, balanced_only):
@@ -289,7 +297,7 @@ def _packed_digits(entries, offs, cap):
     entries) packed into one nonnegative integer, digit d at bits
     [offs[d + 1], offs[d]), split into words of cap bits, least significant
     first: a list of 2^k-long uint64 arrays, entry i for the sign vector
-    with index i.  Built by doubling like _plus_sums; a '-' sign takes its
+    with index i.  Built by doubling like _signed_sums; a '-' sign takes its
     entries off every digit at once, borrowing across words where a digit
     spans two."""
     nwords = max(1, -(-offs[0] // cap))

@@ -1,9 +1,13 @@
 import json
+import random
+import re
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from randisc import cli, ensembles, locallimits, phase, solver
+from randisc import cli, ensembles, locallimits, moments, phase, solver
 from randisc.errors import ParameterError
 
 
@@ -113,7 +117,9 @@ def test_mitm_past_row_cap_names_n_and_m(tmp_path, capsys):
     ensembles.write_matrix(path, ensembles.IntMatrix.from_rows([[1] * 8] * 11))
     code, out, err = run(["disc", "--in", path, "--method", "mitm", "--r", "1"], capsys)
     assert code == 3 and out == ""
-    assert err.startswith("capacity: mitm capped at n<=40, m<=10 (got n=8, m=11) (~")
+    assert err == (
+        "capacity: mitm refused at n=8, m=11: it takes m<=10 and 256 MiB (~33 MB peak memory)\n"
+    )
 
 
 def test_phase_grid_past_mitm_cap_exits_3_before_any_trial(monkeypatch, capsys):
@@ -121,8 +127,9 @@ def test_phase_grid_past_mitm_cap_exits_3_before_any_trial(monkeypatch, capsys):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(phase, "_phase_trial", no_trial)
+    # n = 48 is the first n of the grid whose estimate passes the budget
     argv = ["phase", "--m", "2", "--p", "1/2", "--r", "1", "--n-start", "4",
-            "--n-stop", str(solver.MITM_N_CAP + 4), "--trials", "1", "--seed", "0"]
+            "--n-stop", "48", "--trials", "1", "--seed", "0"]
     code, out, err = run(argv, capsys)
     assert code == 3 and out == ""
     assert err.startswith("capacity:")
@@ -370,18 +377,77 @@ def test_phase_pool_clamped_to_job_count(monkeypatch):
     assert rows == phase.run_phase_scan(phase.PhaseScanConfig(**{**cfg.__dict__, "threads": 1}))
 
 
-@pytest.mark.parametrize("method", [["--method", "brute"], ["--method", "mitm", "--r", "1"]])
-def test_disc_cap_zero_is_a_cap(method, tmp_path, capsys):
-    # --cap 0 used to be read as "no override" and answered with exit 0
+# files past a solver's limits: 1x141 and 1x60 rows of ones (odd n, so the
+# probe misses at r = 0) and 200 random 0/1 rows of 18 columns, which the
+# exhaustive blocks answered at a peak of about 330 MiB
+REFUSALS = [
+    ("1x141", ["disc", "--method", "mitm", "--r", "0"], "mitm refused at n=141, m=1: it takes "
+     "m<=10 and 256 MiB (~42501298345826840 MB peak memory)"),
+    ("1x141", ["disc", "--method", "brute"], "exhaustive search refused at n=141, m=1: it takes "
+     "n<=26 and 256 MiB (~35 MB peak memory)"),
+    ("1x60", ["disc", "--method", "mitm", "--balanced", "--r", "0"], "mitm refused at n=60, m=1: "
+     "it takes m<=10 and 256 MiB (~19360 MB peak memory)"),
+    ("1x60", ["disc", "--method", "brute"], "exhaustive search refused at n=60, m=1: it takes "
+     "n<=26 and 256 MiB (~35 MB peak memory)"),
+    ("200x18", ["disc", "--method", "brute"], "exhaustive search refused at n=18, m=200: it "
+     "takes n<=26 and 256 MiB (~361 MB peak memory)"),
+    ("200x18", ["zcount", "--r", "1"], "exhaustive search refused at n=18, m=200: it takes "
+     "n<=26 and 256 MiB (~361 MB peak memory)"),
+]
+REFUSAL_IDS = [f"{s}-{a[2] if a[0] == 'disc' else a[0]}" for s, a, _ in REFUSALS]
+
+
+@pytest.mark.parametrize("shape,argv,message", REFUSALS, ids=REFUSAL_IDS)
+def test_solver_refusals_exit_3_with_their_estimate(shape, argv, message, tmp_path, capsys):
+    m, n = map(int, shape.split("x"))
+    rng = random.Random(0)
+    rows = [[1] * n] if m == 1 else [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
     path = str(tmp_path / "a.mat")
-    A = ensembles.IntMatrix.from_rows([[1, 0, 1, 1, 0, 1], [0, 1, 1, 0, 1, 0]])
-    ensembles.write_matrix(path, A)
-    code, out, err = run(["disc", "--in", path, *method, "--cap", "0"], capsys)
+    ensembles.write_matrix(path, ensembles.IntMatrix.from_rows(rows))
+    code, out, err = run([argv[0], "--in", path, *argv[1:]], capsys)
+    assert (code, out, err) == (3, "", f"capacity: {message}\n")
+    # no flag gets past the limits: --cap, which once did, is gone
+    code, out, _ = run([argv[0], "--in", path, *argv[1:], "--cap", "200"], capsys)
+    assert (code, out) == (2, "")
+
+
+def test_ratio_refused_by_its_cost_estimate_before_any_row(monkeypatch, capsys):
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(moments, "_row_psi_phi_functions", no_row)
+    start = time.perf_counter()
+    argv = ["ratio", "--case", "dense", "--m", "2", "--n", "1000000", "--p", "1/2"]
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1.0
     assert code == 3 and out == ""
-    assert err.startswith("capacity:")
-    # without --cap the solver's own default applies
-    code, out, _ = run(["disc", "--in", path, *method], capsys)
-    assert code == 0 and json.loads(out)
+    assert err.startswith("capacity: exact overlap sum at n=1000000, m=2 estimated past 10 s")
+    assert err.endswith(" s on a 2-core box)\n")
+
+
+def test_ratio_past_the_old_round_caps_is_exact(capsys):
+    # n = 128, m = 16 was refused by the old n <= 64, m <= 8 caps
+    argv = ["ratio", "--case", "dense", "--m", "16", "--n", "128", "--p", "1/2"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    ratio = F(json.loads(out)["ratio"])
+    log_ratio = moments.second_moment_ratio(
+        "bernoulli_parity_dense", n=128, m=16, p=F(1, 2), exact=False
+    ).ratio
+    assert ratio > 1 and abs(float(ratio) - log_ratio) <= 1e-9 * float(ratio)
+
+
+def test_output_past_the_int_digit_limit_exits_3(capsys):
+    # str(int) refuses past sys.get_int_max_str_digits(); this escaped as ValueError
+    argv = ["ratio", "--case", "dense", "--m", "8", "--n", "64", "--p", "1/99999999999999999999"]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    limit = sys.get_int_max_str_digits()
+    assert re.fullmatch(
+        rf"capacity: a (\d+)-digit integer in the output passes "
+        rf"sys.get_int_max_str_digits\(\) = {limit}\n", err
+    )
+    assert int(re.match(r"capacity: a (\d+)", err).group(1)) > limit
 
 
 def test_lclt_stirling_binom_past_float_range_exits_3(capsys):

@@ -96,7 +96,6 @@ SUBCOMMANDS = {
         ("--method", st.sampled_from(["brute", "mitm", "x"]), False),
         ("--balanced", _switch(), False),
         ("--r", int_text, False),
-        ("--cap", st.integers(-1, 30).map(str), False),
     ],
     "zcount": [
         ("--in", st.sampled_from(["@matrix", "@matrix", "@matrix", "@dir", "@missing"]), True),

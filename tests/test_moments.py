@@ -123,7 +123,10 @@ def test_expected_count_examples():
 
 
 def test_expected_count_log_branch():
-    got = mo.expected_solution_count("bernoulli_parity_dense", n=128, m=2, p=F(1, 2))
+    # expected_solution_count is always exact; log mode's lgamma form lives
+    # in moment_report(exact=False)
+    rep = mo.moment_report("bernoulli_parity_dense", n=128, m=2, p=F(1, 2), exact=False)
+    got = rep.first_moment
     assert got.value is None
     psi = mo.psi_dense(128, F(1, 2))
     want = log(comb(128, 64)) + 2 * (log(psi.numerator) - log(psi.denominator))
@@ -180,9 +183,12 @@ def test_ratio_matches_brute_force_bernoulli_fixed(n, w):
 
 
 def test_ratio_exact_cap():
-    with pytest.raises(CapacityError):
-        mo.second_moment_ratio("bernoulli_parity_dense", n=128, m=2, p=F(1, 2))
-    res = mo.second_moment_ratio("bernoulli_parity_dense", n=128, m=2, p=F(1, 2), exact=False)
+    # (2048, 64) at p = 1/2 is estimated past EXACT_SECONDS ((1024, 64) took
+    # 12 s); the refusal comes before any row is built
+    with pytest.raises(CapacityError) as err:
+        mo.second_moment_ratio("bernoulli_parity_dense", n=2048, m=64, p=F(1, 2))
+    assert err.value.estimate.endswith(" s on a 2-core box")
+    res = mo.second_moment_ratio("bernoulli_parity_dense", n=2048, m=64, p=F(1, 2), exact=False)
     assert isinstance(res.ratio, float) and res.ratio > 1
 
 
@@ -335,7 +341,7 @@ BAD_SPECS = {
 @pytest.mark.parametrize("name", sorted(BAD_SPECS))
 def test_moment_entry_points_share_refusals(name):
     case, kw = BAD_SPECS[name]
-    exact = kw["n"] <= mo.EXACT_N_CAP
+    exact = not name.endswith("_log")
     for fn, extra in (
         (mo.expected_solution_count, {}),
         (mo.second_moment_ratio, {"exact": exact}),

@@ -175,11 +175,12 @@ def test_exhaustive_cap_error():
 
 
 def test_mitm_cap_error_carries_estimate():
-    A = mat([[0] * 42])
+    # 2^24 sign vectors of 18 bytes per half: past the 256 MiB budget
+    A = mat([[0] * 48])
     with pytest.raises(CapacityError) as err:
         solver.disc_exists_mitm(A, 1)
-    assert err.value.estimate
-    assert str(err.value) == "mitm capped at n<=40, m<=10 (got n=42, m=1)"
+    assert err.value.estimate == "~335 MB peak memory"
+    assert str(err.value) == "mitm refused at n=48, m=1: it takes m<=10 and 256 MiB"
 
 
 def test_balanced_needs_even_n():
