@@ -19,9 +19,21 @@ from .ensembles import IntMatrix
 from .rng import Stream, derive_key, mix64
 
 MEMORY_BUDGET = 256 << 20  # bytes: every solver refuses a larger fitted peak
-# 2^(n-1) sign vectors (a count at n = 26 took 0.3-0.5 s at m <= 10); also
-# count_solutions' default cap, which perfbench reads and sets to 0 in checks
-EXHAUSTIVE_CAP = 26
+# the widest matrix the exhaustive blocks enumerate: 2^(n-1) sign vectors
+ENUMERATION_CAP = 26
+# count_solutions' default cap, past which it counts by the join; perfbench
+# reads it and sets it to 0 in checks.  Bernoulli(1/2), r = 1, ms per count,
+# blocks / join (2-core box, median of five matrices, best of three runs):
+#   n   m=2        m=6        m=10
+#   16  0.7 / 0.6  1.1 / 1.7  1.9 / 6.3
+#   18  1.5 / 0.7  3.7 / 2.8  3.3 / 6.8
+#   22  2.9 / 1.1  5.1 / 3.6  6.8 / 9.4
+#   26  9.4 / 0.8  14 / 5.1   24 / 20
+# The join leads past n = 16 at m <= 6 and is at most 2x behind at m = 10.
+# It walks every row offset in [-r, r], so a wider radius costs it far
+# more: at n = 18, m = 10 it took 0.27 s at r = 2 and 2.5 s at r = 3,
+# against 4-5 ms for the blocks
+EXHAUSTIVE_CAP = 16
 # _Join.descend takes one Python frame per row: at small n the memory budget
 # alone would admit files of thousands of rows and a RecursionError
 MITM_M_CAP = 10
@@ -68,16 +80,17 @@ class SolveResult:
         }
 
 
-def _signed_sums(c):
+def _signed_sums(c, dtype):
     """u . c_i for every sign vector u and row c_i of the (m, k) int64
-    matrix c, as a (2^k, m) int64 array: row i gives column j the sign -1
-    iff bit (k-1-j) of i is 1, so ascending i is lexicographic with
-    '+' < '-'.  Built in place by doubling over the columns in reverse."""
-    out = np.empty((1 << c.shape[1], c.shape[0]), np.int64)
-    out[0] = c.sum(axis=1)
+    matrix c, as an (m, 2^k) array of dtype, which must hold every such sum:
+    column i gives column j the sign -1 iff bit (k-1-j) of i is 1, so
+    ascending i is lexicographic with '+' < '-'.  Built in place by doubling
+    over the columns in reverse."""
+    out = np.empty((c.shape[0], 1 << c.shape[1]), dtype)
+    out[:, 0] = c.sum(axis=1)
     h = 1
     for v in c.T[::-1]:
-        np.subtract(out[:h], 2 * v, out=out[h : 2 * h])
+        np.subtract(out[:, :h], 2 * v[:, None], out=out[:, h : 2 * h])
         h *= 2
     return out
 
@@ -116,22 +129,31 @@ def _exhaustive_blocks(mat, balanced_only):
     where vals[k] is ||Au||_inf for the low signs with index lo_idx[k]
     (ascending).  lo_idx is None for all low indices; balanced blocks hold
     only the low signs that complete n/2 minus signs and are skipped when
-    there are none."""
+    there are none.
+
+    The low part holds one sign vector per column, (m, 2^lo_w), in the
+    smallest signed type that holds +-(largest row sum), which bounds every
+    partial sum, so a block is one add, an in-place abs and a max over
+    contiguous rows."""
     m, n = mat.shape
     lo_w = min(n - 1, _BLOCK_BITS)
-    # fresh-process peaks at n = 12 to 26 and up to 4,789 rows: the (2^lo_w, m)
-    # int64 low part and two temporaries of its size per block take 24 bytes
-    # per row and low sign vector (25 covers the input matrix), plus 33 MB
+    # fitted to fresh-process peaks at n = 12 to 26 and up to 4,789 rows of
+    # int64 blocks: 24 bytes per row and low sign vector (25 covers the input
+    # matrix), plus 33 MB.  The narrow blocks stay below it: at int64 the low
+    # part, its balanced groups and one block's sums take at most 24 bytes
+    # (n = 17, 143 rows: 182 MB against 267 MB; 50 MB with 0/1 entries)
     est = 25.0 * m * 2**lo_w + 33e6
-    _check_budget("exhaustive search", n, m, f"n<={EXHAUSTIVE_CAP}", n > EXHAUSTIVE_CAP, est)
+    _check_budget("exhaustive search", n, m, f"n<={ENUMERATION_CAP}", n > ENUMERATION_CAP, est)
+    dtype = np.min_scalar_type(-1 - int(mat.sum(axis=1).max()))
     hi_w = n - 1 - lo_w
-    lo_part, hi_part = _signed_sums(mat[:, 1 + hi_w :]), _signed_sums(mat[:, 1 : 1 + hi_w])
-    hi_part += mat[:, 0]
+    lo_part = _signed_sums(mat[:, 1 + hi_w :], dtype)
+    hi_part = _signed_sums(mat[:, 1 : 1 + hi_w], dtype)
+    hi_part += mat[:, :1]
     if balanced_only:
         # each half's sign sum: 2 * (its '+' signs) - its width
-        lo_sum, hi_sum = (_signed_sums(np.ones((1, w), np.int64))[:, 0] for w in (lo_w, hi_w))
+        lo_sum, hi_sum = (_signed_sums(np.ones((1, w), np.int64), np.int64)[0] for w in (lo_w, hi_w))
         groups = [np.flatnonzero(lo_sum == 2 * p - lo_w) for p in range(lo_w + 1)]
-        parts = [lo_part[idx] for idx in groups]
+        parts = [lo_part.take(idx, axis=1) for idx in groups]  # C order, as lo_part
     for hi_idx in range(1 << hi_w):
         lo_idx, part = None, lo_part
         if balanced_only:
@@ -139,7 +161,8 @@ def _exhaustive_blocks(mat, balanced_only):
             if not 0 <= need <= lo_w:
                 continue
             lo_idx, part = groups[need], parts[need]
-        yield hi_idx, lo_idx, np.abs(hi_part[hi_idx] + part).max(axis=1)
+        sums = part + hi_part[:, hi_idx, None]
+        yield hi_idx, lo_idx, np.abs(sums, out=sums).max(axis=0)
 
 
 def disc_exhaustive(A: IntMatrix, balanced_only=False) -> SolveResult:
@@ -161,15 +184,18 @@ def disc_exhaustive(A: IntMatrix, balanced_only=False) -> SolveResult:
 
 
 def count_solutions(A: IntMatrix, r, cap=EXHAUSTIVE_CAP) -> int:
-    """Exact number of balanced u with ||Au||_inf <= r."""
+    """Exact number of balanced u with ||Au||_inf <= r: by the
+    meet-in-the-middle join past `cap` columns, by the exhaustive blocks up
+    to it and for files of more than MITM_M_CAP rows that they can take."""
     _check_radius(A, r, True)
-    if A.n > cap:
+    join = A.n > cap and (A.m <= MITM_M_CAP or A.n > ENUMERATION_CAP)
+    if join:
         check_mitm_shape(A.n, A.m)
     mat = _int64_matrix(A)
     if r >= max_abs_row_sum(A):
         # no |u . row| exceeds the largest row sum, so every balanced u counts
         return comb(A.n, A.n // 2)
-    if A.n > cap:
+    if join:
         return _scan(mat, r, True, count=True)
     # u_1 = +1 covers half the balanced domain; u <-> -u doubles the count.
     blocks = _exhaustive_blocks(mat, balanced_only=True)

@@ -1,7 +1,7 @@
 import gc
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -42,18 +42,26 @@ def test_balanced_witness_lexicographic():
     assert res.witness.balanced
 
 
-# a row sum s on each side of an unsigned type's range: the solvers hold
-# twice a sign vector's '+' part, up to 2s, in the smallest unsigned type
+# a row sum s on each side of a type's range: the exhaustive blocks hold
+# +-s in the smallest signed type, the meet-in-the-middle solver twice a
+# sign vector's '+' part, up to 2s, in the smallest unsigned type
 _TYPE_EDGES = ((127, 128), (32767, 32768), (2**31 - 1, 2**31))
 
 
 def test_exhaustive_matches_full_enumeration():
-    # fixing u_1 = +1 loses no value (sign symmetry); the last matrices' low
+    # fixing u_1 = +1 loses no value (sign symmetry); the next matrices' low
     # columns (all but the first) sum to each side of a type edge
     mats = [ens.sample(ens.EnsembleSpec("bernoulli", 3, 8, F(1, 2), seed)) for seed in range(20)]
     mats += [
         mat([[3, s - 6] + [1] * 6, [2, t - 6] + [1] * 6, [0, 1, 0, 1, 1, 0, 2, 1]])
         for s, t in _TYPE_EDGES
+    ]
+    # then the largest row sum is a type edge, met by the balanced ++++----
+    # while the other rows give it 0: a type one step too narrow for it
+    # would wrap its value to 0 and make it the optimum
+    mats += [
+        mat([[s - 3, 1, 1, 1, 0, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0], [0, 1, 0, 1, 0, 1, 1, 0]])
+        for s in chain(*_TYPE_EDGES)
     ]
     for A in mats:
         best = min(
@@ -61,8 +69,10 @@ def test_exhaustive_matches_full_enumeration():
             for signs in product((1, -1), repeat=8)
         )
         assert solver.disc_exhaustive(A).value == best
-        best = min(eval_inf(A, signs) for signs in balanced_vectors(8))
-        assert solver.disc_exhaustive(A, balanced_only=True).value == best
+        values = [eval_inf(A, signs) for signs in balanced_vectors(8)]
+        assert solver.disc_exhaustive(A, balanced_only=True).value == min(values)
+        for r in {0, min(values), max(values) - 1}:
+            assert solver.count_solutions(A, r, cap=99) == sum(v <= r for v in values)
 
 
 def test_witness_attains_value():
@@ -374,3 +384,36 @@ def test_count_at_the_largest_row_sum_matches_brute_force():
                 want = sum(1 for u in balanced_vectors(n) if eval_inf(A, u) <= r)
                 assert solver.count_solutions(A, r) == want, (seed, n, r)
                 assert solver.count_solutions(A, r, cap=0) == want, (seed, n, r)
+
+
+@pytest.mark.parametrize("n", [14, 16, 18, 20, 22])
+def test_count_agrees_across_the_join_cutover(n):
+    # the default count against the blocks (cap=99) and the join (cap=0),
+    # and all three against brute force over pairs of halves where it is cheap
+    for m in (2, 6, 10):
+        A = ens.sample(ens.EnsembleSpec("bernoulli", m, n, F(1, 2), 40 + m))
+        count = solver.count_solutions(A, 1)
+        assert count == solver.count_solutions(A, 1, cap=99) == solver.count_solutions(A, 1, cap=0)
+        if n <= 16:
+            assert count == reference_mitm([list(row) for row in A.rows()], 1, True)[0]
+
+
+def test_count_past_the_cutover_with_more_rows_than_the_join_takes():
+    # more than MITM_M_CAP rows at n <= 26: the blocks count, not a refusal
+    A = ens.sample(ens.EnsembleSpec("bernoulli", 12, 18, F(1, 2), 3))
+    assert solver.count_solutions(A, 2) == solver.count_solutions(A, 2, cap=99)
+    with pytest.raises(CapacityError, match="mitm refused at n=28, m=12"):
+        solver.count_solutions(ens.sample(ens.EnsembleSpec("bernoulli", 12, 28, F(1, 2), 3)), 1)
+
+
+def test_count_with_a_wide_radius_below_the_cutover_is_fast():
+    # ten rows of entries up to 100 at r = 100: the join walks every row
+    # offset in [-100, 100] (about 5 s for this matrix); the blocks do not
+    from time import perf_counter
+
+    rng = random.Random(17)
+    A = mat([[rng.randint(0, 100) for _ in range(12)] for _ in range(10)])
+    start = perf_counter()
+    count = solver.count_solutions(A, 100)
+    assert perf_counter() - start < 1.0
+    assert count == sum(1 for u in balanced_vectors(12) if eval_inf(A, u) <= 100)
