@@ -3,6 +3,7 @@ discrepancy <= r, at each n of a grid, with 95% Wilson intervals.  Trial t
 at grid point i samples from the seed derive_key(seed, i, t), whichever
 thread runs it."""
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,13 +72,14 @@ def run_phase_scan(cfg: PhaseScanConfig):
     for n in cfg.n_values:
         solver.check_mitm_shape(n, cfg.m)
     jobs = [(pi, n, t) for pi, n in enumerate(cfg.n_values) for t in range(cfg.trials)]
-    # the executor may start one thread per submitted job, so never ask for more
-    workers = min(cfg.threads, len(jobs))
+    # the executor starts a thread for each job submitted while every worker
+    # is busy, up to max_workers, so ask for no more than the jobs and cores
+    workers = min(cfg.threads, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         outcomes = [_phase_trial(cfg, pi, n, t) for pi, n, t in jobs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda job: _phase_trial(cfg, *job), jobs, chunksize=8))
+            outcomes = list(pool.map(lambda job: _phase_trial(cfg, *job), jobs))
     rows = []
     for pi, n in enumerate(cfg.n_values):
         # jobs are in grid order, `trials` per point

@@ -30,9 +30,9 @@ ENUMERATION_CAP = 26
 #   22  2.9 / 1.1  5.1 / 3.6  6.8 / 9.4
 #   26  9.4 / 0.8  14 / 5.1   24 / 20
 # The join leads past n = 16 at m <= 6 and is at most 2x behind at m = 10.
-# It walks every row offset in [-r, r], so a wider radius costs it far
-# more: at n = 18, m = 10 it took 0.27 s at r = 2 and 2.5 s at r = 3,
-# against 4-5 ms for the blocks
+# It recurses once per row offset in [-r, r] that some pair meets, so a
+# wider radius costs it far more: at n = 18, m = 10 it took 0.19-0.33 s at
+# r = 2 and 1.2-1.8 s at r = 3, against 3-6 ms for the blocks
 EXHAUSTIVE_CAP = 16
 # _Join.descend takes one Python frame per row: at small n the memory budget
 # alone would admit files of thousands of rows and a RecursionError
@@ -213,13 +213,14 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False):
     The full scan matches the per-row sums of the first n//2 columns' sign
     vectors (left) with those of the rest (right).  Each half is a tree of
     its distinct prefixes (see _prefix_tree): the half imbalance first when
-    balanced_only, then rows 0..m-1.  Depth first, in lexicographic order,
-    it fixes the offsets delta_k = (Au)_k in [-r, r] of rows k < m-1 and
-    joins the trees over the (left prefix, right prefix) pairs that meet
-    them, skipping a branch with no pair left; the last row is one range
-    query per left leaf.  The witness is the first match by: delta, then
-    left index, then the right half's last-row sum, then right index; a
-    half's index reads its signs as binary with '-' = 1.
+    balanced_only, then rows 0..m-1.  At each depth a left prefix's
+    partners among its right node's children form one key range, ascending
+    in the offset delta_k = (Au)_k.  Depth first, in lexicographic order of
+    the offsets in [-r, r] of rows k < m-1, the join walks these ranges
+    together, visiting only offsets that some pair meets; the last row's
+    count or witness is read off the ranges.  The witness is the first
+    match by: delta, then left index, then the right half's last-row sum,
+    then right index; a half's index reads its signs as binary with '-' = 1.
     """
     _check_radius(A, r, balanced_only)
     check_mitm_shape(A.n, A.m)
@@ -463,38 +464,34 @@ class _Join:
         child = np.repeat(first - np.cumsum(size) + size, size) + np.arange(size.sum())
         col = vals[keys[child] % len(vals)]
         base = np.repeat(right, size) * len(rvals)
+        del first, size
+        # each left child meets its partner's children in the key range
+        # [a, b), in ascending value v, so ascending offset delta = v + col
         rad = self.radii[depth]
+        a = np.searchsorted(rkeys, base + np.searchsorted(rvals, -rad - col, side="left"))
+        b = np.searchsorted(rkeys, base + np.searchsorted(rvals, rad - col, side="right"))
+        del base
         if depth == len(self.radii) - 1:
-            # the last row: each left leaf meets a range of right leaves
-            a = np.searchsorted(rkeys, base + np.searchsorted(rvals, -rad - col, side="left"))
-            b = np.searchsorted(rkeys, base + np.searchsorted(rvals, rad - col, side="right"))
             if count:
                 lmult = self.lends[child + 1] - self.lends[child]
                 return int((lmult * (self.rends[b] - self.rends[a])).sum())
             k = np.where(a < b, self.lrows[child], np.iinfo(np.intp).max).argmin()
             return (int(self.lrows[child[k]]), int(self.rrows[a[k]])) if a[k] < b[k] else None
-        # a meeting right value v gives delta = v + col, which bounds the range
-        lo = max(-rad, int(rvals[0] + col.min()))
-        hi = min(rad, int(rvals[-1] + col.max()))
+        # walk the ranges together, in ascending delta: the children whose
+        # head meets them at the smallest delta recurse with it, then only
+        # those heads advance
         total = 0
-        for delta in range(lo, hi + 1):
-            sub_left, sub_right = self._match(depth, child, base, delta - col)
-            if not sub_left.size:
-                continue
-            sub = self.descend(depth + 1, sub_left, sub_right, count)
+        live = np.flatnonzero(a < b)
+        while live.size:
+            child, col, a, b = child[live], col[live], a[live], b[live]
+            delta = rvals[rkeys[a] % len(rvals)] + col
+            hit = np.flatnonzero(delta == delta.min())
+            del delta, live
+            sub = self.descend(depth + 1, child[hit], a[hit], count)
+            a[hit] += 1
             if count:
                 total += sub
             elif sub is not None:
                 return sub
+            live = np.flatnonzero(a < b)
         return total if count else None
-
-    def _match(self, depth, child, base, want):
-        """The left children that have a right partner (parent key `base`,
-        field value `want`), and its id; apart from descend so that its
-        temporaries are freed before the recursion goes deeper."""
-        vals, keys = self.right[depth]
-        rank = np.minimum(np.searchsorted(vals, want), len(vals) - 1)
-        key = base + rank
-        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        hit = np.flatnonzero((vals[rank] == want) & (keys[pos] == key))
-        return child[hit], pos[hit]

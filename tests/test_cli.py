@@ -368,6 +368,7 @@ def test_phase_pool_clamped_to_job_count(monkeypatch):
             super().__init__(max_workers=max_workers, **kw)
 
     monkeypatch.setattr(phase, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(phase.os, "cpu_count", lambda: 64)  # the jobs bind, not the cores
     cfg = phase.PhaseScanConfig(
         kind="bernoulli", m=2, param=F(1, 2), r=1, n_values=(4, 8), trials=3,
         parity="none", threads=64, seed=5,
@@ -375,6 +376,41 @@ def test_phase_pool_clamped_to_job_count(monkeypatch):
     rows = phase.run_phase_scan(cfg)
     assert asked == [6]
     assert rows == phase.run_phase_scan(phase.PhaseScanConfig(**{**cfg.__dict__, "threads": 1}))
+
+
+def test_workers_stop_at_the_cores_and_the_jobs(monkeypatch, capsys):
+    # the executor starts a thread per job submitted while every worker is
+    # busy, so `--threads 5000` must not ask it for thousands of them; a fake
+    # executor records max_workers and maps serially, starting no thread
+    asked = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(phase, "ThreadPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(phase.os, "cpu_count", lambda: 3)
+    argv = ["phase", "--m", "1", "--p", "1/2", "--r", "1", "--n-start", "2", "--n-stop", "2",
+            "--trials", "5000", "--threads", "5000", "--seed", "1"]
+    assert cli.dispatch(argv) == 0
+    cfg = phase.PhaseScanConfig(
+        kind="bernoulli", m=1, param=F(1, 2), r=1, n_values=(2, 4), trials=1,
+        parity="even", threads=5000, seed=1,
+    )
+    phase.run_phase_scan(cfg)
+    monkeypatch.setattr(phase.os, "cpu_count", lambda: None)  # unknown: one worker, no pool
+    phase.run_phase_scan(cfg)
+    assert asked == [3, 2]
+    assert capsys.readouterr().out.splitlines()[1].startswith("2,5000,")
 
 
 # files past a solver's limits: 1x141 and 1x60 rows of ones (odd n, so the

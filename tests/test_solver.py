@@ -389,13 +389,14 @@ def test_count_at_the_largest_row_sum_matches_brute_force():
 @pytest.mark.parametrize("n", [14, 16, 18, 20, 22])
 def test_count_agrees_across_the_join_cutover(n):
     # the default count against the blocks (cap=99) and the join (cap=0),
-    # and all three against brute force over pairs of halves where it is cheap
-    for m in (2, 6, 10):
+    # and all three against brute force over pairs of halves where it is cheap;
+    # r = 2 at m = 10 walks many offsets at every depth of the join
+    for m, r in ((2, 1), (6, 1), (10, 1), (10, 2)):
         A = ens.sample(ens.EnsembleSpec("bernoulli", m, n, F(1, 2), 40 + m))
-        count = solver.count_solutions(A, 1)
-        assert count == solver.count_solutions(A, 1, cap=99) == solver.count_solutions(A, 1, cap=0)
+        count = solver.count_solutions(A, r)
+        assert count == solver.count_solutions(A, r, cap=99) == solver.count_solutions(A, r, cap=0)
         if n <= 16:
-            assert count == reference_mitm([list(row) for row in A.rows()], 1, True)[0]
+            assert count == reference_mitm([list(row) for row in A.rows()], r, True)[0]
 
 
 def test_count_past_the_cutover_with_more_rows_than_the_join_takes():
@@ -407,13 +408,15 @@ def test_count_past_the_cutover_with_more_rows_than_the_join_takes():
 
 
 def test_count_with_a_wide_radius_below_the_cutover_is_fast():
-    # ten rows of entries up to 100 at r = 100: the join walks every row
-    # offset in [-100, 100] (about 5 s for this matrix); the blocks do not
+    # ten rows of entries up to 100 at r = 100, by the blocks (the default
+    # below the cutover) and by the join
     from time import perf_counter
 
     rng = random.Random(17)
     A = mat([[rng.randint(0, 100) for _ in range(12)] for _ in range(10)])
-    start = perf_counter()
-    count = solver.count_solutions(A, 100)
-    assert perf_counter() - start < 1.0
-    assert count == sum(1 for u in balanced_vectors(12) if eval_inf(A, u) <= 100)
+    want = sum(1 for u in balanced_vectors(12) if eval_inf(A, u) <= 100)
+    for cap in (solver.EXHAUSTIVE_CAP, 0):
+        start = perf_counter()
+        count = solver.count_solutions(A, 100, cap=cap)
+        assert perf_counter() - start < 1.0
+        assert count == want
