@@ -23,7 +23,14 @@ from itertools import accumulate
 from math import comb, exp, log, sqrt
 
 from .errors import ParameterError
-from .locallimits import LatticePoint, Pmf, binomial_pmf, convolve_integer, hypergeometric_pmf
+from .locallimits import (
+    LatticePoint,
+    Pmf,
+    binomial_pmf,
+    convolve_integer,
+    hypergeometric_pmf,
+    over_one_denominator,
+)
 from .moments import OverlapScenario, _label_weights, _sb_sc_laws
 from .rng import Stream, derive_key
 
@@ -71,6 +78,8 @@ class BirthDeathSpec:
         # the per-spec caches hash the spec on every lookup; Fraction hashes
         # cost a modular inverse each, so hash the fields once
         object.__setattr__(self, "_hash", hash((w, a, b)))
+        # a and b as integer numerators over one denominator, for stein_apply
+        object.__setattr__(self, "_rows", over_one_denominator(a + b))
 
     def __hash__(self):
         return self._hash
@@ -118,24 +127,35 @@ def stationary_pmf(bd: BirthDeathSpec) -> Pmf:
     return Pmf.from_masses(0, raw)
 
 
-def stein_apply(bd: BirthDeathSpec, f):
-    """Image T f(s) = a_s f(s+1) - b_s f(s), s = 0..w (a_w = 0, so f(w+1)
-    is never referenced)."""
-    if len(f) < bd.w + 1:
+def _image_numerators(bd, f):
+    """(nums, den): T f(s) = nums[s] / den for s = 0..w, from the spec's
+    coefficients and f each over one denominator."""
+    w = bd.w
+    if len(f) < w + 1:
         raise ParameterError("f must be defined on 0..w")
-    out = []
-    for s in range(bd.w + 1):
-        up = bd.a[s] * f[s + 1] if s < bd.w else Fraction(0)
-        out.append(up - bd.b[s] * f[s])
-    return out
+    coef, cden = bd._rows  # a = coef[: w + 1], b = coef[w + 1 :]
+    fn, fden = over_one_denominator(f[: w + 1])
+    # a_w = 0, so f(w+1) is never referenced
+    up = [*(x * y for x, y in zip(coef[:w], fn[1:])), 0]
+    return [u - x * y for u, x, y in zip(up, coef[w + 1 :], fn)], cden * fden
+
+
+def stein_apply(bd: BirthDeathSpec, f):
+    """Image T f(s) = a_s f(s+1) - b_s f(s), s = 0..w, of rational (or
+    integer) values f (a_w = 0, so f(w+1) is never referenced)."""
+    nums, den = _image_numerators(bd, f)
+    return [Fraction(v, den) for v in nums]
 
 
 def stein_apply_residual(bd: BirthDeathSpec, sol):
     """Max |T f - (1_{s=t} - mu_t)| over the state space for a solution
     `sol` of bd; 0 when the inverse is exact."""
-    image = stein_apply(bd, sol.f)
-    mt = stationary_pmf(bd)[sol.t]
-    return max(abs(image[s] - ((1 if s == sol.t else 0) - mt)) for s in range(bd.w + 1))
+    nums, den = _image_numerators(bd, sol.f)
+    mu = stationary_pmf(bd)
+    # T f - (1_{s=t} - mu_t) over den * mu.den
+    gaps = [v * mu.den + mu.counts[sol.t] * den for v in nums]
+    gaps[sol.t] -= mu.den * den
+    return Fraction(max(map(abs, gaps)), den * mu.den)
 
 
 @dataclass(frozen=True)
@@ -154,34 +174,55 @@ class SteinSolution:
         return len(self.f) - 2
 
     def max_delta(self):
-        return max(abs(d) for d in self.delta_f[:-1])
+        nums, den = over_one_denominator(self.delta_f[:-1])
+        return Fraction(max(map(abs, nums)), den)
 
     def l1_delta(self):
-        return sum(abs(d) for d in self.delta_f)
+        nums, den = over_one_denominator(self.delta_f)
+        return Fraction(sum(map(abs, nums)), den)
 
 
 @lru_cache(maxsize=512)
 def _inverse_table(bd: BirthDeathSpec):
-    """Target-free part of stein_invert, cached per spec like stationary_pmf.
+    """Target-free part of the inverse, cached per spec like stationary_pmf.
 
-    Returns (mu, lo, hi, dlo, dhi): for s = 1..w, lo[s] =
+    Returns (mu, lo, hi, dlo, dhi, rows): for s = 1..w, lo[s] =
     -mu({0..s-1})/(b_s mu_s) and hi[s] = (1 - mu({0..s-1}))/(b_s mu_s),
     taken over the law's integer counts (the denominator cancels); lo = hi
     = 0 at s = 0 and s = w + 1; dlo and dhi are their first differences,
-    dlo[s] = lo[s+1] - lo[s] for s = 0..w.
+    dlo[s] = lo[s+1] - lo[s] for s = 0..w.  rows = (lo_num, hi_num, den)
+    holds lo and hi again as integer numerators over one denominator den,
+    so sums of them over targets (band_inverse, identity_report) are
+    integer sums.
     """
+    w = bd.w
     mu = stationary_pmf(bd)
     cum, lo, hi = 0, [0], [0]
-    for s in range(1, bd.w + 1):
+    for s in range(1, w + 1):
         cum += mu.counts[s - 1]
         scale = bd.b[s] * mu.counts[s]
         lo.append(-cum / scale)
         hi.append((mu.den - cum) / scale)
     lo, hi = (*lo, 0), (*hi, 0)
     dlo, dhi = (tuple(y - x for x, y in zip(v, v[1:])) for v in (lo, hi))
-    return mu, lo, hi, dlo, dhi
+    nums, den = over_one_denominator(lo + hi)
+    return mu, lo, hi, dlo, dhi, (nums[: w + 2], nums[w + 2 :], den)
 
 
+def _check_target(w, t):
+    if not 1 <= t <= w - 1:
+        raise ParameterError(f"target t={t} outside the interior range 1..{w - 1}")
+
+
+# Fraction normalisation (a gcd per value) is almost all of stein_invert's
+# cost, but each value stays one Fraction product: no portable form measured
+# faster on a 2-core box under Python 3.11.  For the sweeps of the
+# exact_rational benchmark, one Fraction(n, d) per entry from the integer
+# rows took 1.04-1.12 s against 0.73-0.87 s; mu_t's count times table
+# entries that carry mu.den took 1.28-1.30 s against 0.90-1.12 s; and
+# Fraction * int over one denominator was slower too.  Only skipping
+# normalisation through Fraction's private _normalize argument was faster
+# (by 35%), and Python 3.12 removed it.
 def stein_invert(bd: BirthDeathSpec, t) -> SteinSolution:
     """Closed-form inverse: f(s) = mu_t/(b_s mu_s) (1_{t<s} - mu({0..s-1})).
 
@@ -191,25 +232,37 @@ def stein_invert(bd: BirthDeathSpec, t) -> SteinSolution:
     a table cached per spec (_inverse_table), so each target costs one
     product per value of f and of df.
     """
-    w = bd.w
-    if not 1 <= t <= w - 1:
-        raise ParameterError(f"target t={t} outside the interior range 1..{w - 1}")
-    mu, lo, hi, dlo, dhi = _inverse_table(bd)
+    _check_target(bd.w, t)
+    mu, lo, hi, dlo, dhi, _ = _inverse_table(bd)
     mt = mu[t]
     f = tuple(mt * v for v in lo[: t + 1] + hi[t + 1 :])
     delta = tuple(mt * v for v in dlo[:t] + (hi[t + 1] - lo[t],) + dhi[t + 1 :])
     return SteinSolution(t, f, delta)
 
 
+def _band_numerators(bd, targets):
+    """(nums, den): the superposed inverse sum_t f_t is nums[s] / den for
+    s = 0..w+1.  f_t(s) = mu_t lo[s] for s <= t and mu_t hi[s] above, so
+    nums[s] = lo_num[s] mu(targets >= s) + hi_num[s] mu(targets < s) over
+    the law's counts, and den = mu.den times the rows' denominator."""
+    w = bd.w
+    mu, *_, (lo, hi, den) = _inverse_table(bd)
+    mass = [0] * (w + 2)  # mass[t]: mu's count at t, once per listing of t
+    for t in targets:
+        _check_target(w, t)
+        mass[t] += mu.counts[t]
+    above, below, nums = sum(mass), 0, []
+    for s in range(w + 2):
+        nums.append(lo[s] * above + hi[s] * below)
+        above -= mass[s]
+        below += mass[s]
+    return nums, mu.den * den
+
+
 def band_inverse(bd: BirthDeathSpec, targets):
     """Superposed inverse f = sum_t f_t, so T f = 1_{s in targets} - mu(targets)."""
-    w = bd.w
-    f = [Fraction(0)] * (w + 2)
-    for t in targets:
-        sol = stein_invert(bd, t)
-        for s in range(w + 2):
-            f[s] += sol.f[s]
-    return tuple(f)
+    nums, den = _band_numerators(bd, targets)
+    return tuple(Fraction(v, den) for v in nums)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +346,16 @@ def conditioned_pair_stats(case, scenario: OverlapScenario) -> PairStats:
     Poisson case averages over k in the band with the exact binomial
     weights P(E_k | E_K); Bernoulli case conditions on w/2 draws per type.
     """
-    return _pair_stats(case, scenario)[0]
+    mu0, g0, g1, g2, _, den = _pair_stats(case, scenario)
+    g1, g2 = (tuple(Fraction(v, den) for v in g) for g in (g1, g2))
+    return PairStats(mu0, Pmf.from_masses(0, g0), g1, g2)
 
 
 def _pair_stats(case, scenario):
-    """(PairStats, band, den), where band[s] / den = E_c[k 1_{S=s}].
+    """(mu0, g0, g1, g2, band, den): the unconditioned law mu0 of S and
+    integer rows over one denominator den, g0[s] / den = P_c(S = s),
+    g1[s] / den and g2[s] / den as in PairStats, band[s] / den =
+    E_c[k 1_{S=s}].
 
     Given k, sb and sc are independent with the laws B, C of _sb_sc_laws (B
     scaled by k's band mass), so every S-sum is a convolution over one
@@ -328,8 +386,7 @@ def _pair_stats(case, scenario):
             g2[s] += s * s * v0 - 4 * s * v1 + 4 * v2
             band[s] += k * v0
     den *= sum(masses)  # the laws' den is the same for every k
-    g1, g2 = (tuple(Fraction(v, den) for v in g) for g in (g1, g2))
-    return PairStats(mu0, Pmf.from_masses(0, g0), g1, g2), band, den
+    return mu0, g0, g1, g2, band, den
 
 
 @dataclass
@@ -353,8 +410,11 @@ class IdentityReport:
 
 
 def identity_report(case, scenario: OverlapScenario) -> IdentityReport:
-    w, beta, gamma = scenario.w, scenario.beta, scenario.gamma
-    stats, band, den = _pair_stats(case, scenario)
+    """Both sides of the identity in integers: the pair sums are rows over
+    one den (_pair_stats) and f is a row fnum over one fden (_band_numerators),
+    so lhs, rhs and band_term are each an integer sum and one Fraction."""
+    w = scenario.w
+    mu0, g0, g1, g2, band, den = _pair_stats(case, scenario)
     if case == "poisson":
         bd = binomial_pair_spec(w)
         targets = scenario.band.targets(w)
@@ -363,26 +423,28 @@ def identity_report(case, scenario: OverlapScenario) -> IdentityReport:
                 f"band targets {targets} leave the interior 1..{w - 1}; "
                 "shrink the band or grow w"
             )
-        f = band_inverse(bd, targets)
-        lhs = stats.mu0.mass(targets) - stats.muc.mass(targets)
-        rhs = (gamma - beta) / 2 * sum(
-            stats.g1[s] * (f[s + 1] - f[s]) for s in range(w + 1)
-        )
-        # E_c[k f(S+1)] from the same per-k S-sums
-        band_term = (gamma - beta) / 2 * sum(v * f[s + 1] for s, v in enumerate(band)) / den
+        # rhs weighs g1 by (gamma - beta)/2 = p/q, and so does band_term
+        half = (scenario.gamma - scenario.beta) / 2
+        p, q = half.numerator, half.denominator
+        weighted, band_weight = [p * v for v in g1], p
     else:
         if w < 2:
             raise ParameterError("bernoulli identity needs w >= 2")
         bd = hypergeometric_pair_spec(scenario.n, w)
-        t = w // 2
-        f = stein_invert(bd, t).f
-        x = scenario.x
-        lhs = stats.mu0[t] - stats.muc[t]
-        rhs = sum(
-            (stats.g2[s] - scenario.n * x * stats.g1[s]) * (f[s + 1] - f[s])
-            for s in range(w + 1)
-        )
-        band_term = Fraction(0)
+        targets = (w // 2,)
+        # rhs weighs g2 - n x g1 with n x = p/q; there is no band term
+        nx = scenario.n * scenario.x
+        p, q = nx.numerator, nx.denominator
+        weighted, band_weight = [q * v2 - p * v1 for v1, v2 in zip(g1, g2)], 0
+    fnum, fden = _band_numerators(bd, targets)
+    lhs = Fraction(
+        sum(mu0.counts[t] for t in targets) * den - sum(g0[t] for t in targets) * mu0.den,
+        mu0.den * den,
+    )
+    den *= fden * q
+    rhs = Fraction(sum(v * (y - x) for v, x, y in zip(weighted, fnum, fnum[1:])), den)
+    # E_c[k f(S+1)] from the same per-k S-sums
+    band_term = Fraction(band_weight * sum(v * y for v, y in zip(band, fnum[1:])), den)
     residual = lhs - rhs
     return IdentityReport(lhs, rhs, residual, band_term, residual - band_term)
 

@@ -241,6 +241,23 @@ def check_inverse_guarantees(bd, t, with_oracle=True):
         assert list(sol.f) == oracle
 
 
+def forward_band_inverse(bd, targets):
+    """sum_t f_t over the targets, each f_t solving T f = 1_{s=t} - mu_t by
+    the forward substitution of check_inverse_guarantees, with mu from
+    detailed balance: no stein_invert, band_inverse or stein tables."""
+    raw = [Fraction(1)]
+    for s in range(1, bd.w + 1):
+        raw.append(raw[-1] * bd.a[s - 1] / bd.b[s])
+    mu = [v / sum(raw) for v in raw]
+    total = [Fraction(0)] * (bd.w + 2)
+    for t in targets:
+        f = [Fraction(0)] * (bd.w + 2)
+        for s in range(bd.w):
+            f[s + 1] = ((1 if s == t else 0) - mu[t] + bd.b[s] * f[s]) / bd.a[s]
+        total = [x + y for x, y in zip(total, f)]
+    return total
+
+
 def pair_stats_oracle(case, scenario, f=None):
     """Conditioned pair sums by the direct Fraction double loop over (sb, sc),
     sharing no code with stein's pair sums.

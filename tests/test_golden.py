@@ -222,3 +222,44 @@ SCAN_BOUNDS_SHA256 = {
 def test_scan_bounds_output_pinned(case, capsys):
     out = run(["stein", "scan-bounds", "--case", case, "--w-list", "8,16,32"], capsys)
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_BOUNDS_SHA256[case]
+
+
+# stein verify-inverse and verify-identity outputs recorded before the pair
+# identity and the band inverse moved to integer rows over one denominator
+SPEC_FILE = '{"w": 5, "a": ["5", "7/2", "3", "2", "1/3", "0"], "b": ["0", "1/2", "1", "5/3", "4", "9"]}'
+STEIN_PINS = {
+    "inverse-binomial": (
+        ["verify-inverse", "--w", "12", "--t", "6"],
+        '{"w": 12, "t": 6, "max_delta": "793/3072", "l1_delta": "793/1536", "bound": "1/3", '
+        '"inverse_residual": "0/1"}',
+    ),
+    "inverse-hypergeometric": (
+        ["verify-inverse", "--w", "6", "--n", "16", "--t", "3", "--spec", "hypergeometric"],
+        '{"w": 6, "t": 3, "max_delta": "29/715", "l1_delta": "58/715", "bound": "1/15", '
+        '"inverse_residual": "0/1"}',
+    ),
+    "inverse-file": (
+        ["verify-inverse", "--w", "5", "--t", "2", "--spec", "file", "--file", "SPEC"],
+        '{"w": 5, "t": 2, "max_delta": "386/1275", "l1_delta": "772/1275", "bound": "1/3", '
+        '"inverse_residual": "0/1"}',
+    ),
+    "identity-poisson": (
+        ["verify-identity", "--case", "poisson", "--w", "4", "--beta", "2/3", "--band", "2"],
+        '{"case": "poisson", "w": 4, "beta": "2/3", "band": 2, "lhs": "-55/4536", "rhs": "-109/4536", '
+        '"residual": "1/84", "band_term": "1/84", "corrected_residual": "0/1"}',
+    ),
+    "identity-bernoulli": (
+        ["verify-identity", "--case", "bernoulli", "--w", "6", "--n", "12", "--beta", "2/3"],
+        '{"case": "bernoulli", "w": 6, "beta": "2/3", "band": 0, "lhs": "-41/5775", "rhs": "-41/5775", '
+        '"residual": "0/1", "band_term": "0/1", "corrected_residual": "0/1"}',
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(STEIN_PINS))
+def test_stein_verify_output_pinned(key, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(SPEC_FILE)
+    argv, want = STEIN_PINS[key]
+    argv = [str(spec) if v == "SPEC" else v for v in argv]
+    assert run(["stein", *argv], capsys) == want + "\n"

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -8,6 +9,7 @@ from helpers import (
     bernoulli_ball_chain,
     check_inverse_guarantees,
     chi_square_pvalue,
+    forward_band_inverse,
     pair_stats_oracle,
     random_birth_death,
 )
@@ -320,19 +322,37 @@ def _criterion_2_grid():
 
 
 def test_pair_sums_match_double_loop_oracle():
+    # the pair sums against the Fraction double loop, f against forward
+    # substitution, and every side of the identity rebuilt from both
     checked = 0
     for case, scen in _criterion_2_grid():
+        w, n = scen.w, scen.n
         st = stein.conditioned_pair_stats(case, scen)
-        f = None
         if case == "poisson":
-            bd = stein.binomial_pair_spec(scen.w)
-            f = stein.band_inverse(bd, scen.band.targets(scen.w))
+            bd = stein.binomial_pair_spec(w)
+            targets = scen.band.targets(w)
+            mu0 = [F(comb(w, t), 2**w) for t in range(w + 1)]
+        else:
+            bd = stein.hypergeometric_pair_spec(n, w)
+            targets = (w // 2,)
+            mu0 = [F(comb(n // 2, t) * comb(n // 2, w - t), comb(n, w)) for t in range(w + 1)]
+        f = forward_band_inverse(bd, targets)
+        assert list(stein.band_inverse(bd, targets)) == f, (case, scen)
         g0, g1, g2, band = pair_stats_oracle(case, scen, f)
         assert list(st.muc.weights) == g0, (case, scen)
         assert list(st.g1) == g1, (case, scen)
         assert list(st.g2) == g2, (case, scen)
+        df = [y - x for x, y in zip(f, f[1:])]
+        lhs = sum(mu0[t] - g0[t] for t in targets)
+        if case == "poisson":
+            half = (scen.gamma - scen.beta) / 2
+            rhs = half * sum(v * d for v, d in zip(g1, df))
+            band_term = half * band
+        else:
+            rhs = sum((v2 - n * scen.x * v1) * d for v1, v2, d in zip(g1, g2, df))
+            band_term = 0
         rep = stein.identity_report(case, scen)
-        assert rep.band_term == (scen.gamma - scen.beta) / 2 * band, (case, scen)
+        assert (rep.lhs, rep.rhs, rep.band_term) == (lhs, rhs, band_term), (case, scen)
         checked += 1
     assert checked == 662
 
