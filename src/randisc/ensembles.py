@@ -9,9 +9,12 @@ not depend on evaluation order or thread count.
 """
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from math import gcd
 
 from .errors import InvariantViolation, ParameterError, UnsupportedDistributionError
 from .locallimits import Pmf, binomial_pmf, truncated_poisson_pmf
@@ -135,25 +138,37 @@ def sample_at_parity(spec: EnsembleSpec, parity) -> IntMatrix:
 @dataclass(frozen=True)
 class CouplingTable:
     """Joint law of (X, X') where X ~ base and X' ~ base conditioned even,
-    with |X - X'| <= 1 almost surely.
-
-    `t` maps each even integer 2j to the mass P(X = 2j-1, X' = 2j); the rest
-    of an odd column falls to 2j-2.  `truncation` records the cut point when
-    the base pmf was truncated (None for finitely supported bases).
+    with |X - X'| <= 1 almost surely, as integers over one `scale` the way
+    Pmf holds counts over den: jnum[(x, x')] = P(X = x, X' = x') * scale,
+    and tnum[2j] = P(X = 2j-1, X' = 2j) * scale for each even 2j; the rest
+    of an odd column falls to 2j-2.  `joint` and `t` read them as Fractions.
+    `truncation` records the cut point when the base pmf was truncated (None
+    for finitely supported bases).
     """
 
     base: Pmf
     even_marginal: Pmf
-    t: dict
-    joint: dict
+    tnum: dict
+    jnum: dict
+    scale: int
     truncation: int = None
 
+    @cached_property
+    def t(self):
+        return {k: Fraction(v, self.scale) for k, v in self.tnum.items()}
+
+    @cached_property
+    def joint(self):
+        return {key: Fraction(v, self.scale) for key, v in self.jnum.items()}
+
     def even_step_weights(self, x):
-        """Integer weights for X' in {x+1, x-1} given an odd value X = x."""
-        up = self.joint.get((x, x + 1), Fraction(0))
-        down = self.joint.get((x, x - 1), Fraction(0))
-        den = up.denominator * down.denominator
-        return int(up * den), int(down * den)
+        """Integer weights for X' in {x+1, x-1} given an odd value X = x:
+        the masses up/scale and down/scale times the product of their reduced
+        denominators, so each is one's reduced numerator times the other's
+        reduced denominator (gcd(0, scale) = scale covers a zero mass)."""
+        up, down = self.jnum.get((x, x + 1), 0), self.jnum.get((x, x - 1), 0)
+        gu, gd = gcd(up, self.scale), gcd(down, self.scale)
+        return up // gu * (self.scale // gd), down // gd * (self.scale // gu)
 
 
 def pinelis_joint(mu: Pmf, truncation=None) -> CouplingTable:
@@ -186,7 +201,6 @@ def pinelis_joint(mu: Pmf, truncation=None) -> CouplingTable:
             )
         tnum[twoj] = acc
         acc += (even - mu.den) * counts.get(twoj, 0) + even * counts.get(twoj + 1, 0)
-    # joint masses as integers over scale, checked before any Fraction is made
     jnum = {}
     for k, c in counts.items():
         if c == 0:
@@ -200,9 +214,7 @@ def pinelis_joint(mu: Pmf, truncation=None) -> CouplingTable:
             if down:
                 jnum[(k, k - 1)] = down
     _check_coupling(jnum, scale, mu, even_marginal)
-    t = {k: Fraction(v, scale) for k, v in tnum.items()}
-    joint = {key: Fraction(v, scale) for key, v in jnum.items()}
-    return CouplingTable(mu, even_marginal, t, joint, truncation)
+    return CouplingTable(mu, even_marginal, tnum, jnum, scale, truncation)
 
 
 def _check_coupling(jnum, scale, base, even_marginal):
@@ -228,8 +240,7 @@ def _check_coupling(jnum, scale, base, even_marginal):
 
 def truncated_poisson_coupling(lam, tail=PINELIS_DEFAULT_TAIL):
     """Pinelis table for a Poisson base, truncated where the tail < `tail`."""
-    pmf, cut = truncated_poisson_pmf(Fraction(lam), tail)
-    return pinelis_joint(pmf, truncation=cut)
+    return pinelis_joint(*truncated_poisson_pmf(Fraction(lam), tail))
 
 
 def row_sum_pmf(kind, n, param):
@@ -241,23 +252,21 @@ def row_sum_pmf(kind, n, param):
     """
     if kind == "bernoulli":
         return binomial_pmf(n, param), None
-    pmf, cut = truncated_poisson_pmf(Fraction(n) * param, POISSON_SAMPLER_TAIL)
-    return pmf, cut
+    return truncated_poisson_pmf(Fraction(n) * param, POISSON_SAMPLER_TAIL)
 
 
 @lru_cache(maxsize=64)
 def _row_coupling_table(kind, n, param):
-    base, cut = row_sum_pmf(kind, n, param)
-    return pinelis_joint(base, truncation=cut)
+    return pinelis_joint(*row_sum_pmf(kind, n, param))
 
 
 def couple_even_parity(A: IntMatrix, spec=None, seed=0, *, kind=None, param=None) -> IntMatrix:
     """Adjust each row of A by at most one unit step so every row sum is even.
 
     Draws X' from the Pinelis conditional given X = row sum, then applies the
-    step: bernoulli rows flip a uniformly chosen one (decrement) or zero
-    (increment); poisson rows decrement an entry picked proportionally to its
-    value, or increment a uniformly chosen entry.  Even rows never change.
+    step: a decrement lowers an entry picked proportionally to its value (a
+    uniform one on a 0/1 row); an increment raises a uniform zero of a
+    bernoulli row or a uniform entry of a poisson row.  Even rows never change.
     The ensemble may be given as an EnsembleSpec or as (kind=, param=).
     """
     if spec is not None:
@@ -281,8 +290,7 @@ def couple_even_parity(A: IntMatrix, spec=None, seed=0, *, kind=None, param=None
             up_w, down_w = 0, 1
         else:
             up_w, down_w = table.even_step_weights(x)
-        go_up = stream.below(up_w + down_w) < up_w
-        if go_up:
+        if stream.below(up_w + down_w) < up_w:
             if kind == "bernoulli":
                 zeros = [j for j, v in enumerate(row) if v == 0]
                 row[zeros[stream.below(len(zeros))]] = 1
@@ -291,17 +299,8 @@ def couple_even_parity(A: IntMatrix, spec=None, seed=0, *, kind=None, param=None
         else:
             if x == 0:
                 raise InvariantViolation("decrement requested on an all-zero row")
-            if kind == "bernoulli":
-                ones = [j for j, v in enumerate(row) if v == 1]
-                row[ones[stream.below(len(ones))]] = 0
-            else:
-                pick = stream.below(x)
-                acc = 0
-                for j, v in enumerate(row):
-                    acc += v
-                    if pick < acc:
-                        row[j] -= 1
-                        break
+            # a unit picked proportionally to value: on a 0/1 row, a uniform one
+            row[bisect_right(list(accumulate(row)), stream.below(x))] -= 1
         out_rows.append(row)
     return IntMatrix.from_rows(out_rows)
 

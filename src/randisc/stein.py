@@ -186,14 +186,11 @@ class SteinSolution:
 def _inverse_table(bd: BirthDeathSpec):
     """Target-free part of the inverse, cached per spec like stationary_pmf.
 
-    Returns (mu, lo, hi, dlo, dhi, rows): for s = 1..w, lo[s] =
+    Returns (mu, lo, hi, dlo, dhi): for s = 1..w, lo[s] =
     -mu({0..s-1})/(b_s mu_s) and hi[s] = (1 - mu({0..s-1}))/(b_s mu_s),
     taken over the law's integer counts (the denominator cancels); lo = hi
     = 0 at s = 0 and s = w + 1; dlo and dhi are their first differences,
-    dlo[s] = lo[s+1] - lo[s] for s = 0..w.  rows = (lo_num, hi_num, den)
-    holds lo and hi again as integer numerators over one denominator den,
-    so sums of them over targets (band_inverse, identity_report) are
-    integer sums.
+    dlo[s] = lo[s+1] - lo[s] for s = 0..w.
     """
     w = bd.w
     mu = stationary_pmf(bd)
@@ -205,8 +202,18 @@ def _inverse_table(bd: BirthDeathSpec):
         hi.append((mu.den - cum) / scale)
     lo, hi = (*lo, 0), (*hi, 0)
     dlo, dhi = (tuple(y - x for x, y in zip(v, v[1:])) for v in (lo, hi))
+    return mu, lo, hi, dlo, dhi
+
+
+@lru_cache(maxsize=512)
+def _inverse_rows(bd: BirthDeathSpec):
+    """(lo_num, hi_num, den): _inverse_table's lo and hi as integer
+    numerators over one denominator den, so sums of them over targets
+    (band_inverse, identity_report) are integer sums.  Cached apart from
+    _inverse_table, so specs that only stein_invert reads never hold them."""
+    _, lo, hi, *_ = _inverse_table(bd)
     nums, den = over_one_denominator(lo + hi)
-    return mu, lo, hi, dlo, dhi, (nums[: w + 2], nums[w + 2 :], den)
+    return nums[: bd.w + 2], nums[bd.w + 2 :], den
 
 
 def _check_target(w, t):
@@ -233,7 +240,7 @@ def stein_invert(bd: BirthDeathSpec, t) -> SteinSolution:
     product per value of f and of df.
     """
     _check_target(bd.w, t)
-    mu, lo, hi, dlo, dhi, _ = _inverse_table(bd)
+    mu, lo, hi, dlo, dhi = _inverse_table(bd)
     mt = mu[t]
     f = tuple(mt * v for v in lo[: t + 1] + hi[t + 1 :])
     delta = tuple(mt * v for v in dlo[:t] + (hi[t + 1] - lo[t],) + dhi[t + 1 :])
@@ -246,7 +253,8 @@ def _band_numerators(bd, targets):
     nums[s] = lo_num[s] mu(targets >= s) + hi_num[s] mu(targets < s) over
     the law's counts, and den = mu.den times the rows' denominator."""
     w = bd.w
-    mu, *_, (lo, hi, den) = _inverse_table(bd)
+    mu = stationary_pmf(bd)
+    lo, hi, den = _inverse_rows(bd)
     mass = [0] * (w + 2)  # mass[t]: mu's count at t, once per listing of t
     for t in targets:
         _check_target(w, t)

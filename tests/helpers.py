@@ -141,6 +141,27 @@ def hypergeometric_masses(w, ksucc, npop):
     return [comb(ksucc, k) * comb(npop - ksucc, w - k) for k in range(w + 1)]
 
 
+def pinelis_oracle(base):
+    """(t, joint) of the Pinelis coupling of `base` with base-conditioned-even,
+    by the Fraction recursion t_0 = 0, t_{2j+2} = t_{2j} + mu_{2j} (1 - 1/Q)
+    + mu_{2j+1} (Q the even mass) run straight from base[k]: no integer
+    rows and no ensembles code.  The joint keeps mu_k on (k, k) for even k
+    and splits odd k into t_{k+1} up and mu_k - t_{k+1} down, zeros left out."""
+    q = sum(base[k] for k in base.support() if k % 2 == 0)
+    t, acc = {}, Fraction(0)
+    for twoj in range(0, base.hi + 3, 2):
+        t[twoj] = acc
+        acc += base[twoj] * (1 - 1 / q) + base[twoj + 1]
+    joint = {}
+    for k in base.support():
+        if k % 2 == 0:
+            cells = {(k, k): base[k]}
+        else:
+            cells = {(k, k + 1): t[k + 1], (k, k - 1): base[k] - t[k + 1]}
+        joint.update((key, v) for key, v in cells.items() if v)
+    return t, joint
+
+
 def row_value_counts(row, radius=0):
     """Number of balanced u with |<u, row>| <= radius (direct enumeration)."""
     n = len(row)

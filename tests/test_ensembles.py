@@ -1,9 +1,10 @@
+import time
 from fractions import Fraction as F
 from math import comb, factorial, sqrt
 
 import pytest
 
-from helpers import chi_square_pvalue
+from helpers import chi_square_pvalue, pinelis_oracle
 from randisc import ensembles as ens
 from randisc.errors import InvariantViolation, ParameterError, UnsupportedDistributionError
 from randisc.locallimits import Pmf, binomial_pmf, truncated_poisson_pmf
@@ -122,6 +123,33 @@ def test_pinelis_detects_non_log_concave():
     mu = Pmf(0, (F(3, 10), F(1, 20), F(1, 20), F(1, 20), F(3, 10), F(1, 4)))
     with pytest.raises(InvariantViolation):
         ens.pinelis_joint(mu)
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [binomial_pmf(n, p) for n in range(2, 13, 2) for p in (F(1, 8), F(1, 4), F(3, 8), F(1, 2))]
+    + [
+        truncated_poisson_pmf(lam, ens.PINELIS_DEFAULT_TAIL)[0]
+        for lam in (F(1, 2), F(1), F(2), F(4))
+    ],
+)
+def test_pinelis_table_matches_fraction_recursion(mu):
+    # criterion 3's tables against the Fraction recursion of helpers
+    tab = ens.pinelis_joint(mu)
+    assert (tab.t, tab.joint) == pinelis_oracle(mu)
+
+
+def test_rate_16_row_table_builds_fast_with_fraction_weights():
+    # Poisson row sums at n = 32, rate 16 (cut 1,429).  The weights are the
+    # Fraction formula's up * den and down * den over den = up.denominator
+    # * down.denominator, written without the gcd that up * den runs
+    t0 = time.perf_counter()
+    tab = ens._row_coupling_table.__wrapped__("poisson", 32, F(16))
+    assert time.perf_counter() - t0 < 3
+    for x in range(1, tab.base.hi + 1, 2):
+        up, down = tab.joint.get((x, x + 1), F(0)), tab.joint.get((x, x - 1), F(0))
+        want = (up.numerator * down.denominator, down.numerator * up.denominator)
+        assert tab.even_step_weights(x) == want
 
 
 @pytest.mark.parametrize("where", ["row", "column"])
