@@ -161,14 +161,23 @@ class CouplingTable:
     def joint(self):
         return {key: Fraction(v, self.scale) for key, v in self.jnum.items()}
 
+    @cached_property
+    def _step_weights(self):
+        return {}  # odd x -> even_step_weights(x), filled as rows ask
+
     def even_step_weights(self, x):
         """Integer weights for X' in {x+1, x-1} given an odd value X = x:
         the masses up/scale and down/scale times the product of their reduced
         denominators, so each is one's reduced numerator times the other's
-        reduced denominator (gcd(0, scale) = scale covers a zero mass)."""
-        up, down = self.jnum.get((x, x + 1), 0), self.jnum.get((x, x - 1), 0)
-        gu, gd = gcd(up, self.scale), gcd(down, self.scale)
-        return up // gu * (self.scale // gd), down // gd * (self.scale // gu)
+        reduced denominator (gcd(0, scale) = scale covers a zero mass).
+        Memoised per x: the two gcds run on the full scale."""
+        weights = self._step_weights.get(x)
+        if weights is None:
+            up, down = self.jnum.get((x, x + 1), 0), self.jnum.get((x, x - 1), 0)
+            gu, gd = gcd(up, self.scale), gcd(down, self.scale)
+            weights = up // gu * (self.scale // gd), down // gd * (self.scale // gu)
+            self._step_weights[x] = weights
+        return weights
 
 
 def pinelis_joint(mu: Pmf, truncation=None) -> CouplingTable:

@@ -186,11 +186,13 @@ class SteinSolution:
 def _inverse_table(bd: BirthDeathSpec):
     """Target-free part of the inverse, cached per spec like stationary_pmf.
 
-    Returns (mu, lo, hi, dlo, dhi): for s = 1..w, lo[s] =
+    Returns (mu, lo, hi, dlo, dhi, last): for s = 1..w, lo[s] =
     -mu({0..s-1})/(b_s mu_s) and hi[s] = (1 - mu({0..s-1}))/(b_s mu_s),
     taken over the law's integer counts (the denominator cancels); lo = hi
     = 0 at s = 0 and s = w + 1; dlo and dhi are their first differences,
-    dlo[s] = lo[s+1] - lo[s] for s = 0..w.
+    dlo[s] = lo[s+1] - lo[s] for s = 0..w.  last is a one-item list holding
+    the spec's last SteinSolution (None before the first), which
+    stein_invert rescales; it lives and is evicted with the entry.
     """
     w = bd.w
     mu = stationary_pmf(bd)
@@ -202,7 +204,7 @@ def _inverse_table(bd: BirthDeathSpec):
         hi.append((mu.den - cum) / scale)
     lo, hi = (*lo, 0), (*hi, 0)
     dlo, dhi = (tuple(y - x for x, y in zip(v, v[1:])) for v in (lo, hi))
-    return mu, lo, hi, dlo, dhi
+    return mu, lo, hi, dlo, dhi, [None]
 
 
 @lru_cache(maxsize=512)
@@ -217,34 +219,59 @@ def _inverse_rows(bd: BirthDeathSpec):
 
 
 def _check_target(w, t):
+    if not isinstance(t, int):
+        raise ParameterError(f"target t={t!r} is not an integer")
     if not 1 <= t <= w - 1:
         raise ParameterError(f"target t={t} outside the interior range 1..{w - 1}")
 
 
-# Fraction normalisation (a gcd per value) is almost all of stein_invert's
-# cost, but each value stays one Fraction product: no portable form measured
-# faster on a 2-core box under Python 3.11.  For the sweeps of the
-# exact_rational benchmark, one Fraction(n, d) per entry from the integer
-# rows took 1.04-1.12 s against 0.73-0.87 s; mu_t's count times table
-# entries that carry mu.den took 1.28-1.30 s against 0.90-1.12 s; and
-# Fraction * int over one denominator was slower too.  Only skipping
-# normalisation through Fraction's private _normalize argument was faster
-# (by 35%), and Python 3.12 removed it.
+def _spliced(row, mt, old, ratio, i, j):
+    """mt * row[s] for i <= s < j and ratio * old[s] elsewhere (old is
+    empty when the span is the whole row)."""
+    return (
+        *(ratio * v for v in old[:i]),
+        *(mt * v for v in row[i:j]),
+        *(ratio * v for v in old[j:]),
+    )
+
+
+# f_t(s) = mu_t X[s] with X = lo for s <= t and hi above, and df_t has the
+# same form, so an entry on the same side for t and an earlier target t0
+# equals f_t0(s) mu_t / mu_t0.  For neighbours that ratio is a_{t-1} / b_t:
+# on the exact_rational benchmark's w = 64 specs its terms have at most 17
+# bits against values of about 840, so both gcds of each product are
+# big-by-small, where mu_t times a table entry takes two big-by-big gcds.
+# Only f on (min, max] and df on [min, max] of (t, t0) change side and are
+# direct products.  On a 2-core box under Python 3.11, timed interleaved
+# against one mu_t product per value (medians of 7, warm tables), a round's
+# 40 ascending sweeps (w = 2..64) took 468-504 ms against 771-846 ms and
+# descending ones 397-510 against 754-837 ms.  Shuffled sweeps and single
+# targets cost the same either way: a far t0 gives a ratio as large as mu_t.
 def stein_invert(bd: BirthDeathSpec, t) -> SteinSolution:
     """Closed-form inverse: f(s) = mu_t/(b_s mu_s) (1_{t<s} - mu({0..s-1})).
 
     Valid for interior targets 1 <= t <= w-1; signs, monotonicity, the
     uniform bound max |df| = df(t) <= min(1/a_t, 1/b_t) and the L1 bound
     sum |df| <= 2 df(t) all hold exactly.  The factors after mu_t come from
-    a table cached per spec (_inverse_table), so each target costs one
-    product per value of f and of df.
+    a table cached per spec (_inverse_table), and the entries that lie on
+    the same side of t as of the spec's last solved target t0 are that
+    solution's scaled by mu_t / mu_t0; the rest, all of them on the first
+    call, are products of mu_t with the table.
     """
     _check_target(bd.w, t)
-    mu, lo, hi, dlo, dhi = _inverse_table(bd)
-    mt = mu[t]
-    f = tuple(mt * v for v in lo[: t + 1] + hi[t + 1 :])
-    delta = tuple(mt * v for v in dlo[:t] + (hi[t + 1] - lo[t],) + dhi[t + 1 :])
-    return SteinSolution(t, f, delta)
+    mu, lo, hi, dlo, dhi, last = _inverse_table(bd)
+    prev = last[0]  # read once: it carries its own target, whoever stored it
+    if prev is None:  # no row to rescale: every entry is direct
+        ratio, old_f, old_df, fi, di, j = None, (), (), 0, 0, bd.w + 2
+    else:
+        tmin, tmax = sorted((t, prev.t))
+        ratio = Fraction(mu.counts[t], mu.counts[prev.t])
+        old_f, old_df, fi, di, j = prev.f, prev.delta_f, tmin + 1, tmin, tmax + 1
+    mt, dt = mu[t], hi[t + 1] - lo[t]
+    f = _spliced(lo[: t + 1] + hi[t + 1 :], mt, old_f, ratio, fi, j)
+    delta = _spliced(dlo[:t] + (dt,) + dhi[t + 1 :], mt, old_df, ratio, di, j)
+    last[0] = sol = SteinSolution(t, f, delta)
+    return sol
 
 
 def _band_numerators(bd, targets):

@@ -125,18 +125,33 @@ def test_pinelis_detects_non_log_concave():
         ens.pinelis_joint(mu)
 
 
-@pytest.mark.parametrize(
-    "mu",
-    [binomial_pmf(n, p) for n in range(2, 13, 2) for p in (F(1, 8), F(1, 4), F(3, 8), F(1, 2))]
-    + [
-        truncated_poisson_pmf(lam, ens.PINELIS_DEFAULT_TAIL)[0]
-        for lam in (F(1, 2), F(1), F(2), F(4))
-    ],
-)
+# criterion 3's binomial and Poisson bases
+CRITERION_3_BASES = [
+    binomial_pmf(n, p) for n in range(2, 13, 2) for p in (F(1, 8), F(1, 4), F(3, 8), F(1, 2))
+] + [
+    truncated_poisson_pmf(lam, ens.PINELIS_DEFAULT_TAIL)[0]
+    for lam in (F(1, 2), F(1), F(2), F(4))
+]
+
+
+@pytest.mark.parametrize("mu", CRITERION_3_BASES)
 def test_pinelis_table_matches_fraction_recursion(mu):
     # criterion 3's tables against the Fraction recursion of helpers
     tab = ens.pinelis_joint(mu)
     assert (tab.t, tab.joint) == pinelis_oracle(mu)
+
+
+@pytest.mark.parametrize("mu", CRITERION_3_BASES)
+def test_memoised_step_weights_match_fraction_formula(mu):
+    # the Fraction formula of the rate-16 test at every odd x, on the first
+    # call and from the table's memo after it
+    tab = ens.pinelis_joint(mu)
+    odd = range(1, tab.base.hi + 1, 2)
+    for x in [*odd, *odd]:
+        up, down = tab.joint.get((x, x + 1), F(0)), tab.joint.get((x, x - 1), F(0))
+        want = (up.numerator * down.denominator, down.numerator * up.denominator)
+        assert tab.even_step_weights(x) == want
+    assert sorted(tab._step_weights) == list(odd)
 
 
 def test_rate_16_row_table_builds_fast_with_fraction_weights():

@@ -1,9 +1,13 @@
 import random
+import sys
+import threading
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     bernoulli_ball_chain,
@@ -123,6 +127,82 @@ def test_inverse_table_cache_hits_and_misses():
                 calls += 1
     info = stein._inverse_table.cache_info()
     assert (info.misses, info.hits) == (30, calls - 30)
+
+
+@pytest.mark.parametrize("t", [2.0, F(2), "2", None])
+def test_non_integer_target_is_a_parameter_error(t):
+    # stein_invert refuses it before the spec's table, and so its stored
+    # row, is looked up
+    bd = stein.binomial_pair_spec(6)
+    before = stein._inverse_table.cache_info()
+    with pytest.raises(ParameterError, match="not an integer"):
+        stein.stein_invert(bd, t)
+    assert stein._inverse_table.cache_info() == before
+    with pytest.raises(ParameterError, match="not an integer"):
+        stein.band_inverse(bd, [3, t])
+
+
+def _target_order(order, w, rng):
+    ts = list(range(1, w))
+    if order == "descending":
+        ts.reverse()
+    elif order == "shuffled":
+        rng.shuffle(ts)
+    elif order == "repeats":
+        ts = [rng.randint(1, w - 1) for _ in range(2 * w)]
+    return ts
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(2, 24),
+    st.integers(2, 24),
+    st.sampled_from(["ascending", "descending", "shuffled", "repeats", "interleaved"]),
+)
+def test_inverse_equals_oracle_in_any_target_order(seed, w1, w2, order):
+    # each solution rescales the spec's last one, so the order of targets
+    # (and, interleaved, of specs) decides every anchor; none may matter
+    rng = random.Random(seed)
+    bd1, bd2 = random_birth_death(rng, w1), random_birth_death(rng, w2)
+    if order == "interleaved":
+        a = [(bd1, t) for t in _target_order("shuffled", w1, rng)]
+        b = [(bd2, t) for t in _target_order("repeats", w2, rng)]
+        calls = [c for pair in zip(a, b) for c in pair] + a[len(b) :] + b[len(a) :]
+    else:
+        calls = [(bd1, t) for t in _target_order(order, w1, rng)]
+    for bd, t in calls:
+        check_inverse_guarantees(bd, t, with_oracle=True)
+
+
+def test_threads_sweeping_one_spec_match_a_serial_sweep():
+    # four threads (more than a 2-core box has cores) read and replace one
+    # stored row while sweeping in opposite orders; a row stored by another
+    # thread is still a valid anchor
+    bd = random_birth_death(random.Random(23), 24)
+    up, down = range(1, bd.w), range(bd.w - 1, 0, -1)
+    serial = {t: stein.stein_invert(bd, t) for t in up}
+    start = threading.Barrier(4)
+
+    def sweep(targets, out):
+        start.wait(timeout=60)
+        out.extend(stein.stein_invert(bd, t) for t in targets)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            jobs = [(targets, []) for targets in (up, down, up, down)]
+            threads = [threading.Thread(target=sweep, args=job) for job in jobs]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            for targets, out in jobs:
+                assert out == [serial[t] for t in targets]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_band_inverse_superposition():
