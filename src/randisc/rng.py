@@ -12,7 +12,7 @@ weights (a_0, ..., a_k) hits index i with probability exactly a_i / sum(a).
 
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -62,10 +62,26 @@ def _plan(b):
 
 @lru_cache(maxsize=256)
 def _fisher_yates_plans(n, w):
-    """(i, shift, limit) of each draw below n - i of a w-entry Fisher-Yates
+    """(i, shift, n - i) of each draw below n - i of a w-entry Fisher-Yates
     prefix that takes an output: all but a final bound of 1."""
     plans = (_plan(n - i) for i in range(w))  # ValueError when w > n
-    return tuple((i, shift, limit) for i, (words, shift, limit) in enumerate(plans) if words)
+    return tuple((i, shift, n - i) for i, (words, shift, _) in enumerate(plans) if words)
+
+
+def _peek(state, skip, count):
+    """Outputs skip+1 .. skip+count after the counter `state`, as a uint64 array."""
+    z = np.arange(skip + 1, skip + count + 1, dtype=np.uint64)
+    z *= _U_GOLDEN
+    z += np.uint64(state)
+    return _mix64_block(z)
+
+
+def _ahead(state, skip, count):
+    """_peek as a list of ints; short runs skip numpy, which costs more there."""
+    if count > _SMALL_RUN:
+        return _peek(state, skip, count).tolist()
+    z = state + skip * _GOLDEN
+    return [mix64(z + k * _GOLDEN) for k in range(1, count + 1)]
 
 
 def derive_key(key: int, *path: int) -> int:
@@ -89,34 +105,10 @@ class Stream:
         self._state = (self._state + _GOLDEN) & MASK64
         return mix64(self._state)
 
-    def _peek(self, skip, count):
-        """Outputs skip+1 .. skip+count ahead of the state, which is unchanged."""
-        z = np.arange(skip + 1, skip + count + 1, dtype=np.uint64)
-        z *= _U_GOLDEN
-        z += np.uint64(self._state)
-        return _mix64_block(z)
-
-    def _ahead(self, skip, count):
-        """_peek as a list of ints; short runs skip numpy, which costs more there."""
-        if count > _SMALL_RUN:
-            return self._peek(skip, count).tolist()
-        z = self._state + skip * _GOLDEN
-        return [mix64(z + k * _GOLDEN) for k in range(1, count + 1)]
-
-    def _blocks(self, first):
-        """Lists of the outputs ahead of the state; each after the first doubles the total."""
-        have, more = 0, first
-        while True:
-            yield self._ahead(have, more)
-            have = more = have + more
-
-    def _advance(self, count):
-        self._state = (self._state + count * _GOLDEN) & MASK64
-
     def block(self, count: int):
         """The next `count` outputs as a uint64 array; same as `count` next64()."""
-        out = self._peek(0, count)
-        self._advance(count)
+        out = _peek(self._state, 0, count)
+        self._state = (self._state + count * _GOLDEN) & MASK64
         return out
 
     def below_many(self, bounds) -> list:
@@ -144,7 +136,7 @@ class Stream:
                     # least doubles the total
                     need = (len(bounds) - len(out)) * words * 3 // 2
                     more = max(end - have, have, need)
-                    outputs += self._ahead(have, more)
+                    outputs += _ahead(self._state, have, more)
                     have += more
                 if words == 1:
                     x = outputs[pos]
@@ -163,24 +155,56 @@ class Stream:
         """Uniform integer on [0, n), exact via rejection."""
         return self.below_many((n,))[0]
 
+    def shuffles(self, items, w: int):
+        """Endless uniform shuffles of `items`, drawn one after another by
+        Fisher-Yates with the draws of below(n - i), n = len(items): yields a
+        fresh list of the items after each shuffle's first w swaps, so its
+        first w entries are a uniform w-prefix.
+
+        The outputs are read ahead of the state at the first shuffle, and the
+        state moves past each shuffle's outputs before it is yielded, so it
+        is where shuffle_prefixes leaves it; the stream takes no other draw
+        until the last shuffle is read.  A draw below b = n - i tests the top
+        k bits of an output, x >> shift < b, which is below_many's test
+        x < b << shift: numpy shifts each block of outputs once per distinct
+        shift (at most two when w <= n/2), so the walk compares small ints."""
+        items = list(items)
+        plans = _fisher_yates_plans(len(items), w)
+        tops = {shift: [] for _, shift, _ in plans}  # the read outputs' tops, per shift
+        draws = [(i, tops[shift], b) for i, shift, b in plans]
+        start, have = self._state, 0  # outputs read ahead of start
+        dropped = pos = 0  # outputs dropped from the tops; the next one's place
+        while True:
+            arr = items[:]
+            first = pos
+            try:
+                for i, top, b in draws:
+                    x = top[pos]
+                    pos += 1
+                    while x >= b:
+                        x = top[pos]
+                        pos += 1
+                    j = i + x
+                    arr[i], arr[j] = arr[j], arr[i]
+            except IndexError:
+                # keep this shuffle's outputs, read as many again (at first
+                # 1.5 per draw) and run the shuffle again from its start
+                more = max(have, len(plans) * 3 // 2)
+                z = _peek(start, have, more)
+                for shift, top in tops.items():
+                    del top[:first]
+                    top += (z >> np.uint64(shift)).tolist()
+                have += more
+                dropped += first
+                pos = 0
+                continue
+            self._state = (start + (dropped + pos) * _GOLDEN) & MASK64
+            yield arr
+
     def shuffle_prefixes(self, n: int, w: int, count: int) -> list:
         """First w entries of each of `count` uniform permutations of range(n),
-        drawn one after another (Fisher-Yates) with the draws of below(n - i)."""
-        plans = _fisher_yates_plans(n, w)
-        outputs = chain.from_iterable(self._blocks(len(plans) * count * 3 // 2))
-        identity = list(range(n))
-        out, rejected = [], 0
-        for _ in range(count):
-            arr = identity[:]
-            for (i, shift, limit), x in zip(plans, outputs):
-                while x >= limit:
-                    x = next(outputs)
-                    rejected += 1
-                j = i + (x >> shift)
-                arr[i], arr[j] = arr[j], arr[i]
-            out.append(arr[:w])
-        self._advance(len(plans) * count + rejected)
-        return out
+        drawn one after another (see shuffles)."""
+        return [arr[:w] for arr in islice(self.shuffles(range(n), w), count)]
 
     def shuffle_prefix(self, n: int, w: int) -> list:
         """First w entries of a uniform permutation of range(n) (Fisher-Yates)."""

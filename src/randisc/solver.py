@@ -9,7 +9,7 @@ u_1 = +1 on every platform.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, islice
 from math import comb
 
 import numpy as np
@@ -39,6 +39,8 @@ EXHAUSTIVE_CAP = 16
 MITM_M_CAP = 10
 _BLOCK_BITS = 16
 _PROBE_TRIES = 512
+# plain probe tries are drawn and tested this many at a time; balanced tries
+# are tested one at a time
 _PROBE_CHUNK = 32
 # |u . row| <= max entry * n bounds every partial sum, offset and probe
 # value; below this the int64 arithmetic cannot wrap
@@ -206,9 +208,10 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False):
     """Feasibility of ||Au||_inf <= r via meet in the middle.
 
     Returns (feasible, witness or None).  A short deterministic probe of
-    random candidate vectors runs first so feasible instances in
-    solution-rich regimes exit early; the full scan is the proof of
-    infeasibility.
+    random candidate vectors runs first (_probe) so feasible instances in
+    solution-rich regimes exit early: balanced tries are tested one at a
+    time on packed integer row sums, so it stops at the try that hits.  The
+    full scan is the proof of infeasibility.
 
     The full scan matches the per-row sums of the first n//2 columns' sign
     vectors (left) with those of the rest (right).  Each half is a tree of
@@ -264,31 +267,60 @@ def _probe(A, r, balanced_only, mat):
     """First of _PROBE_TRIES random sign vectors, in draw order, with
     ||Au||_inf <= r; None when every try misses.
 
-    Tries come from one stream seeded by the matrix and are drawn and tested
-    _PROBE_CHUNK at a time, so a hit costs only the chunks up to it.
-    Balanced tries put +1 on the first n/2 entries of a uniform permutation,
-    the others take the low bit of one output per coordinate.
+    Tries come from one stream seeded by the matrix.  Balanced tries put +1
+    on the first n/2 entries of a uniform permutation (Stream.shuffles) and
+    are tested one at a time (see _balanced_probe), so a hit ends the probe
+    at that try.  Plain tries take the low bit of one output per coordinate
+    and are drawn and tested _PROBE_CHUNK at a time, so a hit costs only the
+    chunks up to it.
     """
-    n = A.n
     key = mix64(A.m)
     for v in A.entries:
         key = mix64(key ^ (v + 0x9E3779B97F4A7C15))
     stream = Stream(derive_key(key, r, int(balanced_only)))
-    half = n // 2
-    try_of_col = np.repeat(np.arange(_PROBE_CHUNK), half)
+    if balanced_only:
+        return _balanced_probe(A, r, stream)
     for _ in range(_PROBE_TRIES // _PROBE_CHUNK):
-        if balanced_only:
-            tries = np.full((_PROBE_CHUNK, n), -1, dtype=np.int8)
-            prefixes = stream.shuffle_prefixes(n, half, _PROBE_CHUNK)
-            cols = np.fromiter(chain.from_iterable(prefixes), np.intp, _PROBE_CHUNK * half)
-            tries[try_of_col, cols] = 1
-        else:
-            low = (stream.block(_PROBE_CHUNK * n) & np.uint64(1)).astype(np.int8)
-            tries = (1 - 2 * low).reshape(_PROBE_CHUNK, n)
+        low = (stream.block(_PROBE_CHUNK * A.n) & np.uint64(1)).astype(np.int8)
+        tries = (1 - 2 * low).reshape(_PROBE_CHUNK, A.n)
         vals = np.abs(tries.astype(np.int64) @ mat.T).max(axis=1)
         hits = np.flatnonzero(vals <= r)
         if hits.size:
             return SignVector(tuple(tries[hits[0]].tolist()), balanced_only)
+    return None
+
+
+def _balanced_probe(A, r, stream):
+    """The balanced tries of _probe, each tested with a few int operations.
+
+    Column c is one int: row k's entry in a field of B bits at n + k B, and
+    1 << c below them, so a try's '+' columns sum to every row's '+' sum S_k
+    and the try's signs.  |2 S_k - R_k| <= r for the row sum R_k is
+    lo_k <= S_k <= hi_k, with lo_k = ceil((R_k - r)/2) and hi_k =
+    floor((R_k + r)/2) clamped to [0, R_k], which S_k never leaves.  A
+    field starts at S_k - lo_k + G with G = 2^(B-1) > every R_k, so it
+    stays in [0, 2G), and its top (guard) bit tells S_k >= lo_k; once all
+    are set, taking hi_k - lo_k + 1 off each field borrows from none, and a
+    guard bit left set tells S_k > hi_k."""
+    n, half, rows = A.n, A.n // 2, A.rows()
+    sums = [sum(row) for row in rows]
+    lo = [max(0, (s - r + 1) // 2) for s in sums]
+    hi = [min(s, (s + r) // 2) for s in sums]
+    if any(a > b for a, b in zip(lo, hi)):
+        return None  # r = 0 and an odd row sum: no try can hit
+    width = max(sums).bit_length() + 1
+    guard = 1 << (width - 1)
+    offs = range(n, n + A.m * width, width)
+    cols = [1 << c for c in range(n)]
+    for row, off in zip(rows, offs):
+        cols = [col | v << off for col, v in zip(cols, row)]
+    guards = sum(guard << off for off in offs)
+    base = sum((guard - a) << off for a, off in zip(lo, offs))
+    span = sum((b - a + 1) << off for a, b, off in zip(lo, hi, offs))
+    for t in islice(stream.shuffles(cols, half), _PROBE_TRIES):
+        s = sum(t[:half], base)
+        if (s & guards) == guards and not (s - span) & guards:
+            return SignVector(tuple(1 if s >> c & 1 else -1 for c in range(n)), True)
     return None
 
 

@@ -278,13 +278,15 @@ def _band_numerators(bd, targets):
     """(nums, den): the superposed inverse sum_t f_t is nums[s] / den for
     s = 0..w+1.  f_t(s) = mu_t lo[s] for s <= t and mu_t hi[s] above, so
     nums[s] = lo_num[s] mu(targets >= s) + hi_num[s] mu(targets < s) over
-    the law's counts, and den = mu.den times the rows' denominator."""
+    the law's counts, and den = mu.den times the rows' denominator.  Every
+    target is checked before the spec's tables are looked up."""
     w = bd.w
+    for t in targets:
+        _check_target(w, t)
     mu = stationary_pmf(bd)
     lo, hi, den = _inverse_rows(bd)
     mass = [0] * (w + 2)  # mass[t]: mu's count at t, once per listing of t
     for t in targets:
-        _check_target(w, t)
         mass[t] += mu.counts[t]
     above, below, nums = sum(mass), 0, []
     for s in range(w + 2):

@@ -238,11 +238,11 @@ def random_birth_death(rng, w):
 def check_inverse_guarantees(bd, t, with_oracle=True):
     """All four inverse guarantees, exactly; optionally cross-check against
     a forward-substitution linear solve."""
-    mu = stein.stationary_pmf(bd)
+    mt = stein.stationary_pmf(bd)[t]  # a fresh Fraction per read: read once
     sol = stein.stein_invert(bd, t)
     image = stein.stein_apply(bd, sol.f)
     for s in range(bd.w + 1):
-        assert image[s] == (1 if s == t else 0) - mu[t]
+        assert image[s] == (1 if s == t else 0) - mt
     f = sol.f
     for s in range(bd.w + 1):
         assert f[s] <= 0 if s <= t else f[s] >= 0
@@ -257,7 +257,7 @@ def check_inverse_guarantees(bd, t, with_oracle=True):
     if with_oracle:
         oracle = [Fraction(0)] * (bd.w + 2)
         for s in range(bd.w):
-            target = (1 if s == t else 0) - mu[t]
+            target = (1 if s == t else 0) - mt
             oracle[s + 1] = (target + bd.b[s] * oracle[s]) / bd.a[s]
         assert list(sol.f) == oracle
 

@@ -3,6 +3,7 @@ published SplitMix64 vector and the scalar references in helpers.py."""
 
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -116,6 +117,21 @@ def test_shuffle_prefixes_equal_reference_fisher_yates(case):
     assert fused.next64() == ref.next64()
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_shuffles())
+@example((33, 1, 40, 3))
+@example((28, 14, 40, 5))  # two shifts: bounds 28..17 and 16..15
+def test_shuffles_generator_equals_reference_over_items(case):
+    n, w, count, key = case
+    items = [("col", 3 * j + 1) for j in range(n)]
+    gen, ref = Stream(key), RefSplitMix64(key)
+    got = list(islice(gen.shuffles(items, w), count))
+    want = _reference_prefixes(ref, n, w, count)
+    assert [arr[:w] for arr in got] == [[items[j] for j in prefix] for prefix in want]
+    assert all(sorted(arr) == items for arr in got)  # fresh whole lists
+    assert gen.next64() == ref.next64()
+
+
 def test_shuffle_prefixes_example_refills():
     # the first block holds 1.5 outputs per draw; this run takes more.  The
     # counter moves by GOLDEN per output, and GOLDEN is odd, so it inverts.
@@ -169,3 +185,50 @@ def test_probe_matches_scalar_reference_at_phase_sizes(n):
         hits += want is not None
         misses += want is None
     assert hits and misses
+
+
+def _edge_probe_cases():
+    rng = random.Random(24)
+
+    def bern(m, n):
+        return [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+
+    cases = []
+    for n in (2, 4, 10, 16):
+        # entries up to 2**40: scaled 0/1 rows meet r = 2**40 as 0/1 rows
+        # meet r = 1, and one small row breaks the scaling
+        big = [[v << 40 for v in row] for row in bern(3, n)]
+        cases += [(big, 1 << 40), (big, (1 << 40) - 1), (big + [[rng.randint(0, 3) for _ in range(n)]], 1 << 40)]
+        cases += [([[rng.randint(0, 1 << 40) for _ in range(n)] for _ in range(2)], r) for r in (1 << 40, 1 << 41)]
+    for m in (8, 9, 10):
+        cases += [(bern(m, 12), r) for r in (1, 2, 3)]
+    zero = [[0] * 10]
+    cases += [(zero, 0), (zero + bern(2, 10), 1), (bern(2, 10) + zero * 3, 0)]
+    cases += [([[1, 0, 1, 1, 0, 0]], 0), ([[1, 1, 0, 0], [1, 0, 0, 0]], 0)]  # odd row sums
+    cases += [([[a, b]], r) for a in (0, 1, 5) for b in (0, 2, 5) for r in (0, 2)]
+    for rows in (bern(4, 12), [[rng.randint(0, 9) for _ in range(8)] for _ in range(5)]):
+        top = max(map(sum, rows))
+        cases += [(rows, top - d) for d in (1, 2, 3) if top - d >= 0]
+    return cases
+
+
+@pytest.mark.parametrize("balanced", [True, False])
+def test_probe_matches_scalar_reference_at_the_edges(balanced):
+    hits = misses = 0
+    for rows, r in _edge_probe_cases():
+        A = ensembles.IntMatrix.from_rows(rows)
+        got = solver._probe(A, r, balanced, A.to_numpy())
+        want = reference_probe(rows, r, balanced)
+        assert (got.signs if got else None) == want, (rows, r)
+        hits += want is not None
+        misses += want is None
+    assert hits > 20 and misses > 10
+
+
+def test_balanced_probe_with_an_odd_row_sum_at_radius_0_draws_nothing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew a try")
+
+    monkeypatch.setattr(Stream, "shuffles", no_draws)
+    A = ensembles.IntMatrix.from_rows([[1, 0, 1, 1], [1, 1, 0, 0]])
+    assert solver._probe(A, 0, True, A.to_numpy()) is None

@@ -142,6 +142,18 @@ def test_non_integer_target_is_a_parameter_error(t):
         stein.band_inverse(bd, [3, t])
 
 
+@pytest.mark.parametrize("bad", ["non-integer", "outside"])
+def test_band_inverse_checks_targets_before_building_tables(bad):
+    # a spec no other test builds, so a table lookup would add an entry (or,
+    # in a full cache, a miss)
+    bd = stein.BirthDeathSpec(5, (F(17, 3), 5, 4, 3, 2, 0), (0, 1, 2, 3, 4, F(29, 7)))
+    t = 2.0 if bad == "non-integer" else bd.w
+    before = [f.cache_info() for f in (stein._inverse_table, stein._inverse_rows)]
+    with pytest.raises(ParameterError):
+        stein.band_inverse(bd, [t])
+    assert [f.cache_info() for f in (stein._inverse_table, stein._inverse_rows)] == before
+
+
 def _target_order(order, w, rng):
     ts = list(range(1, w))
     if order == "descending":
