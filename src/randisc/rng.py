@@ -12,7 +12,7 @@ weights (a_0, ..., a_k) hits index i with probability exactly a_i / sum(a).
 
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate
 
 import numpy as np
 
@@ -163,11 +163,12 @@ class Stream:
 
         The outputs are read ahead of the state at the first shuffle, and the
         state moves past each shuffle's outputs before it is yielded, so it
-        is where shuffle_prefixes leaves it; the stream takes no other draw
-        until the last shuffle is read.  A draw below b = n - i tests the top
-        k bits of an output, x >> shift < b, which is below_many's test
-        x < b << shift: numpy shifts each block of outputs once per distinct
-        shift (at most two when w <= n/2), so the walk compares small ints."""
+        is where the shuffles' below() draws one at a time leave it; the
+        stream takes no other draw until the last shuffle is read.  A draw
+        below b = n - i tests the top k bits of an output, x >> shift < b,
+        which is below_many's test x < b << shift: numpy shifts each block of
+        outputs once per distinct shift (at most two when w <= n/2), so the
+        walk compares small ints."""
         items = list(items)
         plans = _fisher_yates_plans(len(items), w)
         tops = {shift: [] for _, shift, _ in plans}  # the read outputs' tops, per shift
@@ -201,14 +202,9 @@ class Stream:
             self._state = (start + (dropped + pos) * _GOLDEN) & MASK64
             yield arr
 
-    def shuffle_prefixes(self, n: int, w: int, count: int) -> list:
-        """First w entries of each of `count` uniform permutations of range(n),
-        drawn one after another (see shuffles)."""
-        return [arr[:w] for arr in islice(self.shuffles(range(n), w), count)]
-
     def shuffle_prefix(self, n: int, w: int) -> list:
         """First w entries of a uniform permutation of range(n) (Fisher-Yates)."""
-        return self.shuffle_prefixes(n, w, 1)[0]
+        return next(self.shuffles(range(n), w))[:w]
 
 
 class IntegerTable:

@@ -9,8 +9,9 @@ u_1 = +1 on every platform.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
 from math import comb
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,9 +40,6 @@ EXHAUSTIVE_CAP = 16
 MITM_M_CAP = 10
 _BLOCK_BITS = 16
 _PROBE_TRIES = 512
-# plain probe tries are drawn and tested this many at a time; balanced tries
-# are tested one at a time
-_PROBE_CHUNK = 32
 # |u . row| <= max entry * n bounds every partial sum, offset and probe
 # value; below this the int64 arithmetic cannot wrap
 _INT64_SUM_LIMIT = 1 << 62
@@ -209,9 +207,9 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False):
 
     Returns (feasible, witness or None).  A short deterministic probe of
     random candidate vectors runs first (_probe) so feasible instances in
-    solution-rich regimes exit early: balanced tries are tested one at a
-    time on packed integer row sums, so it stops at the try that hits.  The
-    full scan is the proof of infeasibility.
+    solution-rich regimes exit early: each try is tested on packed integer
+    row sums, so it stops at the try that hits.  The full scan is the proof
+    of infeasibility.
 
     The full scan matches the per-row sums of the first n//2 columns' sign
     vectors (left) with those of the rest (right).  Each half is a tree of
@@ -232,7 +230,7 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False):
         # any vector lands inside [-r, r] on every row
         signs = tuple(1 if j % 2 == 0 else -1 for j in range(A.n))
         return True, SignVector(signs, balanced_only)
-    hit = _probe(A, r, balanced_only, mat)
+    hit = _probe(A, r, balanced_only)
     if hit is None:
         signs = _scan(mat, r, balanced_only, count=False)
         if signs is None:
@@ -263,35 +261,16 @@ def _check_radius(A, r, balanced_only):
         raise ParameterError("balanced vectors require even n")
 
 
-def _probe(A, r, balanced_only, mat):
+def _probe(A, r, balanced_only):
     """First of _PROBE_TRIES random sign vectors, in draw order, with
     ||Au||_inf <= r; None when every try misses.
 
-    Tries come from one stream seeded by the matrix.  Balanced tries put +1
-    on the first n/2 entries of a uniform permutation (Stream.shuffles) and
-    are tested one at a time (see _balanced_probe), so a hit ends the probe
-    at that try.  Plain tries take the low bit of one output per coordinate
-    and are drawn and tested _PROBE_CHUNK at a time, so a hit costs only the
-    chunks up to it.
-    """
-    key = mix64(A.m)
-    for v in A.entries:
-        key = mix64(key ^ (v + 0x9E3779B97F4A7C15))
-    stream = Stream(derive_key(key, r, int(balanced_only)))
-    if balanced_only:
-        return _balanced_probe(A, r, stream)
-    for _ in range(_PROBE_TRIES // _PROBE_CHUNK):
-        low = (stream.block(_PROBE_CHUNK * A.n) & np.uint64(1)).astype(np.int8)
-        tries = (1 - 2 * low).reshape(_PROBE_CHUNK, A.n)
-        vals = np.abs(tries.astype(np.int64) @ mat.T).max(axis=1)
-        hits = np.flatnonzero(vals <= r)
-        if hits.size:
-            return SignVector(tuple(tries[hits[0]].tolist()), balanced_only)
-    return None
-
-
-def _balanced_probe(A, r, stream):
-    """The balanced tries of _probe, each tested with a few int operations.
+    Tries come from one stream seeded by the matrix.  A balanced try puts
+    +1 on the first n/2 entries of a uniform permutation (Stream.shuffles);
+    a plain try puts +1 where the low bit of one output per coordinate is
+    0, its outputs read ahead in blocks of 1, 2, 4, ... tries.  Each try is
+    tested with a few int operations, so the probe stops at the try that
+    hits.
 
     Column c is one int: row k's entry in a field of B bits at n + k B, and
     1 << c below them, so a try's '+' columns sum to every row's '+' sum S_k
@@ -301,8 +280,13 @@ def _balanced_probe(A, r, stream):
     field starts at S_k - lo_k + G with G = 2^(B-1) > every R_k, so it
     stays in [0, 2G), and its top (guard) bit tells S_k >= lo_k; once all
     are set, taking hi_k - lo_k + 1 off each field borrows from none, and a
-    guard bit left set tells S_k > hi_k."""
-    n, half, rows = A.n, A.n // 2, A.rows()
+    guard bit left set tells S_k > hi_k.
+    """
+    key = mix64(A.m)
+    for v in A.entries:
+        key = mix64(key ^ (v + 0x9E3779B97F4A7C15))
+    stream = Stream(derive_key(key, r, int(balanced_only)))
+    n, rows = A.n, A.rows()
     sums = [sum(row) for row in rows]
     lo = [max(0, (s - r + 1) // 2) for s in sums]
     hi = [min(s, (s + r) // 2) for s in sums]
@@ -317,10 +301,17 @@ def _balanced_probe(A, r, stream):
     guards = sum(guard << off for off in offs)
     base = sum((guard - a) << off for a, off in zip(lo, offs))
     span = sum((b - a + 1) << off for a, b, off in zip(lo, hi, offs))
-    for t in islice(stream.shuffles(cols, half), _PROBE_TRIES):
-        s = sum(t[:half], base)
+    if balanced_only:
+        tries = map(itemgetter(slice(0, n // 2)), stream.shuffles(cols, n // 2))
+    else:
+        # block k holds 2^k tries; together the blocks hold at least _PROBE_TRIES
+        one, blocks = np.uint64(1), range(_PROBE_TRIES.bit_length())
+        flags = ((stream.block(n << k) & one == 0).tobytes() for k in blocks)
+        tries = (compress(cols, f[i : i + n]) for f in flags for i in range(0, len(f), n))
+    for t in islice(tries, _PROBE_TRIES):
+        s = sum(t, base)
         if (s & guards) == guards and not (s - span) & guards:
-            return SignVector(tuple(1 if s >> c & 1 else -1 for c in range(n)), True)
+            return SignVector(tuple(1 if s >> c & 1 else -1 for c in range(n)), balanced_only)
     return None
 
 

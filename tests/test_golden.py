@@ -43,9 +43,9 @@ def test_gen_output_pinned(key, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GEN_SHA256[key]
 
 
-# Bernoulli(1/2) samples; the probe finds the first two at tries 118 and 133
-# (past the first few chunks), and misses the last two, whose witnesses come
-# from the full meet-in-the-middle scan.
+# Bernoulli(1/2) samples; the probe finds the first two at tries 118 and 133,
+# counted from 0 (past several read-ahead refills), and misses the last two,
+# whose witnesses come from the full meet-in-the-middle scan.
 _PROBE_ROWS = [
     "110000011001101011001001",
     "010110101000000101100100",
@@ -108,7 +108,7 @@ def test_full_scan_output_pinned(n, seed, argv, want, tmp_path, capsys):
          "--seed", seed, "--out", path], capsys)
     if argv[0] == "disc":
         A = ensembles.read_matrix(path)
-        assert solver._probe(A, 1, True, solver._int64_matrix(A)) is None
+        assert solver._probe(A, 1, True) is None
     assert run(argv + ["--in", path], capsys) == json.dumps(want) + "\n"
 
 

@@ -84,7 +84,8 @@ def test_below_rejects_empty_range():
 
 def test_shuffle_prefixes_equal_one_at_a_time():
     many, one = Stream(11), Stream(11)
-    assert many.shuffle_prefixes(9, 4, 25) == [one.shuffle_prefix(9, 4) for _ in range(25)]
+    prefixes = [arr[:4] for arr in islice(many.shuffles(range(9), 4), 25)]
+    assert prefixes == [one.shuffle_prefix(9, 4) for _ in range(25)]
     assert many.next64() == one.next64()
 
 
@@ -112,9 +113,11 @@ def _shuffles(draw):
 @example((64, 64, 40, 3))
 def test_shuffle_prefixes_equal_reference_fisher_yates(case):
     n, w, count, key = case
-    fused, ref = Stream(key), RefSplitMix64(key)
-    assert fused.shuffle_prefixes(n, w, count) == _reference_prefixes(ref, n, w, count)
-    assert fused.next64() == ref.next64()
+    fused, one, ref = Stream(key), Stream(key), RefSplitMix64(key)
+    want = _reference_prefixes(ref, n, w, count)
+    assert [arr[:w] for arr in islice(fused.shuffles(range(n), w), count)] == want
+    assert [one.shuffle_prefix(n, w) for _ in range(count)] == want
+    assert fused.next64() == one.next64() == ref.next64()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -143,7 +146,7 @@ def test_shuffle_prefixes_example_refills():
 
 def test_shuffle_prefix_longer_than_n_raises():
     with pytest.raises(ValueError):
-        Stream(1).shuffle_prefixes(3, 4, 1)
+        next(Stream(1).shuffles(range(3), 4))
     with pytest.raises(ValueError):
         Stream(1).shuffle_prefix(0, 1)
 
@@ -164,7 +167,7 @@ def test_probe_matches_scalar_reference():
         rows = [[rng.randint(0, top) for _ in range(n)] for _ in range(m)]
         r, balanced = rng.choice([0, 0, 1, 2]), rng.random() < 0.5
         A = ensembles.IntMatrix.from_rows(rows)
-        got = solver._probe(A, r, balanced, A.to_numpy())
+        got = solver._probe(A, r, balanced)
         want = reference_probe(rows, r, balanced)
         assert (got.signs if got else None) == want, (rows, r, balanced)
         hits += want is not None
@@ -179,7 +182,7 @@ def test_probe_matches_scalar_reference_at_phase_sizes(n):
     for m, r in [(4, 1), (4, 1), (4, 1), (6, 0), (6, 0)]:
         rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
         A = ensembles.IntMatrix.from_rows(rows)
-        got = solver._probe(A, r, True, A.to_numpy())
+        got = solver._probe(A, r, True)
         want = reference_probe(rows, r, True)
         assert (got.signs if got else None) == want, (rows, r)
         hits += want is not None
@@ -217,7 +220,7 @@ def test_probe_matches_scalar_reference_at_the_edges(balanced):
     hits = misses = 0
     for rows, r in _edge_probe_cases():
         A = ensembles.IntMatrix.from_rows(rows)
-        got = solver._probe(A, r, balanced, A.to_numpy())
+        got = solver._probe(A, r, balanced)
         want = reference_probe(rows, r, balanced)
         assert (got.signs if got else None) == want, (rows, r)
         hits += want is not None
@@ -225,10 +228,24 @@ def test_probe_matches_scalar_reference_at_the_edges(balanced):
     assert hits > 20 and misses > 10
 
 
-def test_balanced_probe_with_an_odd_row_sum_at_radius_0_draws_nothing(monkeypatch):
+@pytest.mark.parametrize("balanced", [True, False])
+def test_probe_with_an_odd_row_sum_at_radius_0_draws_nothing(balanced, monkeypatch):
     def no_draws(*args):
         raise AssertionError("drew a try")
 
     monkeypatch.setattr(Stream, "shuffles", no_draws)
+    monkeypatch.setattr(Stream, "block", no_draws)
     A = ensembles.IntMatrix.from_rows([[1, 0, 1, 1], [1, 1, 0, 0]])
-    assert solver._probe(A, 0, True, A.to_numpy()) is None
+    assert solver._probe(A, 0, balanced) is None
+
+
+def test_probe_finds_a_late_plain_hit():
+    # the plain hit is try 387, counted from 0: in the ninth block of
+    # outputs read ahead, which holds tries 255 to 510
+    rng = random.Random(0)
+    rows = [[rng.randint(0, 1) for _ in range(24)] for _ in range(6)]
+    A = ensembles.IntMatrix.from_rows(rows)
+    assert reference_probe(rows, 1, False, tries=387) is None
+    want = reference_probe(rows, 1, False, tries=388)
+    assert want is not None
+    assert solver._probe(A, 1, False).signs == want
