@@ -9,11 +9,9 @@ not depend on evaluation order or thread count.
 """
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from math import gcd
 
 from .errors import InvariantViolation, ParameterError, UnsupportedDistributionError
@@ -309,7 +307,7 @@ def couple_even_parity(A: IntMatrix, spec=None, seed=0, *, kind=None, param=None
             if x == 0:
                 raise InvariantViolation("decrement requested on an all-zero row")
             # a unit picked proportionally to value: on a 0/1 row, a uniform one
-            row[bisect_right(list(accumulate(row)), stream.below(x))] -= 1
+            row[IntegerTable(row).draw(stream)] -= 1
         out_rows.append(row)
     return IntMatrix.from_rows(out_rows)
 
@@ -327,7 +325,7 @@ def sample_fixed_weight(kind, n, w, seed):
     stream = Stream(derive_key(seed, _DOMAIN_FIXED))
     if kind == "poisson_with_replacement":
         row = [0] * n
-        for j in stream.below_many([n] * w):
+        for j in stream.below_many(n, w):
             row[j] += 1
         return row
     if kind == "bernoulli_without_replacement":

@@ -2,16 +2,17 @@
 
 Everything random in this package draws from SplitMix64 streams.  A stream's
 state is one 64-bit counter advanced by the golden-ratio increment, and its
-k-th output is mix64(key + k * golden), so child streams can be split off by
-hashing (key, index) pairs, per-row and per-trial substreams are reproducible
-regardless of evaluation order or thread count, and a run of outputs can be
-computed at once as a numpy uint64 block.  Integer draws use rejection
-sampling, which makes every discrete draw *exact*: a sample from rational
-weights (a_0, ..., a_k) hits index i with probability exactly a_i / sum(a).
+k-th output is mix64(key + k * golden), so child streams are split off by
+hashing (key, index) pairs, substreams do not depend on evaluation order or
+thread count, and a run of outputs is one numpy uint64 block.  Integer draws
+are exact rejection samples, masked out of a block when the bound is fixed
+(Stream.below_many) and walked with the Fisher-Yates swaps they drive when
+it varies (Stream.shuffles); so a sample from integer weights (a_0, ..., a_k)
+hits index i with probability exactly a_i / sum(a).
 """
 
 from bisect import bisect_right
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 
 import numpy as np
@@ -31,8 +32,7 @@ def mix64(z: int) -> int:
 
 
 # numpy scalars built once: building them per call costs more than a small block
-_U_GOLDEN, _U_M1, _U_M2 = (np.uint64(v) for v in (_GOLDEN, _M1, _M2))
-_U27, _U30, _U31 = (np.uint64(v) for v in (27, 30, 31))
+_U_GOLDEN, _U_M1, _U_M2, _U27, _U30, _U31 = map(np.uint64, (_GOLDEN, _M1, _M2, 27, 30, 31))
 # up to this many outputs, mix64 on Python ints beats one numpy block
 _SMALL_RUN = 12
 
@@ -56,7 +56,6 @@ def _plan(b):
     k = (b - 1).bit_length()
     words = (k + 63) >> 6
     shift = (words << 6) - k
-    # x < b << shift tests the top k bits of x against b
     return words, shift, b << shift
 
 
@@ -76,12 +75,9 @@ def _peek(state, skip, count):
     return _mix64_block(z)
 
 
-def _ahead(state, skip, count):
-    """_peek as a list of ints; short runs skip numpy, which costs more there."""
-    if count > _SMALL_RUN:
-        return _peek(state, skip, count).tolist()
-    z = state + skip * _GOLDEN
-    return [mix64(z + k * _GOLDEN) for k in range(1, count + 1)]
+def _join(words):
+    """The int whose 64-bit words, high first, are `words`."""
+    return reduce(lambda x, word: x << 64 | word, words)
 
 
 def derive_key(key: int, *path: int) -> int:
@@ -111,49 +107,54 @@ class Stream:
         self._state = (self._state + count * _GOLDEN) & MASK64
         return out
 
-    def below_many(self, bounds) -> list:
-        """Uniform integers on [0, b) for each b in the sequence `bounds`.
+    def below_many(self, b: int, count: int) -> list:
+        """`count` uniform integers on [0, b), exact via rejection.
 
-        Exact via rejection, walking the outputs in stream order: an attempt
-        at bound b joins ceil(k/64) outputs, high word first, keeps their top
-        k bits (k = bit length of b - 1) and is accepted when below b.  So a
-        bound of 1 takes no output, and each draw takes the outputs one
-        below(b) call would take; the state ends where those calls leave it.
-        """
-        out = []
-        outputs = []
-        have = pos = 0
-        plans = {}
-        for b in bounds:
-            plan = plans.get(b)
-            if plan is None:
-                plan = plans[b] = _plan(b)
-            words, shift, limit = plan
-            while True:
-                end = pos + words
-                if end > have:
-                    # about 1.5 attempts per draw left; each refill at
-                    # least doubles the total
-                    need = (len(bounds) - len(out)) * words * 3 // 2
-                    more = max(end - have, have, need)
-                    outputs += _ahead(self._state, have, more)
-                    have += more
+        An attempt joins ceil(k/64) outputs, high word first, keeps their top
+        k bits (k = bit length of b - 1) and is accepted when below b.  Each
+        attempt stands on its own outputs, so the draws and the end state are
+        those of `count` below(b) calls.  A block holds the attempts that the
+        draws still needed take on average (need * 2^k / b, rounded down); a
+        numpy block accepts by the high word, settles a tie with the limit's
+        exactly and joins only the accepted attempts into ints."""
+        words, shift, limit = _plan(b)
+        if not words:
+            return [0] * count
+        out, taken = [], 0
+        while len(out) < count:
+            need = count - len(out)
+            size = words * ((need << (words << 6)) // limit)  # need * 2^k / b attempts
+            if size > _SMALL_RUN:
+                z = _peek(self._state, taken, size)
+                high = z[::words]
+                top = (limit - 1) >> ((words - 1) << 6)  # the largest accepted high word
+                ok = high <= top
+                if words > 1:  # a tie with the limit's high word: 2^-64 per attempt
+                    for i in (high == top).nonzero()[0].tolist():
+                        ok[i] = _join(z[i * words : (i + 1) * words].tolist()) < limit
+                hits = ok.nonzero()[0][:need]
+                size = words * (int(hits[-1]) + 1) if len(hits) == need else size
                 if words == 1:
-                    x = outputs[pos]
-                else:
-                    x = 0
-                    for word in outputs[pos:end]:
-                        x = (x << 64) | word
-                pos = end
-                if x < limit:
-                    break
-            out.append(x >> shift)
-        self._state = (self._state + pos * _GOLDEN) & MASK64
+                    out += (z[hits] >> shift).tolist()
+                else:  # each accepted attempt's words as one big-endian bytes object
+                    rows = z.reshape(-1, words)[hits].astype(">u8").view(f"V{words << 3}")
+                    out += [int.from_bytes(x, "big") >> shift for x in rows.ravel().tolist()]
+            else:
+                z = [mix64(self._state + (taken + j) * _GOLDEN) for j in range(1, size + 1)]
+                for i in range(0, size, words):
+                    x = z[i] if words == 1 else _join(z[i : i + words])
+                    if x < limit:
+                        out.append(x >> shift)
+                        if len(out) == count:
+                            size = i + words
+                            break
+            taken += size
+        self._state = (self._state + taken * _GOLDEN) & MASK64
         return out
 
     def below(self, n: int) -> int:
         """Uniform integer on [0, n), exact via rejection."""
-        return self.below_many((n,))[0]
+        return self.below_many(n, 1)[0]
 
     def shuffles(self, items, w: int):
         """Endless uniform shuffles of `items`, drawn one after another by
@@ -161,14 +162,11 @@ class Stream:
         fresh list of the items after each shuffle's first w swaps, so its
         first w entries are a uniform w-prefix.
 
-        The outputs are read ahead of the state at the first shuffle, and the
-        state moves past each shuffle's outputs before it is yielded, so it
-        is where the shuffles' below() draws one at a time leave it; the
-        stream takes no other draw until the last shuffle is read.  A draw
-        below b = n - i tests the top k bits of an output, x >> shift < b,
-        which is below_many's test x < b << shift: numpy shifts each block of
-        outputs once per distinct shift (at most two when w <= n/2), so the
-        walk compares small ints."""
+        The outputs are read ahead of the state at the first shuffle, so the
+        stream takes no other draw until the last shuffle is read; before each
+        yield the state moves past that shuffle's outputs, to where one draw
+        at a time leaves it.  Each block is shifted once per distinct shift
+        (at most two when w <= n/2) and a draw tests x >> shift < b."""
         items = list(items)
         plans = _fisher_yates_plans(len(items), w)
         tops = {shift: [] for _, shift, _ in plans}  # the read outputs' tops, per shift
@@ -213,7 +211,7 @@ class IntegerTable:
     __slots__ = ("cum", "total")
 
     def __init__(self, weights):
-        if not weights or any(v < 0 for v in weights):
+        if not weights or min(weights) < 0:
             raise ValueError("weights must be nonempty and nonnegative")
         self.cum = list(accumulate(weights))
         self.total = self.cum[-1]
@@ -222,7 +220,7 @@ class IntegerTable:
 
     def draw_many(self, stream: Stream, count: int) -> list:
         cum = self.cum
-        return [bisect_right(cum, x) for x in stream.below_many([self.total] * count)]
+        return [bisect_right(cum, x) for x in stream.below_many(self.total, count)]
 
     def draw(self, stream: Stream) -> int:
-        return self.draw_many(stream, 1)[0]
+        return bisect_right(self.cum, stream.below(self.total))

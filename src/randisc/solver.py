@@ -268,9 +268,9 @@ def _probe(A, r, balanced_only):
     Tries come from one stream seeded by the matrix.  A balanced try puts
     +1 on the first n/2 entries of a uniform permutation (Stream.shuffles);
     a plain try puts +1 where the low bit of one output per coordinate is
-    0, its outputs read ahead in blocks of 1, 2, 4, ... tries.  Each try is
-    tested with a few int operations, so the probe stops at the try that
-    hits.
+    0, its outputs read ahead in blocks of 1, 2, 4, ... tries, the last cut
+    to _PROBE_TRIES in all.  Each try is tested with a few int operations,
+    so the probe stops at the try that hits.
 
     Column c is one int: row k's entry in a field of B bits at n + k B, and
     1 << c below them, so a try's '+' columns sum to every row's '+' sum S_k
@@ -304,9 +304,10 @@ def _probe(A, r, balanced_only):
     if balanced_only:
         tries = map(itemgetter(slice(0, n // 2)), stream.shuffles(cols, n // 2))
     else:
-        # block k holds 2^k tries; together the blocks hold at least _PROBE_TRIES
+        # block k holds 2^k tries, the last only the tries still needed
         one, blocks = np.uint64(1), range(_PROBE_TRIES.bit_length())
-        flags = ((stream.block(n << k) & one == 0).tobytes() for k in blocks)
+        sizes = (min(1 << k, _PROBE_TRIES + 1 - (1 << k)) for k in blocks)
+        flags = ((stream.block(n * t) & one == 0).tobytes() for t in sizes)
         tries = (compress(cols, f[i : i + n]) for f in flags for i in range(0, len(f), n))
     for t in islice(tries, _PROBE_TRIES):
         s = sum(t, base)

@@ -15,11 +15,9 @@ Functions are extended by f(w+1) := 0, which is consistent because every
 operator identity multiplies f(w+1) by a coefficient that vanishes at s = w.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import comb, exp, log, sqrt
 
 from .errors import ParameterError
@@ -32,7 +30,7 @@ from .locallimits import (
     over_one_denominator,
 )
 from .moments import OverlapScenario, _label_weights, _sb_sc_laws
-from .rng import Stream, derive_key
+from .rng import IntegerTable, Stream, derive_key
 
 _DOMAIN_CHAIN = 0xCA
 
@@ -531,11 +529,6 @@ def _move_weights(case, labels, counts, x, conditioned):
     return weights
 
 
-def _pick(stream, weights):
-    """First index whose cumulative weight exceeds a uniform draw below the total."""
-    return bisect_right(list(accumulate(weights)), stream.below(sum(weights)))
-
-
 def _move(counts, x, y):
     """Counts after one x-labelled draw turns into a y-labelled one."""
     moved = list(counts)
@@ -556,9 +549,9 @@ def pair_chain_step(case, scenario, sigma: PairCounts, conditioned, seed) -> Pai
     _validate_sigma(scenario, sigma, conditioned)
     stream = Stream(derive_key(seed, _DOMAIN_CHAIN))
     counts = sigma.as_tuple()
-    x = _pick(stream, counts)
+    x = IntegerTable(counts).draw(stream)
     labels = _label_weights(scenario)
-    y = _pick(stream, _move_weights(case, labels, counts, x, conditioned))
+    y = IntegerTable(_move_weights(case, labels, counts, x, conditioned)).draw(stream)
     return PairCounts(*_move(counts, x, y))
 
 

@@ -43,6 +43,25 @@ def test_gen_output_pinned(key, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GEN_SHA256[key]
 
 
+FIXED_WEIGHT_ROWS = {
+    ("poisson_with_replacement", 40, 25, 3): [
+        0, 1, 1, 0, 0, 1, 1, 2, 1, 0, 1, 1, 0, 1, 0, 1, 0, 3, 0, 1,
+        2, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1,
+    ],
+    ("bernoulli_without_replacement", 40, 17, 3): [
+        0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1,
+        0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1,
+    ],
+    # 300 draws below 7: the first block falls short, so the run refills
+    ("poisson_with_replacement", 7, 300, 5): [39, 34, 50, 47, 44, 48, 38],
+}
+
+
+@pytest.mark.parametrize("key", sorted(FIXED_WEIGHT_ROWS))
+def test_fixed_weight_row_pinned(key):
+    assert ensembles.sample_fixed_weight(*key) == FIXED_WEIGHT_ROWS[key]
+
+
 # Bernoulli(1/2) samples; the probe finds the first two at tries 118 and 133,
 # counted from 0 (past several read-ahead refills), and misses the last two,
 # whose witnesses come from the full meet-in-the-middle scan.

@@ -1,5 +1,6 @@
-"""The numpy SplitMix64 blocks and the shared rejection walk, against the
-published SplitMix64 vector and the scalar references in helpers.py."""
+"""The numpy SplitMix64 blocks, the rejection draws and the shuffles' walk,
+against the published SplitMix64 vector and the scalar references in
+helpers.py."""
 
 import random
 from fractions import Fraction as F
@@ -52,26 +53,75 @@ def test_below_many_equals_sequential_draws(key):
     bounds = _bounds() * 3
     random.Random(key).shuffle(bounds)
     batched, scalar, ref = Stream(key), Stream(key), RefSplitMix64(key)
-    draws = batched.below_many(bounds)
-    assert draws == [scalar.below(b) for b in bounds]
-    assert draws == [ref.below(b) for b in bounds]
-    assert all(0 <= x < b for x, b in zip(draws, bounds))
+    for b in bounds:
+        draws = batched.below_many(b, 3)
+        assert draws == [scalar.below(b) for _ in range(3)]
+        assert draws == [ref.below(b) for _ in range(3)]
+        assert all(0 <= x < b for x in draws)
     assert batched.next64() == scalar.next64() == ref.next64()
 
 
 def test_below_many_long_run_refills_exactly():
-    # 116-bit draws need two words and reject up to half the time, so the
-    # walk runs past its first block
+    # 116-bit draws need two words and reject about a quarter of the time, so
+    # the run refills its first block
     total = ensembles._entry_table("poisson", F(5, 2)).total
-    bounds = [total, 2**64 + 1, 3] * 400
     batched, ref = Stream(99), RefSplitMix64(99)
-    assert batched.below_many(bounds) == [ref.below(b) for b in bounds]
+    for b in (total, 2**64 + 1, 3):
+        assert batched.below_many(b, 400) == [ref.below(b) for _ in range(400)]
     assert batched.next64() == ref.next64()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_bounds()), st.integers(0, 300), st.integers(0, MASK64))
+def test_below_many_equals_reference_one_draw_at_a_time(b, count, key):
+    batched, ref = Stream(key), RefSplitMix64(key)
+    assert batched.below_many(b, count) == [ref.below(b) for _ in range(count)]
+    assert batched.next64() == ref.next64()
+
+
+def _unmix64(y):
+    """The inverse of SplitMix64's finalizer."""
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    y = unshift(y, 31) * pow(0x94D049BB133111EB, -1, 2**64) & MASK64
+    y = unshift(y, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) & MASK64
+    return unshift(y, 30)
+
+
+def test_attempts_at_the_limit_settle_exactly():
+    # keys chosen so that one attempt's high word is the largest accepted
+    # high word, or one past it: a multi-word tie (2**-64 per attempt at
+    # random) is settled by the low words, both ways
+    table_total = ensembles._entry_table("poisson", F(5, 2)).total
+    settled = set()
+    for b in (3, 2**63 + 1, 2**64 + 1, table_total, 2**128):
+        k = (b - 1).bit_length()
+        words = -(-k // 64)
+        last = (b << (64 * words - k)) - 1  # the largest accepted attempt
+        top = last >> (64 * (words - 1))
+        for high in {top, min(top + 1, MASK64)}:
+            for attempt in range(6):
+                j = 1 + attempt * words  # the attempt's high word is output j
+                key = (_unmix64(high) - j * GOLDEN) & MASK64
+                outputs = Stream(key).block(j + words - 1).tolist()[j - 1 :]
+                assert outputs[0] == high
+                if words > 1 and high == top:
+                    settled.add(int("".join(f"{w:016x}" for w in outputs), 16) <= last)
+                for count in (attempt + 1, 40):  # a short run and a numpy block
+                    s, ref = Stream(key), RefSplitMix64(key)
+                    assert s.below_many(b, count) == [ref.below(b) for _ in range(count)]
+                    assert s.next64() == ref.next64()
+    assert settled == {True, False}
 
 
 def test_bound_one_takes_no_output():
     s, ref = Stream(5), RefSplitMix64(5)
-    assert s.below_many([1, 1, 1]) == [0, 0, 0]
+    assert s.below_many(1, 3) == [0, 0, 0]
     assert s.next64() == ref.next64()
 
 
@@ -79,7 +129,7 @@ def test_below_rejects_empty_range():
     with pytest.raises(ValueError):
         Stream(1).below(0)
     with pytest.raises(ValueError):
-        Stream(1).below_many([3, 0])
+        Stream(1).below_many(0, 3)
 
 
 def test_shuffle_prefixes_equal_one_at_a_time():
@@ -249,3 +299,18 @@ def test_probe_finds_a_late_plain_hit():
     want = reference_probe(rows, 1, False, tries=388)
     assert want is not None
     assert solver._probe(A, 1, False).signs == want
+
+
+def test_plain_probe_miss_reads_only_its_tries(monkeypatch):
+    # an even row sum, so the probe draws, but no plain vector meets r = 0
+    reads = []
+    block = Stream.block
+
+    def counted(self, count):
+        reads.append(count)
+        return block(self, count)
+
+    monkeypatch.setattr(Stream, "block", counted)
+    A = ensembles.IntMatrix.from_rows([[3, 1, 0, 0, 0, 0, 0, 0]])
+    assert solver._probe(A, 0, False) is None
+    assert sum(reads) == solver._PROBE_TRIES * 8

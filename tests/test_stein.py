@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,6 @@ from randisc import moments as mo
 from randisc import stein
 from randisc.errors import ParameterError
 from randisc.locallimits import LatticePoint, hypergeometric_pmf
-from randisc.rng import Stream
 
 
 def scenario_poisson(w, beta, radius=0, n=None):
@@ -361,42 +361,36 @@ def test_conditioned_stats_identities_against_moments(case, scen):
 
 
 def test_conditioned_stats_monte_carlo_oracle():
-    # urn draws rejected on the type counts reproduce mu_c, g1 and g2
+    # urn draws rejected on the type counts reproduce mu_c, g1 and g2; the
+    # draws come from numpy's generator, so the oracle shares no code with rng
     n, w, beta = 8, 4, F(3, 4)
     scen = scenario_bernoulli(n, w, beta)
     st = stein.conditioned_pair_stats("bernoulli", scen)
-    type_of = [0] * 6 + [1] * 2  # beta*n/2 = 3 of (+,+); gamma*n/2 = 1 of (+,-) per half
-    # classes: indices 0..2 (v+,u+), 3..5 (v-,u-), 6 (v+,u-), 7 (v-,u+)
-    u_neg = {3, 4, 5, 6}
-    v_pos = {0, 1, 2, 6}
-    trials = 0
+    # beta*n/2 = 3 of (+,+); gamma*n/2 = 1 of (+,-) per half.  Classes:
+    # indices 0..2 (v+,u+), 3..5 (v-,u-), 6 (v+,u-), 7 (v-,u+)
+    u_neg = np.isin(np.arange(n), [3, 4, 5, 6])
+    v_pos = np.isin(np.arange(n), [0, 1, 2, 6])
     want = 400000
-    hist = {}
-    g1_hat = [0.0] * (w + 1)
-    g2_hat = [0.0] * (w + 1)
-    stream = Stream(20240817)
-    while trials < want:
-        arr = list(range(n))
-        for i in range(w):
-            j = i + stream.below(n - i)
-            arr[i], arr[j] = arr[j], arr[i]
-        pos = arr[:w]
-        if sum(1 for j in pos if j in v_pos) != w // 2:
-            continue
-        trials += 1
-        sb = sum(1 for j in pos if j in v_pos and j in u_neg)
-        sc = sum(1 for j in pos if j not in v_pos and j in u_neg)
-        s = sb + sc
-        hist[s] = hist.get(s, 0) + 1
-        g1_hat[s] += sc - sb
-        g2_hat[s] += (sc - sb) ** 2
+    gen = np.random.default_rng(20240817)
+    kept = []
+    while sum(map(len, kept)) < want:
+        # the first w of a uniform permutation (argsort of uniform keys)
+        pos = gen.random((want, n)).argsort(axis=1)[:, :w]
+        kept.append(pos[v_pos[pos].sum(axis=1) == w // 2])
+    pos = np.concatenate(kept)[:want]
+    sb = (v_pos & u_neg)[pos].sum(axis=1)
+    sc = (~v_pos & u_neg)[pos].sum(axis=1)
+    total, diff = sb + sc, sc - sb
+    hist = np.bincount(total, minlength=w + 1)
+    g1_hat = np.bincount(total, weights=diff, minlength=w + 1)
+    g2_hat = np.bincount(total, weights=diff * diff, minlength=w + 1)
     probs = [st.muc[s] for s in range(w + 1)]
-    assert chi_square_pvalue([hist.get(s, 0) for s in range(w + 1)], probs, trials) > 0.001
+    assert chi_square_pvalue(hist.tolist(), probs, want) > 0.001
     for s in range(w + 1):
         if st.muc[s] == 0:
             continue
-        assert abs(g1_hat[s] / trials - float(st.g1[s])) < 0.01
-        assert abs(g2_hat[s] / trials - float(st.g2[s])) < 0.02
+        assert abs(g1_hat[s] / want - float(st.g1[s])) < 0.01
+        assert abs(g2_hat[s] / want - float(st.g2[s])) < 0.02
 
 
 def _criterion_2_grid():
