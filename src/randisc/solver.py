@@ -31,13 +31,15 @@ ENUMERATION_CAP = 26
 #   22  2.9 / 1.1  5.1 / 3.6  6.8 / 9.4
 #   26  9.4 / 0.8  14 / 5.1   24 / 20
 # The join leads past n = 16 at m <= 6 and is at most 2x behind at m = 10.
-# It recurses once per row offset in [-r, r] that some pair meets, so a
-# wider radius costs it far more: at n = 18, m = 10 it took 0.19-0.33 s at
-# r = 2 and 1.2-1.8 s at r = 3, against 3-6 ms for the blocks
+# It walks one stack frame per row offset in [-r, r] that some pair meets,
+# so a wider radius costs it far more: at n = 18, m = 10 it took 0.19-0.33 s
+# at r = 2 and 1.2-1.8 s at r = 3, against 3-6 ms for the blocks.  Past 10
+# rows the blocks lead up to ENUMERATION_CAP (seeds 0-2, join / blocks in
+# ms): at m = 12, 20 and 50, r = 1, the join took 0.4-3.7x the blocks' time
+# (m = 12, n = 26: 14-46 / 24-31); at r = 2, 345-1,111 / 3-4 at n = 18 and
+# 1,576-34,570 / 15-28 at n = 26 (m = 12 and 20)
 EXHAUSTIVE_CAP = 16
-# _Join.descend takes one Python frame per row: at small n the memory budget
-# alone would admit files of thousands of rows and a RecursionError
-MITM_M_CAP = 10
+BLOCKS_FASTER_PAST_M = 10  # count_solutions counts more rows by the blocks, to ENUMERATION_CAP
 _BLOCK_BITS = 16
 _PROBE_TRIES = 512
 # |u . row| <= max entry * n bounds every partial sum, offset and probe
@@ -114,11 +116,12 @@ def max_abs_row_sum(A):
     return max(sum(A.row(i)) for i in range(A.m))
 
 
-def _check_budget(what, n, m, limit, past_limit, est):
-    """Refuse `what` past `limit` or a fitted peak of est bytes past MEMORY_BUDGET."""
-    if past_limit or est > MEMORY_BUDGET:
+def _check_budget(what, n, m, est, n_cap=None):
+    """Refuse `what` past a fitted peak of est bytes or past n_cap columns."""
+    if est > MEMORY_BUDGET or (n_cap and n > n_cap):
+        limit = f"n<={n_cap} and " if n_cap else ""
         raise CapacityError(
-            f"{what} refused at n={n}, m={m}: it takes {limit} and {MEMORY_BUDGET >> 20} MiB",
+            f"{what} refused at n={n}, m={m}: it takes {limit}{MEMORY_BUDGET >> 20} MiB",
             estimate=f"~{est / 1e6:.0f} MB peak memory",
         )
 
@@ -143,7 +146,7 @@ def _exhaustive_blocks(mat, balanced_only):
     # part, its balanced groups and one block's sums take at most 24 bytes
     # (n = 17, 143 rows: 182 MB against 267 MB; 50 MB with 0/1 entries)
     est = 25.0 * m * 2**lo_w + 33e6
-    _check_budget("exhaustive search", n, m, f"n<={ENUMERATION_CAP}", n > ENUMERATION_CAP, est)
+    _check_budget("exhaustive search", n, m, est, ENUMERATION_CAP)
     dtype = np.min_scalar_type(-1 - int(mat.sum(axis=1).max()))
     hi_w = n - 1 - lo_w
     lo_part = _signed_sums(mat[:, 1 + hi_w :], dtype)
@@ -186,9 +189,10 @@ def disc_exhaustive(A: IntMatrix, balanced_only=False) -> SolveResult:
 def count_solutions(A: IntMatrix, r, cap=EXHAUSTIVE_CAP) -> int:
     """Exact number of balanced u with ||Au||_inf <= r: by the
     meet-in-the-middle join past `cap` columns, by the exhaustive blocks up
-    to it and for files of more than MITM_M_CAP rows that they can take."""
+    to it, and up to ENUMERATION_CAP for files of more than
+    BLOCKS_FASTER_PAST_M rows, where the blocks are faster."""
     _check_radius(A, r, True)
-    join = A.n > cap and (A.m <= MITM_M_CAP or A.n > ENUMERATION_CAP)
+    join = A.n > cap and (A.m <= BLOCKS_FASTER_PAST_M or A.n > ENUMERATION_CAP)
     if join:
         check_mitm_shape(A.n, A.m)
     mat = _int64_matrix(A)
@@ -218,10 +222,11 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False):
     partners among its right node's children form one key range, ascending
     in the offset delta_k = (Au)_k.  Depth first, in lexicographic order of
     the offsets in [-r, r] of rows k < m-1, the join walks these ranges
-    together, visiting only offsets that some pair meets; the last row's
-    count or witness is read off the ranges.  The witness is the first
-    match by: delta, then left index, then the right half's last-row sum,
-    then right index; a half's index reads its signs as binary with '-' = 1.
+    together on a stack of one frame per row, visiting only offsets that
+    some pair meets; the last row's count or witness is read off the
+    ranges.  The witness is the first match by: delta, then left index, then
+    the right half's last-row sum, then right index; a half's index reads
+    its signs as binary with '-' = 1.
     """
     _check_radius(A, r, balanced_only)
     check_mitm_shape(A.n, A.m)
@@ -240,17 +245,20 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False):
 
 
 def check_mitm_shape(n, m):
-    """Refuse a meet-in-the-middle run on an n-column, m-row matrix past
-    MITM_M_CAP or the memory budget."""
-    # a count's peak RSS, fitted on three Bernoulli(1/2) matrices at each
-    # n = 36, 38, 40 and m = 1..10, within 6% of each median of three (single
-    # matrices spread by up to 20%), and above the peaks at the budget's edge
-    # ((44, 8) and (46, 7): 137 and 191 MiB): per sign vector of the larger
-    # half, the packed sort keys and their temporaries take 18 bytes until the
-    # prefix trees fill up (24m - 144), plus 33 MB for the interpreter; the
+    """Refuse a meet-in-the-middle run on an n-column, m-row matrix whose
+    fitted peak passes the memory budget; nothing else limits the join."""
+    # a count's peak RSS per sign vector of the larger half (h columns): 18
+    # bytes of sort keys, 2 more a row past 3, until the prefix trees fill up
+    # after about (h - 4)/3 rows; then 24 bytes a row, or 17 (both halves'
+    # keys) past about h rows; plus 1,500 bytes a row and 33 MB.  It bounds
+    # every fresh-process peak of Bernoulli(1/2) counts measured at r = 1-3,
+    # n = 30-46 and m = 1-400, and at (8, 20000), closest at (40, 10): 138
+    # MiB against 143.  It does not bound wider entries, whose trees fill up
+    # sooner: Poisson rate 3 at (42, 6) peaked at 273 MiB against 79.  The
     # exponent stops where a float would overflow (n past 2046)
-    est = 2.0 ** min((n + 1) // 2, 1023) * max(18, 24 * m - 144) + 33e6
-    _check_budget("mitm", n, m, f"m<={MITM_M_CAP}", m > MITM_M_CAP, est)
+    h = min((n + 1) // 2, 1023)
+    est = 2.0**h * max(18, 12 + 2 * m, min(24 * m - 8 * h + 32, 17 * m + 16)) + 1500 * m + 33e6
+    _check_budget("mitm", n, m, est)
 
 
 def _check_radius(A, r, balanced_only):
@@ -314,18 +322,6 @@ def _probe(A, r, balanced_only):
         if (s & guards) == guards and not (s - span) & guards:
             return SignVector(tuple(1 if s >> c & 1 else -1 for c in range(n)), balanced_only)
     return None
-
-
-def _scan(mat, r, balanced_only, count):
-    """The full meet-in-the-middle scan: the number of sign vectors u with
-    ||Au||_inf <= r (and zero sum when balanced_only), or the signs of the
-    first one in _Join.descend's order (None when there is none)."""
-    nl = mat.shape[1] // 2
-    root = np.zeros(1, dtype=np.intp)
-    found = _Join(mat, r, balanced_only).descend(0, root, root, count)
-    if count or found is None:
-        return found
-    return _signs_of_index(found[0], nl) + _signs_of_index(found[1], mat.shape[1] - nl)
 
 
 def _subset_sums(entries):
@@ -464,58 +460,58 @@ def _prefix_tree(cols, balanced_only):
     return levels, rows, np.append(leaf, 1 << k)
 
 
-class _Join:
-    """Both halves' prefix trees (see _prefix_tree), joined depth first over
-    matched (left prefix, right prefix) pairs."""
-
-    def __init__(self, mat, r, balanced_only):
-        nl = mat.shape[1] // 2
-        self.left, self.lrows, self.lends = _prefix_tree(mat[:, :nl], balanced_only)
-        self.right, self.rrows, self.rends = _prefix_tree(mat[:, nl:], balanced_only)
-        # the imbalance meets with offset 0, every row with offsets in [-r, r]
-        self.radii = [0] * balanced_only + [r] * mat.shape[0]
-
-    def descend(self, depth, left, right, count):
-        """Match the children of left prefixes `left` with those of their
-        partners `right` over every completion of delta in product order.
-        Returns the number of meeting (left, right) sign vector pairs, or the
-        first pair: first delta, then smallest left index, then smallest
-        last-row value, then smallest right index (None when there is none)."""
-        vals, keys = self.left[depth]
-        rvals, rkeys = self.right[depth]
+def _scan(mat, r, balanced_only, count):
+    """The full meet-in-the-middle scan: the number of sign vectors u with
+    ||Au||_inf <= r (and zero sum when balanced_only), or the signs of the
+    first one, by: delta in product order, then smallest left index, then
+    smallest last-row value, then smallest right index (None when there is
+    none).  Both halves' prefix trees (see _prefix_tree) are joined depth
+    first over matched (left prefix, right prefix) pairs, on a stack of one
+    frame per depth."""
+    n, nl = mat.shape[1], mat.shape[1] // 2
+    ltree, lrows, lends = _prefix_tree(mat[:, :nl], balanced_only)
+    rtree, rrows, rends = _prefix_tree(mat[:, nl:], balanced_only)
+    # the imbalance meets with offset 0, every row with offsets in [-r, r]
+    radii = [0] * balanced_only + [r] * mat.shape[0]
+    total, stack = 0, []
+    left = right = np.zeros(1, dtype=np.intp)
+    while True:
+        # the children of left prefixes `left` meet their partners' (`right`)
+        # children in the key range [a, b), ascending in value v and so in
+        # offset delta = v + col
+        depth = len(stack)
+        (vals, keys), (rvals, rkeys) = ltree[depth], rtree[depth]
         first = np.searchsorted(keys, left * len(vals))
         size = np.searchsorted(keys, (left + 1) * len(vals)) - first
         child = np.repeat(first - np.cumsum(size) + size, size) + np.arange(size.sum())
         col = vals[keys[child] % len(vals)]
         base = np.repeat(right, size) * len(rvals)
         del first, size
-        # each left child meets its partner's children in the key range
-        # [a, b), in ascending value v, so ascending offset delta = v + col
-        rad = self.radii[depth]
-        a = np.searchsorted(rkeys, base + np.searchsorted(rvals, -rad - col, side="left"))
-        b = np.searchsorted(rkeys, base + np.searchsorted(rvals, rad - col, side="right"))
+        a = np.searchsorted(rkeys, base + np.searchsorted(rvals, -radii[depth] - col, side="left"))
+        b = np.searchsorted(rkeys, base + np.searchsorted(rvals, radii[depth] - col, side="right"))
         del base
-        if depth == len(self.radii) - 1:
-            if count:
-                lmult = self.lends[child + 1] - self.lends[child]
-                return int((lmult * (self.rends[b] - self.rends[a])).sum())
-            k = np.where(a < b, self.lrows[child], np.iinfo(np.intp).max).argmin()
-            return (int(self.lrows[child[k]]), int(self.rrows[a[k]])) if a[k] < b[k] else None
-        # walk the ranges together, in ascending delta: the children whose
-        # head meets them at the smallest delta recurse with it, then only
-        # those heads advance
-        total = 0
-        live = np.flatnonzero(a < b)
-        while live.size:
-            child, col, a, b = child[live], col[live], a[live], b[live]
-            delta = rvals[rkeys[a] % len(rvals)] + col
-            hit = np.flatnonzero(delta == delta.min())
-            del delta, live
-            sub = self.descend(depth + 1, child[hit], a[hit], count)
-            a[hit] += 1
-            if count:
-                total += sub
-            elif sub is not None:
-                return sub
-            live = np.flatnonzero(a < b)
-        return total if count else None
+        if depth < len(radii) - 1:
+            stack.append((child, col, a, b))
+        elif count:
+            lmult = lends[child + 1] - lends[child]
+            total += int((lmult * (rends[b] - rends[a])).sum())
+        else:
+            k = np.where(a < b, lrows[child], np.iinfo(np.intp).max).argmin()
+            if a[k] < b[k]:
+                lsigns = _signs_of_index(int(lrows[child[k]]), nl)
+                return lsigns + _signs_of_index(int(rrows[a[k]]), n - nl)
+        # frames with no range left pop; the top one's ranges walk together,
+        # in ascending delta: the children whose head meets them at the
+        # smallest delta descend with it, then only those heads advance
+        while stack and not (live := np.flatnonzero(stack[-1][2] < stack[-1][3])).size:
+            stack.pop()
+        if not stack:
+            return total if count else None
+        child, col, a, b = stack[-1]
+        child, col, a, b = stack[-1] = child[live], col[live], a[live], b[live]
+        rvals, rkeys = rtree[len(stack) - 1]
+        delta = rvals[rkeys[a] % len(rvals)] + col
+        hit = np.flatnonzero(delta == delta.min())
+        del delta, live
+        left, right = child[hit], a[hit]
+        a[hit] += 1

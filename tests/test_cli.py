@@ -111,15 +111,15 @@ def test_capacity_exit_3(tmp_path, capsys):
     assert "cap" in err
 
 
-def test_mitm_past_row_cap_names_n_and_m(tmp_path, capsys):
-    # an 11-row, 8-column file (header "11 8"): the refusal names n and m
+def test_mitm_past_ten_rows_answers(tmp_path, capsys):
+    # an 11-row, 8-column file (header "11 8"): only the fitted peak limits
+    # the join's rows
     path = str(tmp_path / "tall.mat")
     ensembles.write_matrix(path, ensembles.IntMatrix.from_rows([[1] * 8] * 11))
     code, out, err = run(["disc", "--in", path, "--method", "mitm", "--r", "1"], capsys)
-    assert code == 3 and out == ""
-    assert err == (
-        "capacity: mitm refused at n=8, m=11: it takes m<=10 and 256 MiB (~33 MB peak memory)\n"
-    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["feasible"] and sum(1 if c == "+" else -1 for c in payload["witness"]) == 0
 
 
 def test_phase_grid_past_mitm_cap_exits_3_before_any_trial(monkeypatch, capsys):
@@ -418,11 +418,11 @@ def test_workers_stop_at_the_cores_and_the_jobs(monkeypatch, capsys):
 # exhaustive blocks answered at a peak of about 330 MiB
 REFUSALS = [
     ("1x141", ["disc", "--method", "mitm", "--r", "0"], "mitm refused at n=141, m=1: it takes "
-     "m<=10 and 256 MiB (~42501298345826840 MB peak memory)"),
+     "256 MiB (~42501298345826840 MB peak memory)"),
     ("1x141", ["disc", "--method", "brute"], "exhaustive search refused at n=141, m=1: it takes "
      "n<=26 and 256 MiB (~35 MB peak memory)"),
     ("1x60", ["disc", "--method", "mitm", "--balanced", "--r", "0"], "mitm refused at n=60, m=1: "
-     "it takes m<=10 and 256 MiB (~19360 MB peak memory)"),
+     "it takes 256 MiB (~19360 MB peak memory)"),
     ("1x60", ["disc", "--method", "brute"], "exhaustive search refused at n=60, m=1: it takes "
      "n<=26 and 256 MiB (~35 MB peak memory)"),
     ("200x18", ["disc", "--method", "brute"], "exhaustive search refused at n=18, m=200: it "

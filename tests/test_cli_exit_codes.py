@@ -9,6 +9,8 @@ a large exact pmf.
 
 import contextlib
 import io
+import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -204,3 +206,23 @@ def test_every_argv_exits_with_a_contract_code(case):
             code = cli.dispatch(_resolve(argv, files))
     assert code in EXIT_CODES, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+def test_mitm_on_two_thousand_rows_exits_with_a_contract_code():
+    # 2,000 random 0/1 rows of 8 columns: more rows than Python's recursion
+    # limit, each one a level of the join
+    rng = random.Random(2000)
+    rows = [[rng.randint(0, 1) for _ in range(8)] for _ in range(2000)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "tall.mat")
+        Path(path).write_bytes(_matrix_text(rows))
+        for flags in (["--r", "1"], ["--balanced", "--r", "2"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.dispatch(["disc", "--in", path, "--method", "mitm", *flags])
+            assert code in (0, 3), (flags, code, err.getvalue())
+            assert "Traceback" not in err.getvalue(), flags
+            if code == 0 and json.loads(out.getvalue())["feasible"]:
+                signs = [1 if c == "+" else -1 for c in json.loads(out.getvalue())["witness"]]
+                radius = int(flags[-1])
+                assert all(abs(sum(s * v for s, v in zip(signs, row))) <= radius for row in rows)

@@ -79,3 +79,29 @@ def test_seed_outside_64_bits_exits_2(seed, capsys):
     assert cli.dispatch(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error:")
+
+
+@pytest.mark.parametrize("p,r,parity", [("1/8", 0, "even"), ("1/8", 1, "none")])
+def test_phase_past_ten_rows_matches_exhaustive(p, r, parity, monkeypatch, capsys):
+    # 20 rows: each trial's outcome, probe hit or full scan, against the
+    # exhaustive balanced discrepancy
+    outcomes = []
+    original = solver.disc_exists_mitm
+
+    def recording(A, radius, *args, **kwargs):
+        found = original(A, radius, *args, **kwargs)
+        outcomes.append((A, found[0]))
+        return found
+
+    monkeypatch.setattr(solver, "disc_exists_mitm", recording)
+    argv = ["phase", "--m", "20", "--p", p, "--r", str(r), "--n-start", "8", "--n-stop", "12",
+            "--n-stride", "2", "--trials", "10", "--parity", parity, "--threads", "1",
+            "--seed", "3"]
+    assert cli.dispatch(argv) == 0
+    assert len(outcomes) == 30 and 0 < sum(found for _, found in outcomes) < 30
+    for A, found in outcomes:
+        assert A.m == 20 and found == (solver.disc_exhaustive(A, balanced_only=True).value <= r)
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [int(row.split(",")[2]) for row in rows] == [
+        sum(found for _, found in outcomes[i : i + 10]) for i in (0, 10, 20)
+    ]

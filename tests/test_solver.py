@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 from fractions import Fraction as F
 from itertools import chain, product
 
@@ -190,7 +191,7 @@ def test_mitm_cap_error_carries_estimate():
     with pytest.raises(CapacityError) as err:
         solver.disc_exists_mitm(A, 1)
     assert err.value.estimate == "~335 MB peak memory"
-    assert str(err.value) == "mitm refused at n=48, m=1: it takes m<=10 and 256 MiB"
+    assert str(err.value) == "mitm refused at n=48, m=1: it takes 256 MiB"
 
 
 def test_balanced_needs_even_n():
@@ -284,6 +285,11 @@ def test_scan_matches_reference_pairs():
     for rows in ([[0, 0, 0, 0, 0, 0]], [[0, 0, 0, 2, 1, 3], [0, 0, 0, 1, 1, 0]],
                  [[0, 1, 0, 0, 2, 0], [0, 3, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0]]):
         cases += [(rows, r, balanced) for r in range(3) for balanced in (False, True)]
+    # then 24 and 40 rows, each a level of the join's stack
+    for m in (24, 40):
+        for n in (6, 9, 12):
+            rows = _scan_rows(rng, m, n, huge=False)
+            cases += [(rows, r, b) for r in (2, 3, 5) for b in (False, True) if not (b and n % 2)]
     for case, (rows, r, balanced) in enumerate(cases):
         mat = solver._int64_matrix(ens.IntMatrix.from_rows(rows))
         count, first = reference_mitm(rows, r, balanced)
@@ -337,6 +343,18 @@ def test_scan_matches_reference_on_shared_half_tuples():
         assert solver._scan(mat, r, balanced, count=False) == first, case
         witnesses += first is not None
     assert witnesses >= 30
+
+
+def test_scan_takes_more_rows_than_the_recursion_limit():
+    # the join keeps one stack frame per row, so its depth is not bounded by
+    # Python's recursion limit; at r = 0 every balanced u with u_1 = -u_2
+    # counts: 2 * C(6, 3)
+    rows = [[1, 1, 0, 0, 0, 0, 0, 0]] * 1100
+    assert len(rows) > sys.getrecursionlimit()
+    mat = solver._int64_matrix(ens.IntMatrix.from_rows(rows))
+    count, first = reference_mitm(rows, 0, True)
+    assert solver._scan(mat, 0, True, count=True) == count == 40
+    assert solver._scan(mat, 0, True, count=False) == first
 
 
 def test_full_scans_leave_no_reference_cycles():
@@ -399,12 +417,14 @@ def test_count_agrees_across_the_join_cutover(n):
             assert count == reference_mitm([list(row) for row in A.rows()], r, True)[0]
 
 
-def test_count_past_the_cutover_with_more_rows_than_the_join_takes():
-    # more than MITM_M_CAP rows at n <= 26: the blocks count, not a refusal
+def test_count_past_the_cutover_with_more_than_ten_rows():
+    # more than BLOCKS_FASTER_PAST_M rows at n <= 26: the blocks count; past
+    # ENUMERATION_CAP the join does, checked with the column halves swapped
     A = ens.sample(ens.EnsembleSpec("bernoulli", 12, 18, F(1, 2), 3))
     assert solver.count_solutions(A, 2) == solver.count_solutions(A, 2, cap=99)
-    with pytest.raises(CapacityError, match="mitm refused at n=28, m=12"):
-        solver.count_solutions(ens.sample(ens.EnsembleSpec("bernoulli", 12, 28, F(1, 2), 3)), 1)
+    A = ens.sample(ens.EnsembleSpec("bernoulli", 12, 28, F(1, 2), 3))
+    flipped = mat([row[::-1] for row in A.rows()])
+    assert solver.count_solutions(A, 1) == solver.count_solutions(flipped, 1) == 388
 
 
 def test_count_with_a_wide_radius_below_the_cutover_is_fast():
