@@ -440,12 +440,18 @@ def error_scan(kind, param_grid, size_key=None):
     rows.sort(key=lambda row: (sorted(row.params.items()), row.point))
     result = ScanResult(rows)
     if size_key is not None:
-        pts = [(log(r.params[size_key]), log(r.rel_error)) for r in rows if r.rel_error > 0]
-        sizes = {x for x, _ in pts}
-        if len(sizes) >= 3:
-            xbar = sum(x for x, _ in pts) / len(pts)
-            ybar = sum(y for _, y in pts) / len(pts)
-            sxx = sum((x - xbar) ** 2 for x, _ in pts)
-            sxy = sum((x - xbar) * (y - ybar) for x, y in pts)
-            result.decay_exponent = sxy / sxx
+        pts = [(log(r.params[size_key]), log(r.rel_error), 1) for r in rows if r.rel_error > 0]
+        if len({x for x, _, _ in pts}) >= 3:
+            result.decay_exponent = weighted_slope(pts)
     return result
+
+
+def weighted_slope(pts):
+    """The weighted least-squares slope of y against x over the (x, y,
+    weight) triples pts; 0.0 when the x values do not spread."""
+    wsum = sum(m for _, _, m in pts)
+    xbar = sum(x * m for x, _, m in pts) / wsum
+    ybar = sum(y * m for _, y, m in pts) / wsum
+    sxx = sum(m * (x - xbar) ** 2 for x, _, m in pts)
+    sxy = sum(m * (x - xbar) * (y - ybar) for x, y, m in pts)
+    return sxy / sxx if sxx else 0.0

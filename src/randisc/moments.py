@@ -439,7 +439,6 @@ class MomentReport:
     phi_at: dict  # beta -> phi(beta)
     first_moment: ExpectedCount
     ratio: Fraction
-    condition_flags: SmmConditionFlags = None
 
 
 def check_smm_conditions(report: MomentReport, m, delta, eps):

@@ -372,11 +372,12 @@ def _packed_digits(entries, offs, cap):
 
 def _sort_words(words, k):
     """Sort the sign vectors by their packed digits (see _packed_digits) in
-    one stable LSD sort, in place: each word, least significant first, takes
-    k index bits below its digits and is sorted with np.sort.  The index
-    bits make every key distinct, so the unstable sorts are stable where it
-    matters; a later word's index bits hold the position in the sort before.
-    Returns the sorted positions where a new digit tuple starts."""
+    one stable LSD sort: each word, least significant first, takes k index
+    bits below its digits and is sorted with np.sort.  The index bits make
+    every key distinct, so the unstable sorts are stable where it matters; a
+    later word's index bits hold the position in the sort before.  Leaves
+    each word in the final order (word 0's index bits: the sign vector) and
+    returns the sorted positions where a new digit tuple starts."""
     index_bits, shift = np.uint64((1 << k) - 1), np.uint64(k)
     pos = None  # between passes: the sign vector at each sorted position
     for w, z in enumerate(words):
@@ -391,41 +392,34 @@ def _sort_words(words, k):
     del pos
     # a tuple starts where some word's digits differ from the previous key's:
     # in the sorted last word, where a key passes its neighbour with every
-    # index bit set; each word below is read back through the index bits of
-    # the word above
+    # index bit set; each word below is put in the final order through the
+    # index bits of the word above
     z = words[-1]
     step = z[1:] > (z[:-1] | index_bits)
     for w in range(len(words) - 2, -1, -1):
-        z = words[w][(z & index_bits).view(np.intp)]
+        z = words[w] = words[w][(z & index_bits).view(np.intp)]
         step |= (z[1:] ^ z[:-1]) > index_bits
     return np.flatnonzero(np.append(True, step))
 
 
-def _leaf_fields(words, leaf, k, offs, cap, tops):
-    """Each field's digit (at most tops[d]) at each leaf, a sorted position
-    where a tuple starts (see _sort_words), and the sign vector there.
-    Empties words, top word first, so each is freed once read."""
-    index_bits = np.uint64((1 << k) - 1)
-    fields = [np.zeros(len(leaf), np.min_scalar_type(top)) for top in tops]
-    rows = leaf
-    while words:
-        w = len(words) - 1
-        z = words.pop()[rows]
-        rows = (z & index_bits).view(np.intp)
-        for field, lo, hi in zip(fields, offs[1:], offs):
-            a, b = max(lo, w * cap), min(hi, (w + 1) * cap)
-            if a < b:
-                piece = z >> np.uint64(k + a - w * cap)
-                piece &= np.uint64((1 << (b - a)) - 1)
-                field <<= b - a
-                field |= piece
-    return fields, rows
+def _digit(words, lo, hi, k, cap, top):
+    """Bits [lo, hi) of the packed digits, a digit at most top, in the
+    smallest type that holds top: a piece from each word that holds some of
+    them (words as _sort_words leaves them, taken at some positions)."""
+    digit = np.zeros(len(words[0]), np.min_scalar_type(top))
+    for w in range(lo // cap, -(-hi // cap)):
+        a, b = max(lo, w * cap), min(hi, w * cap + cap)
+        piece = (words[w] >> np.uint64(k + a - w * cap)).astype(digit.dtype)
+        piece &= (1 << (b - a)) - 1
+        digit |= piece << (a - lo)
+    return digit
 
 
 def _prefix_tree(cols, balanced_only):
     """One half's fields (its sign sum when balanced_only, then each row's
     sum) as a tree of distinct prefixes, from one sort of its sign vectors
-    (see _sort_words).  Returns (levels, rows, ends): levels[d] = (vals,
+    (see _sort_words): each field's digit is read once from the sorted
+    words at the leaves.  Returns (levels, rows, ends): levels[d] = (vals,
     keys) holds field d's sorted distinct values and each node's key parent
     id * |vals| + value rank, ascending, so a key's position is the node's
     id, keys stay ranks and parent p's children hold [p |vals|, (p + 1)
@@ -440,10 +434,15 @@ def _prefix_tree(cols, balanced_only):
     cap = 64 - k  # digit bits per word, above the index bits
     words = _packed_digits(entries, offs, cap)
     leaf = _sort_words(words, k)
-    fields, rows = _leaf_fields(words, leaf, k, offs, cap, tops)
+    for w in range(len(words)):
+        words[w] = words[w][leaf]  # each freed once taken at the leaves
+    rows = (words[0] & np.uint64((1 << k) - 1)).view(np.intp)
+    # last field first, so each pops off the end of the list in O(1)
+    fields = [_digit(words, lo, hi, k, cap, top) for top, lo, hi in zip(tops, offs[1:], offs)][::-1]
+    del words  # the narrow fields take less, and each is freed after its level
     levels, new = [], leaf == 0  # leaves that start a node; the root: leaf 0
     for e, top in zip(entries, tops):
-        field = fields.pop(0)  # freed after its level
+        field = fields.pop()
         start = new.copy()
         start[1:] |= field[1:] != field[:-1]
         child = np.flatnonzero(start)

@@ -28,6 +28,7 @@ from .locallimits import (
     convolve_integer,
     hypergeometric_pmf,
     over_one_denominator,
+    weighted_slope,
 )
 from .moments import OverlapScenario, _label_weights, _sb_sc_laws
 from .rng import IntegerTable, Stream, derive_key
@@ -654,11 +655,5 @@ def _decay_envelope(values, w):
     pts = [(s, abs(float(v))) for s, v in enumerate(values) if v != 0]
     if len(pts) < 3:
         raise ParameterError("bound fit needs at least 3 lattice points")
-    fit = [((s - w / 2) ** 2 / w, log(v), v) for s, v in pts]
-    wsum = sum(m for _, _, m in fit)
-    xbar = sum(x * m for x, _, m in fit) / wsum
-    ybar = sum(y * m for _, y, m in fit) / wsum
-    sxx = sum(m * (x - xbar) ** 2 for x, _, m in fit)
-    sxy = sum(m * (x - xbar) * (y - ybar) for x, y, m in fit)
-    c = max(-(sxy / sxx if sxx else 0.0), 1e-9)
+    c = max(-weighted_slope([((s - w / 2) ** 2 / w, log(v), v) for s, v in pts]), 1e-9)
     return c, [(v, exp(-(c / 2) * (s - w / 2) ** 2 / w)) for s, v in pts]

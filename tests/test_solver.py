@@ -312,6 +312,27 @@ def test_prefix_tree_matches_sorted_tuples():
         assert rows.tolist() == want_rows and ends.tolist() == want_ends
 
 
+def test_scan_counts_a_tall_matrix_in_time_linear_in_its_rows():
+    # 20,000 rows of n = 8, each within 1 of 0 under the planted u0 =
+    # ++++----, so u0 and -u0 count; a tree build that read every field for
+    # every packed key word took 14 s on a 2-core box, quadratic in the rows
+    from time import process_time
+
+    rng = random.Random(29)
+    u0, rows = (1, 1, 1, 1, -1, -1, -1, -1), []
+    while len(rows) < 20000:
+        row = [rng.randint(0, 1) for _ in range(8)]
+        if abs(sum(s * a for s, a in zip(u0, row))) <= 1:
+            rows.append(row)
+    distinct = mat(sorted({tuple(row) for row in rows}))
+    want = sum(1 for u in balanced_vectors(8) if eval_inf(distinct, u) <= 1)
+    assert want >= 2
+    A = solver._int64_matrix(mat(rows))
+    start = process_time()
+    assert solver._scan(A, 1, True, count=True) == want
+    assert process_time() - start < 8.0
+
+
 def _repeated_column_rows(rng, m, n):
     # Poisson entries, then columns copied from earlier ones or zeroed, so
     # many sign vectors of a half share one tuple of row sums
