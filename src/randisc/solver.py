@@ -87,12 +87,13 @@ def _signed_sums(c, dtype):
     matrix c, as an (m, 2^k) array of dtype, which must hold every such sum:
     column i gives column j the sign -1 iff bit (k-1-j) of i is 1, so
     ascending i is lexicographic with '+' < '-'.  Built in place by doubling
-    over the columns in reverse."""
+    over the columns in reverse, all in dtype: twice a column may wrap in
+    it, but every sum fits, so the wrapped subtraction is exact."""
     out = np.empty((c.shape[0], 1 << c.shape[1]), dtype)
     out[:, 0] = c.sum(axis=1)
     h = 1
-    for v in c.T[::-1]:
-        np.subtract(out[:, :h], 2 * v[:, None], out=out[:, h : 2 * h])
+    for v in (2 * c.T[::-1]).astype(dtype):
+        np.subtract(out[:, :h], v[:, None], out=out[:, h : 2 * h])
         h *= 2
     return out
 
@@ -155,29 +156,39 @@ def _exhaustive_blocks(mat, balanced_only):
     if balanced_only:
         # each half's sign sum: 2 * (its '+' signs) - its width
         lo_sum, hi_sum = (_signed_sums(np.ones((1, w), np.int64), np.int64)[0] for w in (lo_w, hi_w))
-        groups = [np.flatnonzero(lo_sum == 2 * p - lo_w) for p in range(lo_w + 1)]
-        parts = [lo_part.take(idx, axis=1) for idx in groups]  # C order, as lo_part
+        groups = {}  # low '+' count -> (low indices, their low part), built on first use
     for hi_idx in range(1 << hi_w):
         lo_idx, part = None, lo_part
         if balanced_only:
             need = n // 2 - 1 - (int(hi_sum[hi_idx]) + hi_w) // 2  # low '+' signs left
             if not 0 <= need <= lo_w:
                 continue
-            lo_idx, part = groups[need], parts[need]
+            if need not in groups:
+                idx = np.flatnonzero(lo_sum == 2 * need - lo_w)
+                groups[need] = idx, lo_part.take(idx, axis=1)  # C order, as lo_part
+            lo_idx, part = groups[need]
         sums = part + hi_part[:, hi_idx, None]
         yield hi_idx, lo_idx, np.abs(sums, out=sums).max(axis=0)
 
 
 def disc_exhaustive(A: IntMatrix, balanced_only=False) -> SolveResult:
-    """Exact discrepancy by enumeration of all sign vectors with u_1 = +1."""
+    """Exact discrepancy by enumeration of the sign vectors with u_1 = +1,
+    block by block in lexicographic order.  |u . row_k| = R_k (mod 2) for
+    the row sum R_k, so no value is below the parity floor max_k (R_k mod
+    2): the search stops at the first block that meets it, since a later
+    vector could only tie and a tie keeps the earlier one."""
     if balanced_only and A.n % 2:
         raise ParameterError("balanced vectors require even n")
+    mat = _int64_matrix(A)
+    floor = int((mat.sum(axis=1) % 2).max())
     best_val = best_idx = None
-    for hi_idx, lo_idx, vals in _exhaustive_blocks(_int64_matrix(A), balanced_only):
+    for hi_idx, lo_idx, vals in _exhaustive_blocks(mat, balanced_only):
         k = int(vals.argmin())
         if best_val is None or vals[k] < best_val:
             best_val = int(vals[k])
             best_idx = (hi_idx, k if lo_idx is None else int(lo_idx[k]))
+            if best_val == floor:
+                break
     if best_val is None:
         raise ParameterError("no balanced vector exists for this n")
     hi_idx, lo_idx = best_idx
@@ -190,7 +201,8 @@ def count_solutions(A: IntMatrix, r, cap=EXHAUSTIVE_CAP) -> int:
     """Exact number of balanced u with ||Au||_inf <= r: by the
     meet-in-the-middle join past `cap` columns, by the exhaustive blocks up
     to it, and up to ENUMERATION_CAP for files of more than
-    BLOCKS_FASTER_PAST_M rows, where the blocks are faster."""
+    BLOCKS_FASTER_PAST_M rows, where the blocks are faster.  Both fix u_1 =
+    +1, count half the domain and double: u and -u count together."""
     _check_radius(A, r, True)
     join = A.n > cap and (A.m <= BLOCKS_FASTER_PAST_M or A.n > ENUMERATION_CAP)
     if join:
@@ -247,15 +259,17 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False):
 def check_mitm_shape(n, m):
     """Refuse a meet-in-the-middle run on an n-column, m-row matrix whose
     fitted peak passes the memory budget; nothing else limits the join."""
-    # a count's peak RSS per sign vector of the larger half (h columns): 18
-    # bytes of sort keys, 2 more a row past 3, until the prefix trees fill up
-    # after about (h - 4)/3 rows; then 24 bytes a row, or 17 (both halves'
-    # keys) past about h rows; plus 1,500 bytes a row and 33 MB.  It bounds
-    # every fresh-process peak of Bernoulli(1/2) counts measured at r = 1-3,
-    # n = 30-46 and m = 1-400, and at (8, 20000), closest at (40, 10): 138
-    # MiB against 143.  It does not bound wider entries, whose trees fill up
-    # sooner: Poisson rate 3 at (42, 6) peaked at 273 MiB against 79.  The
-    # exponent stops where a float would overflow (n past 2046)
+    # a witness scan's peak RSS per sign vector of the larger half (h
+    # columns): 18 bytes of sort keys, 2 more a row past 3, until the prefix
+    # trees fill up after about (h - 4)/3 rows; then 24 bytes a row, or 17
+    # (both halves' keys) past about h rows; plus 1,500 bytes a row and 33
+    # MB.  It was fitted to Bernoulli(1/2) counts over both whole halves at
+    # r = 1-3, n = 30-46 and m = 1-400, and at (8, 20000), closest at (40,
+    # 10): 138 MiB against 143; witness scans build the same trees and peak
+    # as those did.  A count fixes u_1 and builds a left tree of half the
+    # size, so it peaks lower.  It does not bound wider entries, whose trees
+    # fill up sooner: Poisson rate 3 at (42, 6) peaked at 273 MiB against
+    # 79.  The exponent stops where a float would overflow (n past 2046)
     h = min((n + 1) // 2, 1023)
     est = 2.0**h * max(18, 12 + 2 * m, min(24 * m - 8 * h + 32, 17 * m + 16)) + 1500 * m + 33e6
     _check_budget("mitm", n, m, est)
@@ -351,8 +365,17 @@ def _packed_digits(entries, offs, cap):
     mask = (1 << cap) - 1
 
     def split(digits):
-        packed = sum(x << off for x, off in zip(digits, offs[1:]))
-        return [(packed >> (w * cap)) & mask for w in range(nwords)]
+        # the digits' bit ranges are disjoint, so each is or-ed into the
+        # words it spans, cap bits at a time
+        words = [0] * nwords
+        for x, off in zip(digits, offs[1:]):
+            w, shift = divmod(off, cap)
+            x <<= shift
+            while x:
+                words[w] |= x & mask
+                x >>= cap
+                w += 1
+        return words
 
     out = [np.empty(1 << len(entries[0]), np.uint64) for _ in range(nwords)]
     for z, top in zip(out, split([sum(e) for e in entries])):
@@ -466,12 +489,20 @@ def _scan(mat, r, balanced_only, count):
     smallest last-row value, then smallest right index (None when there is
     none).  Both halves' prefix trees (see _prefix_tree) are joined depth
     first over matched (left prefix, right prefix) pairs, on a stack of one
-    frame per depth."""
-    n, nl = mat.shape[1], mat.shape[1] // 2
-    ltree, lrows, lends = _prefix_tree(mat[:, :nl], balanced_only)
+    frame per depth.
+
+    A count fixes u_1 = +1 and joins the other n - 1 columns, each depth's
+    window shifted by column 0's part, then doubles: u <-> -u pairs off
+    every counted vector, balanced or not.  The witness halves are the
+    first n//2 columns and the rest."""
+    n, fixed = mat.shape[1], int(count)
+    nl = fixed + (n - fixed) // 2
+    ltree, lrows, lends = _prefix_tree(mat[:, fixed:nl], balanced_only)
     rtree, rrows, rends = _prefix_tree(mat[:, nl:], balanced_only)
-    # the imbalance meets with offset 0, every row with offsets in [-r, r]
-    radii = [0] * balanced_only + [r] * mat.shape[0]
+    # the pair's imbalance meets -u_1 (0 for a witness), and row k's offset
+    # meets [-r, r] less u_1's part; windows[d] = (lowest, highest)
+    shift = (fixed * mat[:, 0]).tolist()
+    windows = [(-fixed, -fixed)] * balanced_only + [(-r - c, r - c) for c in shift]
     total, stack = 0, []
     left = right = np.zeros(1, dtype=np.intp)
     while True:
@@ -486,10 +517,11 @@ def _scan(mat, r, balanced_only, count):
         col = vals[keys[child] % len(vals)]
         base = np.repeat(right, size) * len(rvals)
         del first, size
-        a = np.searchsorted(rkeys, base + np.searchsorted(rvals, -radii[depth] - col, side="left"))
-        b = np.searchsorted(rkeys, base + np.searchsorted(rvals, radii[depth] - col, side="right"))
+        low, high = windows[depth]
+        a = np.searchsorted(rkeys, base + np.searchsorted(rvals, low - col, side="left"))
+        b = np.searchsorted(rkeys, base + np.searchsorted(rvals, high - col, side="right"))
         del base
-        if depth < len(radii) - 1:
+        if depth < len(windows) - 1:
             stack.append((child, col, a, b))
         elif count:
             lmult = lends[child + 1] - lends[child]
@@ -505,7 +537,7 @@ def _scan(mat, r, balanced_only, count):
         while stack and not (live := np.flatnonzero(stack[-1][2] < stack[-1][3])).size:
             stack.pop()
         if not stack:
-            return total if count else None
+            return 2 * total if count else None
         child, col, a, b = stack[-1]
         child, col, a, b = stack[-1] = child[live], col[live], a[live], b[live]
         rvals, rkeys = rtree[len(stack) - 1]

@@ -8,6 +8,7 @@ algebraic route to the same quantity.
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from operator import mul
 
 from scipy.stats import chi2
 
@@ -65,6 +66,24 @@ def reference_mitm(rows, r, balanced):
             if best is None or key < best[0]:
                 best = (key, lu + ru)
     return count, best and best[1]
+
+
+def first_optimal_signs(rows, balanced, floor=None):
+    """The smallest ||Au||_inf over sign vectors u with u_1 = +1 (and zero
+    sum when balanced) and the first u that attains it, as (value, u), by
+    brute force in product((1, -1)) order.  Given a bound `floor` that no
+    value goes below, it returns at the first u that attains it."""
+    best = None
+    for tail in product((1, -1), repeat=len(rows[0]) - 1):
+        u = (1,) + tail
+        if balanced and sum(u):
+            continue
+        value = max(abs(sum(map(mul, u, row))) for row in rows)
+        if best is None or value < best[0]:
+            best = (value, u)
+            if value == floor:
+                break
+    return best
 
 
 def reference_prefix_tree(cols, balanced):

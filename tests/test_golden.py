@@ -131,6 +131,30 @@ def test_full_scan_output_pinned(n, seed, argv, want, tmp_path, capsys):
     assert run(argv + ["--in", path], capsys) == json.dumps(want) + "\n"
 
 
+# Exhaustive searches whose optimum lies above the parity floor max_k (R_k
+# mod 2) for the row sums R_k, so no block can stop them early: each is
+# answered only after every block.  The 2 x 20 matrix's first row is 4 on
+# 19 columns and 1 on the last, so |u . row| >= 3 for every u.
+_ABOVE_FLOOR_20 = [
+    "4 4 4 4 4 4 4 4 4 4 4 4 4 4 4 4 4 4 4 1",
+    "0 0 1 1 0 0 1 1 0 0 1 1 1 0 0 0 1 0 0 0",
+]
+BRUTE_SEARCHES = [
+    (["3 1"], False, {"value": 2, "witness": "+-", "count": None}),
+    (["3 1 1 1"], True, {"value": 2, "witness": "++--", "count": None}),
+    (_ABOVE_FLOOR_20, False, {"value": 3, "witness": "++++++++++----------", "count": None}),
+    (_ABOVE_FLOOR_20, True, {"value": 3, "witness": "++++++++++----------", "count": None}),
+]
+
+
+@pytest.mark.parametrize("rows,balanced,want", BRUTE_SEARCHES)
+def test_disc_brute_output_pinned(rows, balanced, want, tmp_path, capsys):
+    path = str(tmp_path / "a.mat")
+    ensembles.write_matrix(path, ensembles.IntMatrix.from_rows([list(map(int, row.split())) for row in rows]))
+    argv = ["disc", "--in", path, "--method", "brute"] + (["--balanced"] if balanced else [])
+    assert run(argv, capsys) == json.dumps(want) + "\n"
+
+
 PHASE_CSVS = [
     (
         # the phase_rich benchmark configuration

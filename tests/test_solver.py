@@ -6,7 +6,7 @@ from itertools import chain, product
 
 import pytest
 
-from helpers import balanced_vectors, reference_mitm, reference_prefix_tree
+from helpers import balanced_vectors, first_optimal_signs, reference_mitm, reference_prefix_tree
 from randisc import ensembles as ens
 from randisc import solver
 from randisc.errors import CapacityError, ParameterError
@@ -121,6 +121,35 @@ def test_parity_lower_bound():
         if any(sum(A.row(i)) % 2 for i in range(A.m)):
             assert solver.disc_exhaustive(A).value >= 1
             assert solver.count_solutions(A, 0) == 0
+
+
+def test_exhaustive_search_stops_at_the_parity_floor(monkeypatch):
+    # no |u . row_k| is below R_k mod 2, so a 6 x 24 search (2^7 blocks)
+    # whose first block meets max_k (R_k mod 2) stops there; a 2 x 18 one
+    # whose rows keep every value at 3 or more, above its floor 1, reads
+    # both of its blocks
+    blocks, inner = [0], solver._exhaustive_blocks
+
+    def counted(*args):
+        for block in inner(*args):
+            blocks[0] += 1
+            yield block
+
+    monkeypatch.setattr(solver, "_exhaustive_blocks", counted)
+    A = ens.sample(ens.EnsembleSpec("bernoulli", 6, 24, F(1, 2), 3))
+    floor = max(sum(A.row(i)) % 2 for i in range(A.m))
+    for balanced in (False, True):
+        blocks[0] = 0
+        res = solver.disc_exhaustive(A, balanced_only=balanced)
+        assert blocks[0] == 1
+        assert (res.value, res.witness.signs) == first_optimal_signs(A.rows(), balanced, floor)
+    A = mat([[4] * 17 + [1], [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0]])
+    for balanced in (False, True):
+        blocks[0] = 0
+        res = solver.disc_exhaustive(A, balanced_only=balanced)
+        assert blocks[0] == 2
+        assert res.value == 3
+        assert (res.value, res.witness.signs) == first_optimal_signs(A.rows(), balanced)
 
 
 def test_mitm_trivial_large_radius():
@@ -290,6 +319,11 @@ def test_scan_matches_reference_pairs():
         for n in (6, 9, 12):
             rows = _scan_rows(rng, m, n, huge=False)
             cases += [(rows, r, b) for r in (2, 3, 5) for b in (False, True) if not (b and n % 2)]
+    # then plain n = 1 and 2, whose counts fix u_1 and join an empty left
+    # half, and odd n, whose other columns split evenly
+    for n in (1, 2, 3, 5, 7, 9, 11):
+        for m in (1, 6):
+            cases += [(_scan_rows(rng, m, n, huge=n == 5), r, False) for r in range(3)]
     for case, (rows, r, balanced) in enumerate(cases):
         mat = solver._int64_matrix(ens.IntMatrix.from_rows(rows))
         count, first = reference_mitm(rows, r, balanced)
