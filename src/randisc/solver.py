@@ -24,24 +24,36 @@ MEMORY_BUDGET = 256 << 20  # bytes: every solver refuses a larger fitted peak
 ENUMERATION_CAP = 26
 # count_solutions' default cap, past which it counts by the join; perfbench
 # reads it and sets it to 0 in checks.  Bernoulli(1/2), r = 1, ms per count,
-# blocks / join (2-core box, median of five matrices, best of three runs):
-#   n   m=2        m=6        m=10
-#   16  0.7 / 0.6  1.1 / 1.7  1.9 / 6.3
-#   18  1.5 / 0.7  3.7 / 2.8  3.3 / 6.8
-#   22  2.9 / 1.1  5.1 / 3.6  6.8 / 9.4
-#   26  9.4 / 0.8  14 / 5.1   24 / 20
-# The join leads past n = 16 at m <= 6 and is at most 2x behind at m = 10.
-# It walks one stack frame per row offset in [-r, r] that some pair meets,
-# so a wider radius costs it far more: at n = 18, m = 10 it took 0.19-0.33 s
-# at r = 2 and 1.2-1.8 s at r = 3, against 3-6 ms for the blocks.  Past 10
-# rows the blocks lead up to ENUMERATION_CAP (seeds 0-2, join / blocks in
-# ms): at m = 12, 20 and 50, r = 1, the join took 0.4-3.7x the blocks' time
-# (m = 12, n = 26: 14-46 / 24-31); at r = 2, 345-1,111 / 3-4 at n = 18 and
-# 1,576-34,570 / 15-28 at n = 26 (m = 12 and 20)
+# blocks / join (2-core box, process time, median of five matrices, best of
+# three runs):
+#   n   m=2         m=6         m=10
+#   16  0.3 / 0.7   0.6 / 1.4   0.7 / 2.1
+#   18  0.6 / 0.7   1.3 / 1.6   1.8 / 2.3
+#   22  1.2 / 0.5   2.7 / 2.0   4.3 / 3.2
+#   26  8.1 / 0.6   11.2 / 1.7  19.3 / 5.7
+# The join is close behind at n = 18 and leads past it.  A wider radius
+# keeps more pairs at each depth: at n = 18, m = 10 it took 4.0 ms at r = 2
+# and 6.7 ms at r = 3, against 2.0 and 1.8 for the blocks.  Past 10 rows
+# the blocks lead at r = 2 up to ENUMERATION_CAP (seeds 0-2, m = 12, 20 and
+# 50, blocks / join in ms): 1.8-3.4 / 4.3-9.1 at n = 18 and 22-58 / 109-130
+# at n = 26.  At r = 1 the join leads there at n = 26 (21-55 / 7-13), which
+# the routing by rows alone does not see
 EXHAUSTIVE_CAP = 16
 BLOCKS_FASTER_PAST_M = 10  # count_solutions counts more rows by the blocks, to ENUMERATION_CAP
 _BLOCK_BITS = 16
 _PROBE_TRIES = 512
+# the most units of work one count step takes (see _count_join): one per
+# left child for its search, and above the last depth one per pair it can
+# keep.  A step's and a frame's arrays take about 180 bytes a unit: the
+# join's own peak over its built trees (tracemalloc) at 2^10 / 2^12 / 2^15 /
+# 2^18 / 2^20 was 0.3 / 0.9 / 5.8 / 37 / 118 MiB for a balanced r = 2 count
+# of Bernoulli(1/2) at m = 10, n = 30, and 0.2 / 0.7 / 4.4 / 29 / 95 MiB at
+# m = 10, n = 42, r = 1.  Time is about flat from 2^15 to 2^18 and up to 4x
+# worse below (ms, process time, 2-core box, two runs, at 2^10 / 2^12 /
+# 2^15 / 2^18): solve_count's five seed-1 counts 22-25 / 10 / 9-10 / 8-9;
+# that m = 10, n = 30 count 982-1020 / 391-424 / 232-289 / 298-302; Poisson
+# rate 16, m = 6, n = 28, r = 1: 14 / 7-11 / 3.5-3.7 / 3.8-4.6
+_COUNT_BATCH = 1 << 15
 # |u . row| <= max entry * n bounds every partial sum, offset and probe
 # value; below this the int64 arithmetic cannot wrap
 _INT64_SUM_LIMIT = 1 << 62
@@ -199,10 +211,11 @@ def disc_exhaustive(A: IntMatrix, balanced_only=False) -> SolveResult:
 
 def count_solutions(A: IntMatrix, r, cap=EXHAUSTIVE_CAP) -> int:
     """Exact number of balanced u with ||Au||_inf <= r: by the
-    meet-in-the-middle join past `cap` columns, by the exhaustive blocks up
-    to it, and up to ENUMERATION_CAP for files of more than
-    BLOCKS_FASTER_PAST_M rows, where the blocks are faster.  Both fix u_1 =
-    +1, count half the domain and double: u and -u count together."""
+    meet-in-the-middle count join (see _count_join) past `cap` columns, by
+    the exhaustive blocks up to it, and up to ENUMERATION_CAP for files of
+    more than BLOCKS_FASTER_PAST_M rows, where the blocks are faster at r >=
+    2.  Both fix u_1 = +1, count half the domain and double: u and -u count
+    together."""
     _check_radius(A, r, True)
     join = A.n > cap and (A.m <= BLOCKS_FASTER_PAST_M or A.n > ENUMERATION_CAP)
     if join:
@@ -235,10 +248,11 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False):
     in the offset delta_k = (Au)_k.  Depth first, in lexicographic order of
     the offsets in [-r, r] of rows k < m-1, the join walks these ranges
     together on a stack of one frame per row, visiting only offsets that
-    some pair meets; the last row's count or witness is read off the
-    ranges.  The witness is the first match by: delta, then left index, then
-    the right half's last-row sum, then right index; a half's index reads
-    its signs as binary with '-' = 1.
+    some pair meets; the last row's witness is read off the ranges.  The
+    witness is the first match by: delta, then left index, then the right
+    half's last-row sum, then right index; a half's index reads its signs
+    as binary with '-' = 1.  A count needs no order, so count_solutions
+    joins the same fields breadth first instead (see _count_join).
     """
     _check_radius(A, r, balanced_only)
     check_mitm_shape(A.n, A.m)
@@ -438,7 +452,7 @@ def _digit(words, lo, hi, k, cap, top):
     return digit
 
 
-def _prefix_tree(cols, balanced_only):
+def _prefix_tree(cols, balanced_only, dtype=None):
     """One half's fields (its sign sum when balanced_only, then each row's
     sum) as a tree of distinct prefixes, from one sort of its sign vectors
     (see _sort_words): each field's digit is read once from the sorted
@@ -447,7 +461,12 @@ def _prefix_tree(cols, balanced_only):
     id * |vals| + value rank, ascending, so a key's position is the node's
     id, keys stay ranks and parent p's children hold [p |vals|, (p + 1)
     |vals|).  Leaf i, a distinct full tuple, has smallest sign vector
-    rows[i] and multiplicity ends[i + 1] - ends[i]."""
+    rows[i] and multiplicity ends[i + 1] - ends[i].
+
+    A count's tree (dtype given) holds levels[d] = (starts, values)
+    instead, and rows is None: node i has field d's signed sum values[i] in
+    dtype, and parent p's children are the nodes [starts[p], starts[p + 1]),
+    ascending in value."""
     k = cols.shape[1]
     entries = [[1] * k] * balanced_only + cols.tolist()
     tops = [sum(e) for e in entries]
@@ -459,7 +478,7 @@ def _prefix_tree(cols, balanced_only):
     leaf = _sort_words(words, k)
     for w in range(len(words)):
         words[w] = words[w][leaf]  # each freed once taken at the leaves
-    rows = (words[0] & np.uint64((1 << k) - 1)).view(np.intp)
+    rows = None if dtype is not None else (words[0] & np.uint64((1 << k) - 1)).view(np.intp)
     # last field first, so each pops off the end of the list in O(1)
     fields = [_digit(words, lo, hi, k, cap, top) for top, lo, hi in zip(tops, offs[1:], offs)][::-1]
     del words  # the narrow fields take less, and each is freed after its level
@@ -469,16 +488,20 @@ def _prefix_tree(cols, balanced_only):
         start = new.copy()
         start[1:] |= field[1:] != field[:-1]
         child = np.flatnonzero(start)
-        key, digit = new[child].astype(np.intp), field[child]
-        del child  # the keys are built in place, to keep the peak down
-        np.cumsum(key, out=key)  # the parent's id + 1
-        key -= 1
-        vals = _subset_sums(e)
-        key *= len(vals)
-        # ranks in field's own type, as uint64 against int64 compares in float64
-        key += np.searchsorted(vals.astype(field.dtype), digit)
+        if dtype is not None:
+            digit = field[child].astype(dtype)
+            levels.append((np.append(np.flatnonzero(new[child]), len(child)), digit - (top - digit)))
+        else:
+            key, digit = new[child].astype(np.intp), field[child]
+            del child  # the keys are built in place, to keep the peak down
+            np.cumsum(key, out=key)  # the parent's id + 1
+            key -= 1
+            vals = _subset_sums(e)
+            key *= len(vals)
+            # ranks in field's own type, as uint64 against int64 compares in float64
+            key += np.searchsorted(vals.astype(field.dtype), digit)
+            levels.append((2 * vals - top, key))
         new = start
-        levels.append((2 * vals - top, key))
     return levels, rows, np.append(leaf, 1 << k)
 
 
@@ -487,23 +510,25 @@ def _scan(mat, r, balanced_only, count):
     ||Au||_inf <= r (and zero sum when balanced_only), or the signs of the
     first one, by: delta in product order, then smallest left index, then
     smallest last-row value, then smallest right index (None when there is
-    none).  Both halves' prefix trees (see _prefix_tree) are joined depth
-    first over matched (left prefix, right prefix) pairs, on a stack of one
-    frame per depth.
+    none).  Both halves' prefix trees (see _prefix_tree) are joined over
+    matched (left prefix, right prefix) pairs, one depth per field.
 
     A count fixes u_1 = +1 and joins the other n - 1 columns, each depth's
     window shifted by column 0's part, then doubles: u <-> -u pairs off
-    every counted vector, balanced or not.  The witness halves are the
-    first n//2 columns and the rest."""
+    every counted vector, balanced or not (see _count_join).  The witness
+    halves are the first n//2 columns and the rest, walked depth first on a
+    stack of one frame per depth."""
     n, fixed = mat.shape[1], int(count)
     nl = fixed + (n - fixed) // 2
-    ltree, lrows, lends = _prefix_tree(mat[:, fixed:nl], balanced_only)
-    rtree, rrows, rends = _prefix_tree(mat[:, nl:], balanced_only)
     # the pair's imbalance meets -u_1 (0 for a witness), and row k's offset
     # meets [-r, r] less u_1's part; windows[d] = (lowest, highest)
     shift = (fixed * mat[:, 0]).tolist()
     windows = [(-fixed, -fixed)] * balanced_only + [(-r - c, r - c) for c in shift]
-    total, stack = 0, []
+    if count:
+        return 2 * _count_join(mat[:, 1:], nl - 1, balanced_only, windows)
+    ltree, lrows, lends = _prefix_tree(mat[:, :nl], balanced_only)
+    rtree, rrows, rends = _prefix_tree(mat[:, nl:], balanced_only)
+    stack = []
     left = right = np.zeros(1, dtype=np.intp)
     while True:
         # the children of left prefixes `left` meet their partners' (`right`)
@@ -513,7 +538,7 @@ def _scan(mat, r, balanced_only, count):
         (vals, keys), (rvals, rkeys) = ltree[depth], rtree[depth]
         first = np.searchsorted(keys, left * len(vals))
         size = np.searchsorted(keys, (left + 1) * len(vals)) - first
-        child = np.repeat(first - np.cumsum(size) + size, size) + np.arange(size.sum())
+        child = _children(first, size)
         col = vals[keys[child] % len(vals)]
         base = np.repeat(right, size) * len(rvals)
         del first, size
@@ -523,9 +548,6 @@ def _scan(mat, r, balanced_only, count):
         del base
         if depth < len(windows) - 1:
             stack.append((child, col, a, b))
-        elif count:
-            lmult = lends[child + 1] - lends[child]
-            total += int((lmult * (rends[b] - rends[a])).sum())
         else:
             k = np.where(a < b, lrows[child], np.iinfo(np.intp).max).argmin()
             if a[k] < b[k]:
@@ -537,7 +559,7 @@ def _scan(mat, r, balanced_only, count):
         while stack and not (live := np.flatnonzero(stack[-1][2] < stack[-1][3])).size:
             stack.pop()
         if not stack:
-            return 2 * total if count else None
+            return None
         child, col, a, b = stack[-1]
         child, col, a, b = stack[-1] = child[live], col[live], a[live], b[live]
         rvals, rkeys = rtree[len(stack) - 1]
@@ -546,3 +568,109 @@ def _scan(mat, r, balanced_only, count):
         del delta, live
         left, right = child[hit], a[hit]
         a[hit] += 1
+
+
+def _children(first, size):
+    """Every index in the ranges [first[i], first[i] + size[i]), in order."""
+    return np.repeat(first - np.cumsum(size) + size, size) + np.arange(size.sum())
+
+
+def _count_join(cols, nl, balanced_only, windows):
+    """The number of (left, right) pairs of sign vectors, the left half on
+    the first nl columns of cols and the right on the rest, whose field sums
+    meet every window: breadth first over matched (left node, right node)
+    pairs of the halves' count trees (see _prefix_tree), in no offset order.
+
+    A frame holds matched pairs of one depth and the ranges of their
+    children.  A step takes the top frame's next left children, each with
+    its pair's right range: at least one, and at most _COUNT_BATCH units of
+    work in all (see frame).  A left child's partners are the right children
+    whose value sum with it meets the depth's window, one run of its range,
+    which ascends in value; _cut finds each run's ends.  The runs' pairs make
+    the next frame, or at the last depth each left multiplicity times its
+    run's right multiplicity is added to the total.  So no step or frame
+    outgrows _COUNT_BATCH units or one left child's, and the join holds at
+    most one frame per depth."""
+    # every value sum lies within bound of 0, so the windows clip to bound + 1
+    bound = int(cols.sum(axis=1).max(initial=cols.shape[1]))
+    dtype = np.min_scalar_type(-2 - bound)
+    windows = [(max(low, -bound - 1), min(high, bound + 1)) for low, high in windows]
+    if any(low > high for low, high in windows):
+        return 0  # column 0 alone takes some row past r
+    ltree, _, lends = _prefix_tree(cols[:, :nl], balanced_only, dtype)
+    rtree, _, rends = _prefix_tree(cols[:, nl:], balanced_only, dtype)
+    lmult, last = np.diff(lends), len(windows) - 1
+    del lends
+    # a node's children are distinct values of one parity, so a run holds at
+    # most `most` of them; rends[i] counts the right sign vectors before leaf i
+    most = [(high - low) // 2 + 1 for low, high in windows]
+
+    def frame(depth, left, right):
+        # the pairs' children at depth, and the running units of work of
+        # their left children: one for its search, and above the last depth
+        # one for each pair its run can keep
+        (lstarts, _), (rstarts, _) = ltree[depth], rtree[depth]
+        lfirst, rfirst = lstarts[left], rstarts[right]
+        lsize, rsize = lstarts[left + 1] - lfirst, rstarts[right + 1] - rfirst
+        unit = np.ones_like(rsize) if depth == last else 1 + np.minimum(rsize, most[depth])
+        ends = np.zeros(len(left) + 1, np.intp)
+        np.cumsum(lsize * unit, out=ends[1:])
+        return [depth, lfirst, lsize, rfirst, rsize, unit, ends, 0, 0]
+
+    total, root = 0, np.zeros(1, np.intp)
+    frames = [frame(0, root, root)]
+    while frames:
+        # the step starts at left child j of pair p and ends before left
+        # child k of pair q, at least one later
+        top = frames[-1]
+        depth, lfirst, lsize, rfirst, rsize, unit, ends, p, j = top
+        at = ends[p] + j * unit[p] + _COUNT_BATCH
+        q = int(np.searchsorted(ends, at, "right")) - 1
+        k = 0 if q == len(lsize) else int((at - ends[q]) // unit[q])
+        if (q, k) <= (p, j):
+            q, k = (p, j + 1) if j + 1 < lsize[p] else (p + 1, 0)
+        if q < len(lsize):
+            top[-2:] = q, k
+        else:
+            frames.pop()
+        part = slice(p, q + (k > 0))
+        first, size = lfirst[part].copy(), lsize[part].copy()
+        if k:
+            size[-1] = k
+        first[0] += j
+        size[0] -= j
+        left = _children(first, size)
+        first, size = np.repeat(rfirst[part], size), np.repeat(rsize[part], size)
+        width, end = int(size.max()), first + size
+        del size
+        (_, lvals), (_, rvals) = ltree[depth], rtree[depth]
+        value = lvals[left]
+        low, high = windows[depth]
+        a = _cut(rvals, first, end, value, low - 1, width)
+        b = _cut(rvals, a, end, value, high, min(width, most[depth]))
+        del first, end, value
+        if depth == last:
+            total += int(np.dot(lmult[left], rends[b] - rends[a]))
+            continue
+        b -= a
+        left = np.repeat(left, b)
+        if left.size:
+            frames.append(frame(depth + 1, left, _children(a, b)))
+    return total
+
+
+def _cut(vals, first, end, add, limit, width):
+    """For each i, the first j in [first[i], end[i]) with vals[j] + add[i] >
+    limit, or end[i], where it lies at most width past first[i] and each
+    range ascends in vals: a bisection of every range at once, stepping
+    2^b, ..., 2, 1 past the last index known to be at or below limit.  A
+    left and a right value at one depth sum to at most the bound of
+    _count_join, so a step that reads past a range's end (clipped to vals)
+    cannot overflow."""
+    pos = first - 1
+    for b in reversed(range(width.bit_length())):
+        at = pos + (1 << b)
+        ok = at < end
+        ok &= vals.take(at, mode="clip") + add <= limit
+        pos += ok << b
+    return pos + 1

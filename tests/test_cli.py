@@ -70,6 +70,19 @@ def test_zcount_negative_radius_exit_2(n, tmp_path, capsys):
     assert "radius" in err
 
 
+@pytest.mark.parametrize("n, want", [(18, 48620), (22, 705432)])
+def test_zcount_at_a_wide_radius_is_fast(n, want, tmp_path, capsys):
+    # ten Poisson rate-20 rows at r = 100; a count join that walked each
+    # offset in [-r, r] in turn took about 10 s at n = 18 and 120 s at n = 22
+    path = str(tmp_path / "p20.mat")
+    argv = ["gen", "--ensemble", "poisson", "--m", "10", "--n", str(n), "--p", "20", "--seed", "1"]
+    assert run(argv + ["--out", path], capsys)[0] == 0
+    start = time.process_time()
+    code, out, _ = run(["zcount", "--in", path, "--r", "100"], capsys)
+    assert time.process_time() - start < 1.0
+    assert code == 0 and json.loads(out) == {"r": 100, "count": want}
+
+
 def test_moments_worked_example(capsys):
     code, out, _ = run(
         ["moments", "--case", "dense", "--m", "1", "--n", "4", "--p", "1/2"], capsys

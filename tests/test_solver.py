@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from itertools import chain, product
 
@@ -287,9 +288,8 @@ def _scan_rows(rng, m, n, huge):
     return rows
 
 
-def test_scan_matches_reference_pairs():
-    # the full scan, probe bypassed, against brute force over every pair of
-    # halves: the count, and the first pair in the documented witness order
+def _reference_pair_cases():
+    """(rows, r, balanced) cases for the full scan against brute force."""
     rng = random.Random(7)
     cases = []
     for case in range(200):
@@ -324,11 +324,49 @@ def test_scan_matches_reference_pairs():
     for n in (1, 2, 3, 5, 7, 9, 11):
         for m in (1, 6):
             cases += [(_scan_rows(rng, m, n, huge=n == 5), r, False) for r in range(3)]
-    for case, (rows, r, balanced) in enumerate(cases):
+    return cases
+
+
+def test_scan_matches_reference_pairs():
+    # the full scan, probe bypassed, against brute force over every pair of
+    # halves: the count, and the first pair in the documented witness order
+    for case, (rows, r, balanced) in enumerate(_reference_pair_cases()):
         mat = solver._int64_matrix(ens.IntMatrix.from_rows(rows))
         count, first = reference_mitm(rows, r, balanced)
         assert solver._scan(mat, r, balanced, count=True) == count, case
         assert solver._scan(mat, r, balanced, count=False) == first, case
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_count_batches_split_a_depth_anywhere(batch, monkeypatch):
+    # at most `batch` units of work a step, so a depth's matched pairs are
+    # taken over several steps, a pair's left children may be split between
+    # two and a left child with more units goes alone; on every fourth
+    # reference case, which holds entries near 2**58, all-zero
+    # columns and 24 and 40 rows
+    monkeypatch.setattr(solver, "_COUNT_BATCH", batch)
+    cases = _reference_pair_cases()[::4]
+    assert {24, 40} <= {len(rows) for rows, _, _ in cases}
+    for case, (rows, r, balanced) in enumerate(cases):
+        mat = solver._int64_matrix(ens.IntMatrix.from_rows(rows))
+        assert solver._scan(mat, r, balanced, count=True) == reference_mitm(rows, r, balanced)[0], case
+
+
+def test_count_join_stays_small_with_wide_entries():
+    # one row of 30 distinct entries below 10**6: almost every sum is
+    # distinct, so a matched pair of imbalance nodes has thousands of
+    # children on each side; forming every (left child, right child) product
+    # peaked at 359 MiB here, and finding each left child's partners takes
+    # about 2 MiB; the reversed row splits the columns differently
+    row = random.Random(5).sample(range(1, 10**6), 30)
+    tracemalloc.start()
+    try:
+        count = solver.count_solutions(mat([row]), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert count == solver.count_solutions(mat([row[::-1]]), 1) == 142
 
 
 def test_prefix_tree_matches_sorted_tuples():
@@ -461,15 +499,18 @@ def test_count_at_the_largest_row_sum_matches_brute_force():
 
 @pytest.mark.parametrize("n", [14, 16, 18, 20, 22])
 def test_count_agrees_across_the_join_cutover(n):
-    # the default count against the blocks (cap=99) and the join (cap=0),
-    # and all three against brute force over pairs of halves where it is cheap;
-    # r = 2 at m = 10 walks many offsets at every depth of the join
-    for m, r in ((2, 1), (6, 1), (10, 1), (10, 2)):
+    # the default count against the blocks (cap=99) and the join (cap=0) at
+    # r = 0-3, and all against brute force over pairs of halves where it is
+    # cheap; past BLOCKS_FASTER_PAST_M rows cap=0 still takes the blocks, so
+    # the join is also called directly
+    for m in (2, 6, 10, 12):
         A = ens.sample(ens.EnsembleSpec("bernoulli", m, n, F(1, 2), 40 + m))
-        count = solver.count_solutions(A, r)
-        assert count == solver.count_solutions(A, r, cap=99) == solver.count_solutions(A, r, cap=0)
-        if n <= 16:
-            assert count == reference_mitm([list(row) for row in A.rows()], r, True)[0]
+        for r in range(4):
+            count = solver.count_solutions(A, r)
+            assert count == solver.count_solutions(A, r, cap=99) == solver.count_solutions(A, r, cap=0), (m, r)
+            assert count == solver._scan(solver._int64_matrix(A), r, True, count=True), (m, r)
+            if n <= 16:
+                assert count == reference_mitm([list(row) for row in A.rows()], r, True)[0]
 
 
 def test_count_past_the_cutover_with_more_than_ten_rows():
