@@ -244,15 +244,16 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False):
     vectors (left) with those of the rest (right).  Each half is a tree of
     its distinct prefixes (see _prefix_tree): the half imbalance first when
     balanced_only, then rows 0..m-1.  At each depth a left prefix's
-    partners among its right node's children form one key range, ascending
-    in the offset delta_k = (Au)_k.  Depth first, in lexicographic order of
-    the offsets in [-r, r] of rows k < m-1, the join walks these ranges
+    partners among its right node's children form one run of them,
+    ascending in the offset delta_k = (Au)_k, found by the expansion step
+    that counts share (see _expand).  Depth first, in lexicographic order
+    of the offsets in [-r, r] of rows k < m-1, the join walks these runs
     together on a stack of one frame per row, visiting only offsets that
-    some pair meets; the last row's witness is read off the ranges.  The
+    some pair meets; the last row's witness is read off the runs.  The
     witness is the first match by: delta, then left index, then the right
     half's last-row sum, then right index; a half's index reads its signs
     as binary with '-' = 1.  A count needs no order, so count_solutions
-    joins the same fields breadth first instead (see _count_join).
+    joins the same trees breadth first instead (see _count_join).
     """
     _check_radius(A, r, balanced_only)
     check_mitm_shape(A.n, A.m)
@@ -279,11 +280,16 @@ def check_mitm_shape(n, m):
     # (both halves' keys) past about h rows; plus 1,500 bytes a row and 33
     # MB.  It was fitted to Bernoulli(1/2) counts over both whole halves at
     # r = 1-3, n = 30-46 and m = 1-400, and at (8, 20000), closest at (40,
-    # 10): 138 MiB against 143; witness scans build the same trees and peak
-    # as those did.  A count fixes u_1 and builds a left tree of half the
-    # size, so it peaks lower.  It does not bound wider entries, whose trees
-    # fill up sooner: Poisson rate 3 at (42, 6) peaked at 273 MiB against
-    # 79.  The exponent stops where a float would overflow (n past 2046)
+    # 10): 138 MiB against 143.  Counts and witness scans build the same
+    # narrow trees; a count fixes u_1 and builds a left tree of half the
+    # size, and a witness scan's trees span both whole halves and keep each
+    # leaf's sign vector.  Balanced witness scans at r = 1 (Bernoulli seed 1,
+    # fresh process) peaked at 114 / 202 / 140 / 193 MiB at (40, 10) / (42,
+    # 10) / (44, 8) / (46, 7), below the estimate's 143 / 239 / 223 / 239.  It
+    # does not bound wider entries, whose trees fill up sooner: Poisson rate
+    # 3 at (42, 6) peaked at 163 MiB in a count and 228 in a witness scan,
+    # against 79.  The exponent stops where a float would overflow (n past
+    # 2046)
     h = min((n + 1) // 2, 1023)
     est = 2.0**h * max(18, 12 + 2 * m, min(24 * m - 8 * h + 32, 17 * m + 16)) + 1500 * m + 33e6
     _check_budget("mitm", n, m, est)
@@ -350,21 +356,6 @@ def _probe(A, r, balanced_only):
         if (s & guards) == guards and not (s - span) & guards:
             return SignVector(tuple(1 if s >> c & 1 else -1 for c in range(n)), balanced_only)
     return None
-
-
-def _subset_sums(entries):
-    """The sorted distinct subset sums of a list of nonnegative ints: a set
-    of each half's sums, then their sumset, sorted (np.unique hashes, which
-    is far slower on a large sumset)."""
-    halves = []
-    for part in (entries[: len(entries) // 2], entries[len(entries) // 2 :]):
-        sums = {0}
-        for v in part:
-            sums |= {s + v for s in sums}
-        halves.append(np.fromiter(sums, np.int64, len(sums)))
-    out = np.add.outer(*halves).ravel()
-    out.sort()
-    return out[np.append(True, out[1:] != out[:-1])]
 
 
 def _packed_digits(entries, offs, cap):
@@ -452,21 +443,16 @@ def _digit(words, lo, hi, k, cap, top):
     return digit
 
 
-def _prefix_tree(cols, balanced_only, dtype=None):
+def _prefix_tree(cols, balanced_only, dtype, with_rows=False):
     """One half's fields (its sign sum when balanced_only, then each row's
     sum) as a tree of distinct prefixes, from one sort of its sign vectors
     (see _sort_words): each field's digit is read once from the sorted
-    words at the leaves.  Returns (levels, rows, ends): levels[d] = (vals,
-    keys) holds field d's sorted distinct values and each node's key parent
-    id * |vals| + value rank, ascending, so a key's position is the node's
-    id, keys stay ranks and parent p's children hold [p |vals|, (p + 1)
-    |vals|).  Leaf i, a distinct full tuple, has smallest sign vector
-    rows[i] and multiplicity ends[i + 1] - ends[i].
-
-    A count's tree (dtype given) holds levels[d] = (starts, values)
-    instead, and rows is None: node i has field d's signed sum values[i] in
-    dtype, and parent p's children are the nodes [starts[p], starts[p + 1]),
-    ascending in value."""
+    words at the leaves.  Returns (levels, rows, ends): levels[d] =
+    (starts, values), where node i has field d's signed sum values[i] in
+    dtype and parent p's children are the nodes [starts[p], starts[p + 1]),
+    ascending in value.  Leaf i, a distinct full tuple, has multiplicity
+    ends[i + 1] - ends[i] and, with_rows, smallest sign vector rows[i];
+    rows is None otherwise."""
     k = cols.shape[1]
     entries = [[1] * k] * balanced_only + cols.tolist()
     tops = [sum(e) for e in entries]
@@ -478,29 +464,18 @@ def _prefix_tree(cols, balanced_only, dtype=None):
     leaf = _sort_words(words, k)
     for w in range(len(words)):
         words[w] = words[w][leaf]  # each freed once taken at the leaves
-    rows = None if dtype is not None else (words[0] & np.uint64((1 << k) - 1)).view(np.intp)
+    rows = (words[0] & np.uint64((1 << k) - 1)).view(np.intp) if with_rows else None
     # last field first, so each pops off the end of the list in O(1)
     fields = [_digit(words, lo, hi, k, cap, top) for top, lo, hi in zip(tops, offs[1:], offs)][::-1]
     del words  # the narrow fields take less, and each is freed after its level
     levels, new = [], leaf == 0  # leaves that start a node; the root: leaf 0
-    for e, top in zip(entries, tops):
+    for top in tops:
         field = fields.pop()
         start = new.copy()
         start[1:] |= field[1:] != field[:-1]
         child = np.flatnonzero(start)
-        if dtype is not None:
-            digit = field[child].astype(dtype)
-            levels.append((np.append(np.flatnonzero(new[child]), len(child)), digit - (top - digit)))
-        else:
-            key, digit = new[child].astype(np.intp), field[child]
-            del child  # the keys are built in place, to keep the peak down
-            np.cumsum(key, out=key)  # the parent's id + 1
-            key -= 1
-            vals = _subset_sums(e)
-            key *= len(vals)
-            # ranks in field's own type, as uint64 against int64 compares in float64
-            key += np.searchsorted(vals.astype(field.dtype), digit)
-            levels.append((2 * vals - top, key))
+        digit = field[child].astype(dtype)
+        levels.append((np.append(np.flatnonzero(new[child]), len(child)), digit - (top - digit)))
         new = start
     return levels, rows, np.append(leaf, 1 << k)
 
@@ -511,41 +486,44 @@ def _scan(mat, r, balanced_only, count):
     first one, by: delta in product order, then smallest left index, then
     smallest last-row value, then smallest right index (None when there is
     none).  Both halves' prefix trees (see _prefix_tree) are joined over
-    matched (left prefix, right prefix) pairs, one depth per field.
+    matched (left node, right node) pairs, one depth per field, each pair
+    expanded by the one step _expand.
 
     A count fixes u_1 = +1 and joins the other n - 1 columns, each depth's
     window shifted by column 0's part, then doubles: u <-> -u pairs off
     every counted vector, balanced or not (see _count_join).  The witness
     halves are the first n//2 columns and the rest, walked depth first on a
-    stack of one frame per depth."""
+    stack of one frame per depth: a frame holds a depth's left children and
+    each one's partner run [a, b), and the heads a at the smallest offset
+    delta descend together."""
     n, fixed = mat.shape[1], int(count)
     nl = fixed + (n - fixed) // 2
     # the pair's imbalance meets -u_1 (0 for a witness), and row k's offset
     # meets [-r, r] less u_1's part; windows[d] = (lowest, highest)
     shift = (fixed * mat[:, 0]).tolist()
     windows = [(-fixed, -fixed)] * balanced_only + [(-r - c, r - c) for c in shift]
+    cols = mat[:, fixed:]
+    # every value sum lies within bound of 0, so the windows clip to bound + 1
+    bound = int(cols.sum(axis=1).max(initial=cols.shape[1]))
+    windows = [(max(low, -bound - 1), min(high, bound + 1)) for low, high in windows]
+    if any(low > high for low, high in windows):
+        return 0 if count else None  # column 0 alone takes some row past r
+    dtype = np.min_scalar_type(-2 - bound)
+    ltree, lrows, lends = _prefix_tree(cols[:, : nl - fixed], balanced_only, dtype, not count)
+    rtree, rrows, rends = _prefix_tree(cols[:, nl - fixed :], balanced_only, dtype, not count)
     if count:
-        return 2 * _count_join(mat[:, 1:], nl - 1, balanced_only, windows)
-    ltree, lrows, lends = _prefix_tree(mat[:, :nl], balanced_only)
-    rtree, rrows, rends = _prefix_tree(mat[:, nl:], balanced_only)
+        return 2 * _count_join(ltree, lends, rtree, rends, windows)
+    del lends, rends
     stack = []
     left = right = np.zeros(1, dtype=np.intp)
     while True:
-        # the children of left prefixes `left` meet their partners' (`right`)
-        # children in the key range [a, b), ascending in value v and so in
+        # the children of left nodes `left` and each one's partner run among
+        # its pair's (`right`) children, ascending in value v and so in
         # offset delta = v + col
         depth = len(stack)
-        (vals, keys), (rvals, rkeys) = ltree[depth], rtree[depth]
-        first = np.searchsorted(keys, left * len(vals))
-        size = np.searchsorted(keys, (left + 1) * len(vals)) - first
-        child = _children(first, size)
-        col = vals[keys[child] % len(vals)]
-        base = np.repeat(right, size) * len(rvals)
-        del first, size
-        low, high = windows[depth]
-        a = np.searchsorted(rkeys, base + np.searchsorted(rvals, low - col, side="left"))
-        b = np.searchsorted(rkeys, base + np.searchsorted(rvals, high - col, side="right"))
-        del base
+        lfirst, lsize = _ranges(ltree[depth][0], left)
+        rfirst, rsize = _ranges(rtree[depth][0], right)
+        child, col, a, b = _expand(ltree[depth], rtree[depth], windows[depth], lfirst, lsize, rfirst, rsize)
         if depth < len(windows) - 1:
             stack.append((child, col, a, b))
         else:
@@ -553,17 +531,15 @@ def _scan(mat, r, balanced_only, count):
             if a[k] < b[k]:
                 lsigns = _signs_of_index(int(lrows[child[k]]), nl)
                 return lsigns + _signs_of_index(int(rrows[a[k]]), n - nl)
-        # frames with no range left pop; the top one's ranges walk together,
-        # in ascending delta: the children whose head meets them at the
+        # frames with no run left pop; the top one's runs walk together, in
+        # ascending delta: the children whose head meets them at the
         # smallest delta descend with it, then only those heads advance
         while stack and not (live := np.flatnonzero(stack[-1][2] < stack[-1][3])).size:
             stack.pop()
         if not stack:
             return None
-        child, col, a, b = stack[-1]
-        child, col, a, b = stack[-1] = child[live], col[live], a[live], b[live]
-        rvals, rkeys = rtree[len(stack) - 1]
-        delta = rvals[rkeys[a] % len(rvals)] + col
+        child, col, a, b = stack[-1] = tuple(x[live] for x in stack[-1])
+        delta = rtree[len(stack) - 1][1][a] + col
         hit = np.flatnonzero(delta == delta.min())
         del delta, live
         left, right = child[hit], a[hit]
@@ -575,43 +551,58 @@ def _children(first, size):
     return np.repeat(first - np.cumsum(size) + size, size) + np.arange(size.sum())
 
 
-def _count_join(cols, nl, balanced_only, windows):
-    """The number of (left, right) pairs of sign vectors, the left half on
-    the first nl columns of cols and the right on the rest, whose field sums
-    meet every window: breadth first over matched (left node, right node)
-    pairs of the halves' count trees (see _prefix_tree), in no offset order.
+def _ranges(starts, nodes):
+    """The child ranges (first, size) of `nodes` in a level with `starts`."""
+    first = starts[nodes]
+    return first, starts[nodes + 1] - first
+
+
+def _expand(llevel, rlevel, window, lfirst, lsize, rfirst, rsize):
+    """The expansion step of both joins at one depth (its levels and
+    window): for pairs whose left children are the ranges [lfirst[i],
+    lfirst[i] + lsize[i]) and right children [rfirst[i], rfirst[i] +
+    rsize[i]), returns every left child in order, its value and its partner
+    run [a, b): the right children of its pair whose value sum with it meets
+    the window.  A range ascends in value, so the partners are one run, and
+    _cut finds both ends; a node's children are distinct values of one
+    parity, so the upper end lies within (high - low) // 2 + 1 of the lower,
+    r + 1 at a row."""
+    (_, lvals), (_, rvals) = llevel, rlevel
+    left = _children(lfirst, lsize)
+    first, size = np.repeat(rfirst, lsize), np.repeat(rsize, lsize)
+    width, end = int(size.max(initial=0)), first + size
+    del size
+    value = lvals[left]
+    low, high = window
+    a = _cut(rvals, first, end, value, low - 1, width)
+    return left, value, a, _cut(rvals, a, end, value, high, min(width, (high - low) // 2 + 1))
+
+
+def _count_join(ltree, lends, rtree, rends, windows):
+    """The number of (left, right) pairs of sign vectors whose field sums
+    meet every window, from the halves' prefix trees and leaf ends (see
+    _prefix_tree): breadth first over matched (left node, right node) pairs,
+    in no offset order.
 
     A frame holds matched pairs of one depth and the ranges of their
     children.  A step takes the top frame's next left children, each with
     its pair's right range: at least one, and at most _COUNT_BATCH units of
-    work in all (see frame).  A left child's partners are the right children
-    whose value sum with it meets the depth's window, one run of its range,
-    which ascends in value; _cut finds each run's ends.  The runs' pairs make
-    the next frame, or at the last depth each left multiplicity times its
-    run's right multiplicity is added to the total.  So no step or frame
-    outgrows _COUNT_BATCH units or one left child's, and the join holds at
-    most one frame per depth."""
-    # every value sum lies within bound of 0, so the windows clip to bound + 1
-    bound = int(cols.sum(axis=1).max(initial=cols.shape[1]))
-    dtype = np.min_scalar_type(-2 - bound)
-    windows = [(max(low, -bound - 1), min(high, bound + 1)) for low, high in windows]
-    if any(low > high for low, high in windows):
-        return 0  # column 0 alone takes some row past r
-    ltree, _, lends = _prefix_tree(cols[:, :nl], balanced_only, dtype)
-    rtree, _, rends = _prefix_tree(cols[:, nl:], balanced_only, dtype)
+    work in all (see frame), and expands them (see _expand).  The runs'
+    pairs make the next frame, or at the last depth each left multiplicity
+    times its run's right multiplicity is added to the total.  So no step or
+    frame outgrows _COUNT_BATCH units or one left child's, and the join
+    holds at most one frame per depth."""
     lmult, last = np.diff(lends), len(windows) - 1
-    del lends
-    # a node's children are distinct values of one parity, so a run holds at
-    # most `most` of them; rends[i] counts the right sign vectors before leaf i
+    # a run holds at most `most` right children (see _expand); rends[i]
+    # counts the right sign vectors before leaf i
     most = [(high - low) // 2 + 1 for low, high in windows]
 
     def frame(depth, left, right):
         # the pairs' children at depth, and the running units of work of
         # their left children: one for its search, and above the last depth
         # one for each pair its run can keep
-        (lstarts, _), (rstarts, _) = ltree[depth], rtree[depth]
-        lfirst, rfirst = lstarts[left], rstarts[right]
-        lsize, rsize = lstarts[left + 1] - lfirst, rstarts[right + 1] - rfirst
+        lfirst, lsize = _ranges(ltree[depth][0], left)
+        rfirst, rsize = _ranges(rtree[depth][0], right)
         unit = np.ones_like(rsize) if depth == last else 1 + np.minimum(rsize, most[depth])
         ends = np.zeros(len(left) + 1, np.intp)
         np.cumsum(lsize * unit, out=ends[1:])
@@ -639,16 +630,8 @@ def _count_join(cols, nl, balanced_only, windows):
             size[-1] = k
         first[0] += j
         size[0] -= j
-        left = _children(first, size)
-        first, size = np.repeat(rfirst[part], size), np.repeat(rsize[part], size)
-        width, end = int(size.max()), first + size
-        del size
-        (_, lvals), (_, rvals) = ltree[depth], rtree[depth]
-        value = lvals[left]
-        low, high = windows[depth]
-        a = _cut(rvals, first, end, value, low - 1, width)
-        b = _cut(rvals, a, end, value, high, min(width, most[depth]))
-        del first, end, value
+        left, _, a, b = _expand(ltree[depth], rtree[depth], windows[depth], first, size, rfirst[part], rsize[part])
+        del first, size
         if depth == last:
             total += int(np.dot(lmult[left], rends[b] - rends[a]))
             continue
@@ -664,9 +647,9 @@ def _cut(vals, first, end, add, limit, width):
     limit, or end[i], where it lies at most width past first[i] and each
     range ascends in vals: a bisection of every range at once, stepping
     2^b, ..., 2, 1 past the last index known to be at or below limit.  A
-    left and a right value at one depth sum to at most the bound of
-    _count_join, so a step that reads past a range's end (clipped to vals)
-    cannot overflow."""
+    left and a right value at one depth sum to at most the bound of _scan,
+    so a step that reads past a range's end (clipped to vals) cannot
+    overflow."""
     pos = first - 1
     for b in reversed(range(width.bit_length())):
         at = pos + (1 << b)

@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction as F
 from itertools import chain, product
 
+import numpy as np
 import pytest
 
 from helpers import balanced_vectors, first_optimal_signs, reference_mitm, reference_prefix_tree
@@ -180,8 +181,9 @@ def test_mitm_agrees_with_exhaustive(balanced):
 
 
 def test_mitm_tuple_fallback_path():
-    # ten rows, the row cap: eleven fields per half, the case that once
-    # needed tuple keys; the prefix trees' keys are ranks at any row count
+    # ten rows, the old row cap: eleven fields per half, the case that once
+    # needed tuple keys; a prefix tree holds only each node's value and where
+    # each parent's children start, at any row count
     for seed in range(10):
         A = ens.sample(ens.EnsembleSpec("bernoulli", 10, 10, F(1, 2), seed))
         disc = solver.disc_exhaustive(A, balanced_only=True).value
@@ -372,16 +374,27 @@ def test_count_join_stays_small_with_wide_entries():
 def test_prefix_tree_matches_sorted_tuples():
     # one half of a Poisson rate-3 matrix whose packed key (index bits, then
     # each field's digit) needs two 64-bit words, against a tree built from
-    # sorted Python tuples
+    # sorted Python tuples, in the narrow type a scan gives it; each level's
+    # (starts, values) is read as the oracle's sorted distinct values and
+    # keys (parent position * their number + value rank)
     A = ens.sample(ens.EnsembleSpec("poisson", 10, 28, F(3), 4))
     half = [list(row[:14]) for row in A.rows()]
     assert 14 + (14).bit_length() + sum(sum(row).bit_length() for row in half) > 64
     mat = solver._int64_matrix(A)
+    dtype = np.min_scalar_type(-2 - max(14, *map(sum, half)))
     for balanced in (False, True):
-        levels, rows, ends = solver._prefix_tree(mat[:, :14], balanced)
         want_levels, want_rows, want_ends = reference_prefix_tree(half, balanced)
-        assert [(v.tolist(), k.tolist()) for v, k in levels] == want_levels
-        assert rows.tolist() == want_rows and ends.tolist() == want_ends
+        for with_rows in (False, True):
+            levels, rows, ends = solver._prefix_tree(mat[:, :14], balanced, dtype, with_rows)
+            got = []
+            for starts, values in levels:
+                assert values.dtype == dtype
+                vals = np.unique(values)
+                parent = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+                got.append((vals.tolist(), (parent * len(vals) + np.searchsorted(vals, values)).tolist()))
+            assert got == want_levels
+            assert ends.tolist() == want_ends
+            assert (rows.tolist() if with_rows else rows) == (want_rows if with_rows else None)
 
 
 def test_scan_counts_a_tall_matrix_in_time_linear_in_its_rows():
