@@ -4,7 +4,9 @@ Everything random in this package draws from SplitMix64 streams.  A stream's
 state is one 64-bit counter advanced by the golden-ratio increment, and its
 k-th output is mix64(key + k * golden), so child streams are split off by
 hashing (key, index) pairs, substreams do not depend on evaluation order or
-thread count, and a run of outputs is one numpy uint64 block.  Integer draws
+thread count, and a run of outputs is one numpy uint64 block.  numpy is
+imported at the first such block (see lazy.py), so a process that draws only
+short runs, as the exact Stein checks do, never loads it.  Integer draws
 are exact rejection samples, masked out of a block when the bound is fixed
 (Stream.below_many) and walked with the Fisher-Yates swaps they drive when
 it varies (Stream.shuffles); so a sample from integer weights (a_0, ..., a_k)
@@ -15,7 +17,7 @@ from bisect import bisect_right
 from functools import lru_cache, reduce
 from itertools import accumulate
 
-import numpy as np
+from .lazy import LazyNumpy
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -31,8 +33,15 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-# numpy scalars built once: building them per call costs more than a small block
-_U_GOLDEN, _U_M1, _U_M2, _U27, _U30, _U31 = map(np.uint64, (_GOLDEN, _M1, _M2, 27, 30, 31))
+def _build_scalars(numpy):
+    """The numpy uint64 scalars of the block arithmetic, built once, when
+    numpy loads: building them per call costs more than a small block."""
+    global _U_GOLDEN, _U_M1, _U_M2, _U27, _U30, _U31
+    _U_GOLDEN, _U_M1, _U_M2, _U27, _U30, _U31 = map(numpy.uint64, (_GOLDEN, _M1, _M2, 27, 30, 31))
+
+
+np = LazyNumpy(globals(), _build_scalars)
+
 # up to this many outputs, mix64 on Python ints beats one numpy block
 _SMALL_RUN = 12
 

@@ -13,13 +13,13 @@ from itertools import accumulate, compress, islice
 from math import comb
 from operator import itemgetter
 
-import numpy as np
-
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, check_budget
 from .ensembles import IntMatrix
+from .lazy import LazyNumpy
 from .rng import Stream, derive_key, mix64
 
-MEMORY_BUDGET = 256 << 20  # bytes: every solver refuses a larger fitted peak
+np = LazyNumpy(globals())
+
 # the widest matrix the exhaustive blocks enumerate: 2^(n-1) sign vectors
 ENUMERATION_CAP = 26
 # count_solutions' default cap, past which it counts by the join; perfbench
@@ -129,16 +129,6 @@ def max_abs_row_sum(A):
     return max(sum(A.row(i)) for i in range(A.m))
 
 
-def _check_budget(what, n, m, est, n_cap=None):
-    """Refuse `what` past a fitted peak of est bytes or past n_cap columns."""
-    if est > MEMORY_BUDGET or (n_cap and n > n_cap):
-        limit = f"n<={n_cap} and " if n_cap else ""
-        raise CapacityError(
-            f"{what} refused at n={n}, m={m}: it takes {limit}{MEMORY_BUDGET >> 20} MiB",
-            estimate=f"~{est / 1e6:.0f} MB peak memory",
-        )
-
-
 def _exhaustive_blocks(mat, balanced_only):
     """Every sign vector with u_1 = +1 for the int64 matrix mat, one block
     per setting of the high n-1-lo_w signs: yields (hi_idx, lo_idx, vals),
@@ -159,7 +149,7 @@ def _exhaustive_blocks(mat, balanced_only):
     # part, its balanced groups and one block's sums take at most 24 bytes
     # (n = 17, 143 rows: 182 MB against 267 MB; 50 MB with 0/1 entries)
     est = 25.0 * m * 2**lo_w + 33e6
-    _check_budget("exhaustive search", n, m, est, ENUMERATION_CAP)
+    check_budget("exhaustive search", n, m, est, ENUMERATION_CAP)
     dtype = np.min_scalar_type(-1 - int(mat.sum(axis=1).max()))
     hi_w = n - 1 - lo_w
     lo_part = _signed_sums(mat[:, 1 + hi_w :], dtype)
@@ -292,7 +282,7 @@ def check_mitm_shape(n, m):
     # 2046)
     h = min((n + 1) // 2, 1023)
     est = 2.0**h * max(18, 12 + 2 * m, min(24 * m - 8 * h + 32, 17 * m + 16)) + 1500 * m + 33e6
-    _check_budget("mitm", n, m, est)
+    check_budget("mitm", n, m, est)
 
 
 def _check_radius(A, r, balanced_only):

@@ -165,6 +165,47 @@ def test_gen_poisson_rate_past_exact_cap_exits_3(capsys):
 
 
 @pytest.mark.parametrize(
+    "flags,refusal",
+    [
+        # 10^16 entries: this ran past 30 s, drawing, before the size rule
+        (["bernoulli", "100000000", "100000000", "1/2", "none"], "sampling refused"),
+        # one long row: 297 MB fitted against 266 MiB measured
+        (["bernoulli", "1", "3000000", "1/2", "none"], "sampling refused"),
+        # 385-word draws at rate 1000 take about 15 kB a column
+        (["poisson", "1", "100000", "1000", "none"], "sampling refused"),
+        # the coupling's row sum law is refused before the rows are drawn
+        (["bernoulli", "1", "1000000", "1/2", "even"], "exact binomial capped"),
+    ],
+)
+def test_gen_past_memory_budget_exits_3_before_any_draw(flags, refusal, monkeypatch, capsys):
+    def no_draw(key):
+        raise AssertionError("a stream was drawn from")
+
+    monkeypatch.setattr(ensembles, "Stream", no_draw)
+    ensemble, m, n, p, parity = flags
+    argv = ["gen", "--ensemble", ensemble, "--m", m, "--n", n, "--p", p, "--seed", "1",
+            "--parity", parity]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"capacity: {refusal}")
+    if refusal == "sampling refused":
+        assert re.search(r"\(~\d+ MB peak memory\)$", err.strip())
+
+
+# the widest and the tallest gen of CI and the golden pins, and the longest
+# sampled row of the tests, with the even coupling's 32 bytes an entry
+@pytest.mark.parametrize(
+    "kind,m,n,p",
+    [("bernoulli", 2, 400, "1/3"), ("poisson", 2, 400, "5/2"), ("poisson", 6, 32, "16"),
+     ("poisson", 10, 22, "20"), ("bernoulli", 20, 20, "1/2"), ("bernoulli", 6, 32, "1/2"),
+     ("poisson", 6, 32, "5/2"), ("poisson", 1, 20000, "3")],
+)
+def test_gen_sizes_in_use_stay_admitted(kind, m, n, p):
+    spec = ensembles.EnsembleSpec(kind, m, n, F(p), 1)
+    ensembles._check_sample_size(spec, ensembles._entry_table(kind, spec.param), 32)
+
+
+@pytest.mark.parametrize(
     "grid",
     [["--n-start", "40", "--n-stop", "8"], ["--n-start", "8", "--n-stop", "40", "--n-stride", "-4"]],
 )
