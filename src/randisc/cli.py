@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict, fields, is_dataclass
 from fractions import Fraction
 from math import log10
 
@@ -26,17 +27,28 @@ def _fraction(text):
         raise ParameterError(f"bad rational {text!r}: {exc}") from None
 
 
-def _fmt_fraction(fr):
-    if fr is None:
-        return None
-    try:
-        return f"{fr.numerator}/{fr.denominator}"
-    except ValueError:  # an integer past Python's int-to-str digit limit
-        digits = int(log10(max(abs(fr.numerator), fr.denominator))) + 1
-        limit = sys.get_int_max_str_digits()
-        raise CapacityError(
-            f"a {digits}-digit integer in the output passes sys.get_int_max_str_digits() = {limit}"
-        ) from None
+def _json_value(obj):
+    """json.dumps hook: a Fraction as "num/den", a SignVector as its sign
+    string, any other dataclass as a dict of its fields in order."""
+    if isinstance(obj, Fraction):
+        try:
+            return f"{obj.numerator}/{obj.denominator}"
+        except ValueError:  # an integer past Python's int-to-str digit limit
+            digits = int(log10(max(abs(obj.numerator), obj.denominator))) + 1
+            limit = sys.get_int_max_str_digits()
+            raise CapacityError(
+                f"a {digits}-digit integer in the output passes sys.get_int_max_str_digits() = {limit}"
+            ) from None
+    if isinstance(obj, solver.SignVector):
+        return str(obj)
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _print_json(payload):
+    """Print one JSON line; every exact value in it goes through _json_value."""
+    print(json.dumps(payload, default=_json_value))
 
 
 # ---------------------------------------------------------------------------
@@ -61,16 +73,15 @@ def _cmd_disc(args):
         if args.r is None:
             raise ParameterError("--method mitm needs --r")
         ok, wit = solver.disc_exists_mitm(A, args.r, balanced_only=args.balanced)
-        print(json.dumps({"feasible": ok, "r": args.r, "witness": str(wit) if wit else None}))
-        return 0
-    print(json.dumps(res.to_json_dict()))
+        res = {"feasible": ok, "r": args.r, "witness": wit}
+    _print_json(res)
     return 0
 
 
 def _cmd_zcount(args):
     A = ensembles.read_matrix(args.infile)
     count = solver.count_solutions(A, args.r)
-    print(json.dumps({"r": args.r, "count": count}))
+    _print_json({"r": args.r, "count": count})
     return 0
 
 
@@ -104,47 +115,31 @@ def _cmd_moments(args):
         "case": case,
         "n": report.n,
         "m": report.m,
-        "psi": _fmt_fraction(report.psi),
-        "phi": [
-            [b.numerator, b.denominator, _fmt_fraction(v)]
-            for b, v in sorted(report.phi_at.items())
-        ],
-        "first_moment": _fmt_fraction(report.first_moment.value),
+        "psi": report.psi,
+        "phi": [[b.numerator, b.denominator, v] for b, v in sorted(report.phi_at.items())],
+        "first_moment": report.first_moment.value,
         "log_first_moment": report.first_moment.log_value,
-        "ratio": _fmt_fraction(report.ratio),
+        "ratio": report.ratio,
     }
     if flags:
         payload["flags"] = {
             "first_moment_holds": flags.first_moment_holds,
             "c_margin": flags.c_margin,
             "weak_bound_holds": flags.weak_bound_holds,
-            "C_delta": _fmt_fraction(flags.c_delta),
+            "C_delta": flags.c_delta,
             "strong_bound_holds": flags.strong_bound_holds,
-            "C_strong": _fmt_fraction(flags.c_strong),
+            "C_strong": flags.c_strong,
             "C_fit": flags.c_fit,
-            "central_ratio": _fmt_fraction(flags.central_ratio),
+            "central_ratio": flags.central_ratio,
         }
-    print(json.dumps(payload))
+    _print_json(payload)
     return 0
 
 
 def _cmd_ratio(args):
     case, kw = _moment_kwargs(args)
     res = moments.second_moment_ratio(case, **kw)
-    payload = {
-        "case": case,
-        "ratio": _fmt_fraction(res.ratio),
-        "profile": [
-            {
-                "r": t.r,
-                "beta": _fmt_fraction(t.beta),
-                "phi_over_psi2": _fmt_fraction(t.phi_over_psi2),
-                "term": _fmt_fraction(t.term),
-            }
-            for t in res.profile
-        ],
-    }
-    print(json.dumps(payload))
+    _print_json({"case": case, "ratio": res.ratio, "profile": res.profile})
     return 0
 
 
@@ -182,17 +177,15 @@ def _cmd_verify_inverse(args):
         if bd.w != args.w:
             raise ParameterError(f"spec file has w={bd.w}, flag says {args.w}")
     sol = stein.stein_invert(bd, args.t)
-    print(
-        json.dumps(
-            {
-                "w": args.w,
-                "t": args.t,
-                "max_delta": _fmt_fraction(sol.max_delta()),
-                "l1_delta": _fmt_fraction(sol.l1_delta()),
-                "bound": _fmt_fraction(min(1 / bd.a[args.t], 1 / bd.b[args.t])),
-                "inverse_residual": _fmt_fraction(stein.stein_apply_residual(bd, sol)),
-            }
-        )
+    _print_json(
+        {
+            "w": args.w,
+            "t": args.t,
+            "max_delta": sol.max_delta(),
+            "l1_delta": sol.l1_delta(),
+            "bound": min(1 / bd.a[args.t], 1 / bd.b[args.t]),
+            "inverse_residual": stein.stein_apply_residual(bd, sol),
+        }
     )
     return 0
 
@@ -204,21 +197,7 @@ def _cmd_verify_identity(args):
         stein.SCENARIO_CASES[args.case], n, args.w, _fraction(args.beta), band
     )
     rep = stein.identity_report(args.case, scen)
-    print(
-        json.dumps(
-            {
-                "case": args.case,
-                "w": args.w,
-                "beta": args.beta,
-                "band": args.band,
-                "lhs": _fmt_fraction(rep.lhs),
-                "rhs": _fmt_fraction(rep.rhs),
-                "residual": _fmt_fraction(rep.residual),
-                "band_term": _fmt_fraction(rep.band_term),
-                "corrected_residual": _fmt_fraction(rep.corrected_residual),
-            }
-        )
-    )
+    _print_json({"case": args.case, "w": args.w, "beta": args.beta, "band": args.band, **asdict(rep)})
     return 0
 
 
@@ -241,7 +220,7 @@ def _cmd_scan_bounds(args):
                 "g2_decay": g2.decay,
             }
         )
-    print(json.dumps(out))
+    _print_json(out)
     return 0
 
 

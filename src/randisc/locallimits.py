@@ -42,22 +42,21 @@ class Pmf:
     offset: int
     counts: tuple
     den: int
-    step_variance: Fraction = None  # set for lazy-walk pmfs
 
-    def __init__(self, offset, weights, step_variance=None):
+    def __init__(self, offset, weights):
         nums, den = over_one_denominator(weights)
         if sum(nums) != den:
             raise ParameterError("exact pmf must sum to exactly 1")
-        self._fill(offset, nums, step_variance)
+        self._fill(offset, nums)
 
     @classmethod
-    def from_masses(cls, offset, masses, step_variance=None):
+    def from_masses(cls, offset, masses):
         """The pmf proportional to nonnegative integer or rational masses."""
         pmf = cls.__new__(cls)
-        pmf._fill(offset, over_one_denominator(masses)[0], step_variance)
+        pmf._fill(offset, over_one_denominator(masses)[0])
         return pmf
 
-    def _fill(self, offset, nums, step_variance):
+    def _fill(self, offset, nums):
         if not nums:
             raise ParameterError("empty pmf")
         if any(v < 0 for v in nums):
@@ -71,7 +70,6 @@ class Pmf:
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "counts", tuple(v // g for v in nums))
         object.__setattr__(self, "den", den // g)
-        object.__setattr__(self, "step_variance", step_variance)
 
     @property
     def weights(self):
@@ -207,7 +205,7 @@ def lazy_walk_pmf(r, p):
             nxt = (alpha * (r + k + 1) * up + beta * k * cur) // (alpha * (r - k + 1))
             up, cur = cur, nxt
             side.append(cur)
-    return Pmf.from_masses(-r, side + side[-2::-1], step_variance=2 * p * (1 - p))
+    return Pmf.from_masses(-r, side + side[-2::-1])
 
 
 def truncated_poisson_pmf(lam, tail_bound=Fraction(1, 2**60)):

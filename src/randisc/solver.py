@@ -86,13 +86,6 @@ class SolveResult:
     witness: SignVector = None
     count: int = None
 
-    def to_json_dict(self):
-        return {
-            "value": self.value,
-            "witness": str(self.witness) if self.witness else None,
-            "count": self.count,
-        }
-
 
 def _signed_sums(c, dtype):
     """u . c_i for every sign vector u and row c_i of the (m, k) int64
@@ -114,19 +107,14 @@ def _signs_of_index(idx, k):
     return tuple(1 - 2 * ((idx >> (k - 1 - j)) & 1) for j in range(k))
 
 
-def _int64_matrix(A):
-    """A as an int64 array; CapacityError where int64 sums could wrap."""
+def _check_int64_sums(A):
+    """CapacityError where int64 sums of A's entries could wrap."""
     top = max(A.entries, default=0)
     if top * A.n >= _INT64_SUM_LIMIT:
         raise CapacityError(
             f"entries up to {top} at n={A.n} could overflow int64 sums",
             estimate="max entry * n must stay below 2**62",
         )
-    return A.to_numpy()
-
-
-def max_abs_row_sum(A):
-    return max(sum(A.row(i)) for i in range(A.m))
 
 
 def _exhaustive_blocks(mat, balanced_only):
@@ -181,7 +169,8 @@ def disc_exhaustive(A: IntMatrix, balanced_only=False) -> SolveResult:
     vector could only tie and a tie keeps the earlier one."""
     if balanced_only and A.n % 2:
         raise ParameterError("balanced vectors require even n")
-    mat = _int64_matrix(A)
+    _check_int64_sums(A)
+    mat = A.to_numpy()
     floor = int((mat.sum(axis=1) % 2).max())
     best_val = best_idx = None
     for hi_idx, lo_idx, vals in _exhaustive_blocks(mat, balanced_only):
@@ -210,14 +199,14 @@ def count_solutions(A: IntMatrix, r, cap=EXHAUSTIVE_CAP) -> int:
     join = A.n > cap and (A.m <= BLOCKS_FASTER_PAST_M or A.n > ENUMERATION_CAP)
     if join:
         check_mitm_shape(A.n, A.m)
-    mat = _int64_matrix(A)
-    if r >= max_abs_row_sum(A):
+    _check_int64_sums(A)
+    if r >= max(A.row_sums()):
         # no |u . row| exceeds the largest row sum, so every balanced u counts
         return comb(A.n, A.n // 2)
     if join:
-        return _scan(mat, r, True, count=True)
+        return _scan(A.to_numpy(), r, True, count=True)
     # u_1 = +1 covers half the balanced domain; u <-> -u doubles the count.
-    blocks = _exhaustive_blocks(mat, balanced_only=True)
+    blocks = _exhaustive_blocks(A.to_numpy(), balanced_only=True)
     return 2 * sum(int((vals <= r).sum()) for _, _, vals in blocks)
 
 
@@ -247,14 +236,15 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False):
     """
     _check_radius(A, r, balanced_only)
     check_mitm_shape(A.n, A.m)
-    mat = _int64_matrix(A)
-    if r >= max_abs_row_sum(A):
+    _check_int64_sums(A)
+    if r >= max(A.row_sums()):
         # any vector lands inside [-r, r] on every row
         signs = tuple(1 if j % 2 == 0 else -1 for j in range(A.n))
         return True, SignVector(signs, balanced_only)
     hit = _probe(A, r, balanced_only)
     if hit is None:
-        signs = _scan(mat, r, balanced_only, count=False)
+        # only a probe miss reads the int64 array
+        signs = _scan(A.to_numpy(), r, balanced_only, count=False)
         if signs is None:
             return False, None
         hit = SignVector(signs, balanced_only)

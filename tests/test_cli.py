@@ -528,16 +528,27 @@ def test_ratio_past_the_old_round_caps_is_exact(capsys):
 
 
 def test_output_past_the_int_digit_limit_exits_3(capsys):
-    # str(int) refuses past sys.get_int_max_str_digits(); this escaped as ValueError
-    argv = ["ratio", "--case", "dense", "--m", "8", "--n", "64", "--p", "1/99999999999999999999"]
-    code, out, err = run(argv, capsys)
-    assert code == 3 and out == ""
-    limit = sys.get_int_max_str_digits()
-    assert re.fullmatch(
-        rf"capacity: a (\d+)-digit integer in the output passes "
-        rf"sys.get_int_max_str_digits\(\) = {limit}\n", err
-    )
-    assert int(re.match(r"capacity: a (\d+)", err).group(1)) > limit
+    # str(int) refuses past sys.get_int_max_str_digits(); this escaped as
+    # ValueError.  Each command prints one rational past 640 digits
+    cases = [
+        ["ratio", "--case", "dense", "--m", "8", "--n", "64", "--p", "1/99999999999999999999"],
+        ["moments", "--case", "dense", "--m", "2", "--n", "32", "--p", "1/99999999999999999999"],
+        ["stein", "verify-identity", "--case", "bernoulli", "--w", "800", "--beta", "1/2"],
+        ["stein", "verify-inverse", "--w", "2400", "--t", "1200"],
+    ]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for argv in cases:
+            code, out, err = run(argv, capsys)
+            assert code == 3 and out == "", argv
+            assert re.fullmatch(
+                r"capacity: a (\d+)-digit integer in the output passes "
+                r"sys.get_int_max_str_digits\(\) = 640\n", err
+            ), argv
+            assert int(re.match(r"capacity: a (\d+)", err).group(1)) > 640, argv
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_lclt_stirling_binom_past_float_range_exits_3(capsys):

@@ -49,7 +49,15 @@ def test_lazy_walk_exact_invariants(r, p):
         assert pmf[k] == pmf[-k]
     assert pmf.mean() == 0
     assert pmf.variance() == r * 2 * p * (1 - p)
-    assert pmf.step_variance == 2 * p * (1 - p)
+
+
+def test_equal_laws_compare_equal():
+    # (2z + 5 + 2/z)**3, the lazy walk R(3, 1/3), built three ways
+    counts = (8, 60, 174, 245, 174, 60, 8)
+    walk = ll.lazy_walk_pmf(3, F(1, 3))
+    for other in (ll.Pmf.from_masses(-3, counts), ll.Pmf(-3, [F(c, 729) for c in counts])):
+        assert walk == other and hash(walk) == hash(other)
+    assert walk != ll.Pmf.from_masses(-2, counts)
 
 
 def test_exact_pmfs_sum_to_one_exactly():

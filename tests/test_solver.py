@@ -10,7 +10,7 @@ import pytest
 
 from helpers import balanced_vectors, first_optimal_signs, reference_mitm, reference_prefix_tree
 from randisc import ensembles as ens
-from randisc import solver
+from randisc import cli, solver
 from randisc.errors import CapacityError, ParameterError
 
 
@@ -233,9 +233,11 @@ def test_balanced_needs_even_n():
         solver.count_solutions(mat([[1, 0, 1]]), 1)
 
 
-def test_solve_result_json():
-    res = solver.disc_exhaustive(mat([[1, 2]]))
-    assert res.to_json_dict() == {"value": 1, "witness": "+-", "count": None}
+def test_solve_result_json(capsys):
+    # the CLI prints the result object itself: its fields in order, the
+    # witness as its sign string
+    cli._print_json(solver.disc_exhaustive(mat([[1, 2]])))
+    assert capsys.readouterr().out == '{"value": 1, "witness": "+-", "count": null}\n'
 
 
 def test_sign_vector_string_roundtrip():
@@ -257,6 +259,8 @@ def test_int64_overflow_raises_capacity_error():
     B = _WRAP
     with pytest.raises(CapacityError):
         solver.disc_exists_mitm(mat([[B, B, B, B, 0], [1, 1, 1, 1, 4]]), 0)
+    with pytest.raises(CapacityError):  # refused before the probe, which hits here
+        solver.disc_exists_mitm(mat([[B, B]]), 0)
     with pytest.raises(CapacityError):
         solver.disc_exhaustive(mat([[B] * 4]))
     with pytest.raises(CapacityError):
@@ -333,7 +337,7 @@ def test_scan_matches_reference_pairs():
     # the full scan, probe bypassed, against brute force over every pair of
     # halves: the count, and the first pair in the documented witness order
     for case, (rows, r, balanced) in enumerate(_reference_pair_cases()):
-        mat = solver._int64_matrix(ens.IntMatrix.from_rows(rows))
+        mat = ens.IntMatrix.from_rows(rows).to_numpy()
         count, first = reference_mitm(rows, r, balanced)
         assert solver._scan(mat, r, balanced, count=True) == count, case
         assert solver._scan(mat, r, balanced, count=False) == first, case
@@ -350,7 +354,7 @@ def test_count_batches_split_a_depth_anywhere(batch, monkeypatch):
     cases = _reference_pair_cases()[::4]
     assert {24, 40} <= {len(rows) for rows, _, _ in cases}
     for case, (rows, r, balanced) in enumerate(cases):
-        mat = solver._int64_matrix(ens.IntMatrix.from_rows(rows))
+        mat = ens.IntMatrix.from_rows(rows).to_numpy()
         assert solver._scan(mat, r, balanced, count=True) == reference_mitm(rows, r, balanced)[0], case
 
 
@@ -380,7 +384,7 @@ def test_prefix_tree_matches_sorted_tuples():
     A = ens.sample(ens.EnsembleSpec("poisson", 10, 28, F(3), 4))
     half = [list(row[:14]) for row in A.rows()]
     assert 14 + (14).bit_length() + sum(sum(row).bit_length() for row in half) > 64
-    mat = solver._int64_matrix(A)
+    mat = A.to_numpy()
     dtype = np.min_scalar_type(-2 - max(14, *map(sum, half)))
     for balanced in (False, True):
         want_levels, want_rows, want_ends = reference_prefix_tree(half, balanced)
@@ -412,7 +416,7 @@ def test_scan_counts_a_tall_matrix_in_time_linear_in_its_rows():
     distinct = mat(sorted({tuple(row) for row in rows}))
     want = sum(1 for u in balanced_vectors(8) if eval_inf(distinct, u) <= 1)
     assert want >= 2
-    A = solver._int64_matrix(mat(rows))
+    A = mat(rows).to_numpy()
     start = process_time()
     assert solver._scan(A, 1, True, count=True) == want
     assert process_time() - start < 8.0
@@ -443,7 +447,7 @@ def test_scan_matches_reference_on_shared_half_tuples():
         m, r, balanced = (1, 2, 3, 5)[case % 4], case % 3, case % 8 >= 4
         n = rng.randrange(2, 13, 2) if balanced else rng.randint(1, 12)
         rows = _repeated_column_rows(rng, m, n)
-        mat = solver._int64_matrix(ens.IntMatrix.from_rows(rows))
+        mat = ens.IntMatrix.from_rows(rows).to_numpy()
         count, first = reference_mitm(rows, r, balanced)
         assert solver._scan(mat, r, balanced, count=True) == count, case
         assert solver._scan(mat, r, balanced, count=False) == first, case
@@ -457,7 +461,7 @@ def test_scan_takes_more_rows_than_the_recursion_limit():
     # counts: 2 * C(6, 3)
     rows = [[1, 1, 0, 0, 0, 0, 0, 0]] * 1100
     assert len(rows) > sys.getrecursionlimit()
-    mat = solver._int64_matrix(ens.IntMatrix.from_rows(rows))
+    mat = ens.IntMatrix.from_rows(rows).to_numpy()
     count, first = reference_mitm(rows, 0, True)
     assert solver._scan(mat, 0, True, count=True) == count == 40
     assert solver._scan(mat, 0, True, count=False) == first
@@ -503,7 +507,7 @@ def test_count_at_the_largest_row_sum_matches_brute_force():
     for seed in range(6):
         for n in (2, 6, 10, 16):
             A = ens.sample(ens.EnsembleSpec("bernoulli", 3, n, F(1, 2), seed))
-            top = solver.max_abs_row_sum(A)
+            top = max(A.row_sums())
             for r in {top, max(top - 1, 0)}:
                 want = sum(1 for u in balanced_vectors(n) if eval_inf(A, u) <= r)
                 assert solver.count_solutions(A, r) == want, (seed, n, r)
@@ -521,7 +525,7 @@ def test_count_agrees_across_the_join_cutover(n):
         for r in range(4):
             count = solver.count_solutions(A, r)
             assert count == solver.count_solutions(A, r, cap=99) == solver.count_solutions(A, r, cap=0), (m, r)
-            assert count == solver._scan(solver._int64_matrix(A), r, True, count=True), (m, r)
+            assert count == solver._scan(A.to_numpy(), r, True, count=True), (m, r)
             if n <= 16:
                 assert count == reference_mitm([list(row) for row in A.rows()], r, True)[0]
 
