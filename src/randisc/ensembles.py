@@ -260,13 +260,14 @@ def _check_coupling(jnum, scale, base, even_marginal):
             raise InvariantViolation("coupled value must be even")
         row[x] = row.get(x, 0) + mass
         col[x2] = col.get(x2, 0) + mass
-    # a mass c / den equals M / scale exactly when M * den == c * scale
-    for k, c in zip(base.support(), base.counts):
-        if row.get(k, 0) * base.den != c * scale:
-            raise InvariantViolation(f"row marginal mismatch at {k}")
-    for k, c in zip(even_marginal.support(), even_marginal.counts):
-        if col.get(k, 0) * even_marginal.den != c * scale:
-            raise InvariantViolation(f"column marginal mismatch at {k}")
+    # a mass c / den equals M / scale exactly when M * (den / g) == c * (scale / g)
+    # for g = gcd(den, scale): one gcd per marginal shrinks every product
+    for name, sums, marginal in (("row", row, base), ("column", col, even_marginal)):
+        g = gcd(marginal.den, scale)
+        den, sc = marginal.den // g, scale // g
+        for k, c in zip(marginal.support(), marginal.counts):
+            if sums.get(k, 0) * den != c * sc:
+                raise InvariantViolation(f"{name} marginal mismatch at {k}")
 
 
 def truncated_poisson_coupling(lam, tail=PINELIS_DEFAULT_TAIL):

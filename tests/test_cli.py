@@ -501,6 +501,29 @@ def test_solver_refusals_exit_3_with_their_estimate(shape, argv, message, tmp_pa
     assert (code, out) == (2, "")
 
 
+class _JoinStarted(Exception):
+    pass
+
+
+# Poisson rate 3 entries fill the prefix trees after fewer rows than the
+# Bernoulli(1/2) peaks that check_mitm_shape is fitted to: its estimate for
+# (44, 6) is about 127 MiB, and the count peaks at 294 MiB in a fresh process
+@pytest.mark.xfail(strict=True, raises=_JoinStarted,
+                   reason="check_mitm_shape reads (n, m), not entry widths, and admits this join")
+def test_wide_entry_mitm_past_the_memory_budget_exits_3_before_the_join(tmp_path, monkeypatch, capsys):
+    def join(*args, **kwargs):
+        raise _JoinStarted
+
+    monkeypatch.setattr(solver, "_probe", lambda *args: None)
+    monkeypatch.setattr(solver, "_scan", join)
+    path = str(tmp_path / "a.mat")
+    assert run(["gen", "--ensemble", "poisson", "--m", "6", "--n", "44", "--p", "3", "--seed", "1",
+                "--out", path], capsys)[0] == 0
+    for argv in (["zcount", "--r", "1"], ["disc", "--method", "mitm", "--balanced", "--r", "1"]):
+        code, out, _ = run([argv[0], "--in", path, *argv[1:]], capsys)
+        assert (code, out) == (3, "")
+
+
 def test_ratio_refused_by_its_cost_estimate_before_any_row(monkeypatch, capsys):
     def no_row(*args, **kwargs):
         raise AssertionError("a row was built")

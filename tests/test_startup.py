@@ -5,7 +5,6 @@ observable: the exact commands must finish without loading numpy, and
 threads that make numpy's first use at once must all see a whole numpy.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -13,6 +12,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from test_pins import INPUTS, pinned
 
 import randisc
 from randisc import cli
@@ -34,10 +34,10 @@ _DISPATCH = textwrap.dedent("""
 """)
 
 
-def fresh(script, *argv):
+def fresh(script, *argv, cwd=None):
     return subprocess.run(
         [sys.executable, "-c", script, *argv],
-        capture_output=True, text=True, env=_ENV, timeout=120,
+        capture_output=True, text=True, env=_ENV, timeout=120, cwd=cwd,
     )
 
 
@@ -79,21 +79,17 @@ def test_exact_command_never_loads_numpy(argv, capsys):
 
 
 def test_gen_and_mitm_print_their_pinned_outputs(tmp_path):
-    proc = fresh(_DISPATCH, "gen", "--ensemble", "poisson", "--m", "2", "--n", "8", "--p", "3",
-                 "--parity", "even", "--seed", "1")
+    argv = "gen --ensemble poisson --m 2 --n 8 --p 3 --parity even --seed 1"
+    proc = fresh(_DISPATCH, *argv.split())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "2 8\n3 2 0 2 3 4 2 4\n1 2 2 3 3 3 7 7\n"
-    path = str(tmp_path / "m.txt")
-    proc = fresh(_DISPATCH, "gen", "--ensemble", "bernoulli", "--m", "4", "--n", "32", "--p", "1/2",
-                 "--parity", "even", "--seed", "3", "--out", path)
+    assert proc.stdout == pinned(argv)
+    proc = fresh(_DISPATCH, *INPUTS["m.txt"].split(), "--out", "m.txt", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "numpy loaded\n"  # 32 draws a row take one numpy block
-    for balanced, witness in ((True, "+----++-+++-+--+-++---+--+++-++-"),
-                              (False, "+---+++++-+++-+--+--+-+---+++++-")):
-        proc = fresh(_DISPATCH, "disc", "--in", path, "--method", "mitm", "--r", "1",
-                     *(["--balanced"] if balanced else []))
+    for argv in ("disc --in m.txt --method mitm --balanced --r 1", "disc --in m.txt --method mitm --r 1"):
+        proc = fresh(_DISPATCH, *argv.split(), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"feasible": True, "r": 1, "witness": witness}
+        assert proc.stdout == pinned(argv)
 
 
 def test_threads_making_the_first_numpy_call_at_once_agree_with_a_serial_run():
