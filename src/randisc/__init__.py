@@ -7,6 +7,7 @@ Library layout:
   locallimits  exact binomial/hypergeometric/lazy-walk pmfs and approximations
   stein        birth-death Stein operators, exchangeable pairs, identity checks
   phase        Monte Carlo phase scan over n with Wilson intervals
+  costs        memory budget, size and time limits, fitted cost estimates
   cli          command-line front end (gen, disc, zcount, moments, ratio,
                stein, lclt, phase); parses and prints only
 """
@@ -35,7 +36,6 @@ from .locallimits import (
     approx_eval,
     binomial_pmf,
     error_scan,
-    exact_pmf,
     hypergeometric_pmf,
     lazy_walk_pmf,
     truncated_poisson_pmf,

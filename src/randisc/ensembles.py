@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .errors import InvariantViolation, ParameterError, UnsupportedDistributionError, check_budget
+from . import costs
+from .errors import InvariantViolation, ParameterError, UnsupportedDistributionError
 from .locallimits import Pmf, binomial_pmf, truncated_poisson_pmf
 from .rng import IntegerTable, Stream, derive_key
 
@@ -108,30 +109,10 @@ def _entry_table(kind, param):
     return IntegerTable(pmf.counts)
 
 
-def _check_sample_size(spec, table, held):
-    """Refuse, before any draw, a sample from the entry table whose fitted
-    peak passes the memory budget when the matrix holds `held` bytes an entry."""
-    # fitted to fresh-process peaks of `randisc gen ... --out /dev/null`
-    # (Bernoulli p = 1/2, 1/3, 1/7 and Poisson rates 3, 16, 100, 1000; 1 to
-    # 4,000 rows of 10 to 3,000,000 columns): drawing a row takes 72 bytes a
-    # column when a draw is one 64-bit word, else 96 + 40 a word (2, 5, 28 and
-    # 385 words at those rates); the matrix holds 16 bytes an entry, 32 after
-    # the even coupling, and 33 more for each entry past 256, an int of its
-    # own; the entry table takes about 12 bytes a word of its cumulative
-    # weights; plus 33 MB.  It read 3% under to 9% over every peak, and it
-    # refuses exactly the measured runs that peaked past 256 MiB
-    words = ((table.total - 1).bit_length() + 63) >> 6
-    if len(table.cum) > 257:
-        held += 33 * (table.total - table.cum[256]) / table.total
-    per_column = 72 if words <= 1 else 96 + 40 * words
-    est = spec.n * per_column + spec.m * spec.n * held + 12 * words * len(table.cum) + 33e6
-    check_budget("sampling", spec.n, spec.m, est)
-
-
 def sample(spec: EnsembleSpec) -> IntMatrix:
     """Draw a matrix from the ensemble; deterministic given (spec, seed)."""
     table = _entry_table(spec.kind, spec.param)
-    _check_sample_size(spec, table, 16)
+    costs.check_budget("sampling", spec.n, spec.m, costs.sample_peak(spec.n, spec.m, 16, table))
     entries = []
     for i in range(spec.m):
         stream = Stream(derive_key(spec.seed, _DOMAIN_SAMPLE, i))
@@ -148,7 +129,8 @@ def sample_at_parity(spec: EnsembleSpec, parity) -> IntMatrix:
     if parity == "none":
         return sample(spec)
     # the row coupling table refuses a row sum law it cannot build exactly
-    _check_sample_size(spec, _entry_table(spec.kind, spec.param), 32)
+    est = costs.sample_peak(spec.n, spec.m, 32, _entry_table(spec.kind, spec.param))
+    costs.check_budget("sampling", spec.n, spec.m, est)
     _row_coupling_table(spec.kind, spec.n, spec.param)
     return couple_even_parity(sample(spec), spec, derive_key(spec.seed, _DOMAIN_PARITY))
 

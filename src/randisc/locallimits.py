@@ -231,22 +231,6 @@ def truncated_poisson_pmf(lam, tail_bound=Fraction(1, 2**60)):
     raise CapacityError(f"exact poisson truncation capped at K={EXACT_SIZE_CAP}")
 
 
-def exact_pmf(family, **params):
-    """Dispatcher over the exact families by name, for library callers; no
-    CLI subcommand goes through it.
-
-    family: "binomial" (n, p) | "hypergeometric" (w, ksucc, npop)
-    | "lazy_walk" (r, p).
-    """
-    if family == "binomial":
-        return binomial_pmf(params["n"], params["p"])
-    if family == "hypergeometric":
-        return hypergeometric_pmf(params["w"], params["ksucc"], params["npop"])
-    if family == "lazy_walk":
-        return lazy_walk_pmf(params["r"], params["p"])
-    raise ParameterError(f"unknown pmf family {family!r}")
-
-
 @dataclass(frozen=True)
 class LatticePoint:
     """A point (s, c) of a conditioned-pair lattice with band offset k."""
@@ -338,6 +322,7 @@ def approx_eval(kind, params, point):
         if ksucc > npop:
             raise ParameterError("hyp_tail successes exceed population")
         k = point
+        _require_range(kind, k, 0, w)
         pfrac = ksucc / npop
         lam = abs(k - w * pfrac) / sqrt(w)
         f = w / (npop - w)
@@ -359,8 +344,9 @@ def approx_eval(kind, params, point):
             raise ParameterError("edgeworth_lazy needs r >= 1")
         if not 0 < p < 1:
             raise ParameterError("edgeworth_lazy needs 0 < p < 1")
-        s2 = float(2 * p * (1 - p))
         k = point
+        _require_range(kind, k, -r, r)
+        s2 = float(2 * p * (1 - p))
         lead = exp(-k * k / (2 * r * s2)) / sqrt(2 * pi * r * s2)
         corr = (k**4 - 6 * k**2 + 3) * (1 / s2 - 3) / (24 * r)
         return lead * (1 + corr)

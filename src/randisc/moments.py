@@ -18,14 +18,13 @@ dichotomy of interest lives in 1 + Theta(1/n) corrections that floats blur.
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, exp, gcd, inf, lgamma, log, log2
+from math import comb, exp, gcd, lgamma, log
 
-from .errors import CapacityError, ParameterError
+from . import costs
+from .errors import ParameterError
 from .locallimits import convolve_integer, over_one_denominator
 
 CASES = ("bernoulli_parity_dense", "bernoulli_fixed_weight", "poisson_fixed_weight")
-
-EXACT_SECONDS = 10.0  # exact mode refuses a spec whose sum _exact_seconds puts past this
 
 
 @dataclass(frozen=True)
@@ -192,10 +191,6 @@ def psi_phi_dense(n, p, overlap_r):
     return psi, phi(overlap_r)
 
 
-def psi_dense(n, p):
-    return psi_phi_dense(n, p, 0)[0]
-
-
 def phi_fixed_weight(scenario: OverlapScenario):
     """Pair satisfaction probability for the fixed-weight cases: the band sum
     of the law of S = sb + sc from the pair label law (_sb_sc_laws).
@@ -260,31 +255,6 @@ def _row_psi_phi_functions(case, n, p=None, w=None, band_radius=0):
 # once.
 
 
-def _exact_seconds(n, p, counts, band_radius):
-    """Estimated seconds of the exact overlap sum, from the row spec alone.
-
-    Fitted on a 2-core box within 0.5-1.7x of the measured time (up to 6x
-    over for Bernoulli rows of weight near n/2): each of the n/2 + 1
-    overlaps multiplies out B bits, the coefficient's 2n and each row's
-    phi/psi^2, at 3.9e-11 B^1.7 s, and builds each distinct row's phi:
-    dense rationals of twice a row's bits, or band convolutions of w^2
-    products.
-    """
-    try:
-        total, build = 2 * n, 0.0
-        for k, count in counts.items():
-            if k is None:  # a dense row at p = a/b
-                bits = n * (log2(Fraction(p).denominator) + 1)
-                build += 3.9e-11 * (2 * bits) ** 1.7
-            else:
-                bits = abs(k) * log2(n)
-                build += 2e-9 * (min(band_radius, k) + 1) * k**2 * bits**0.6
-            total += count * bits
-        return (n // 2 + 1) * (3.9e-11 * total**1.7 + build)
-    except OverflowError:  # n or w past a float
-        return inf
-
-
 def _row_plan(case, n, m, p, w, band_radius, exact_sum):
     """(keys, rows) for a row spec, validated once.
 
@@ -309,13 +279,8 @@ def _row_plan(case, n, m, p, w, band_radius, exact_sum):
     counts = {w: m} if scalar else Counter(w)
     if sum(counts.values()) < 1:
         raise ParameterError("need at least one row (m >= 1)")
-    seconds = _exact_seconds(n, p, counts, band_radius) if exact_sum else 0
-    if seconds > EXACT_SECONDS:
-        raise CapacityError(
-            f"exact overlap sum at n={n}, m={sum(counts.values())} estimated past "
-            f"{EXACT_SECONDS:.0f} s; pass exact=False for the log-space fallback",
-            estimate=f"~{seconds:.3g} s on a 2-core box",
-        )
+    if exact_sum:
+        costs.check_exact_sum(n, p, counts, band_radius)
     rows = {}
     for key, count in counts.items():
         psi, phi = _row_psi_phi_functions(case, n, p=p, w=key, band_radius=band_radius)
@@ -385,8 +350,8 @@ class RatioResult:
 def second_moment_ratio(case, *, n, m=None, p=None, w=None, band_radius=0, exact=True):
     """E[Z^2]/E[Z]^2 as the exact overlap sum, with a per-overlap profile.
 
-    Exact mode refuses a spec whose sum _exact_seconds puts past
-    EXACT_SECONDS (CapacityError; exact=False is the log-space fallback).
+    Exact mode refuses a spec whose sum costs.exact_seconds puts past
+    costs.EXACT_SECONDS (CapacityError; exact=False is the log-space fallback).
     """
     return _overlap_ratio(n, _row_plan(case, n, m, p, w, band_radius, exact)[1], exact)
 

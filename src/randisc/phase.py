@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-from . import ensembles, solver
+from . import costs, ensembles, solver
 from .errors import ParameterError
 from .rng import derive_key
 
@@ -70,7 +70,7 @@ def run_phase_scan(cfg: PhaseScanConfig):
     byte-identical for any thread count.
     """
     for n in cfg.n_values:
-        solver.check_mitm_shape(n, cfg.m)
+        costs.check_mitm(n, cfg.m)
     jobs = [(pi, n, t) for pi, n in enumerate(cfg.n_values) for t in range(cfg.trials)]
     # the executor starts a thread for each job submitted while every worker
     # is busy, up to max_workers, so ask for no more than the jobs and cores

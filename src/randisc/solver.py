@@ -13,15 +13,14 @@ from itertools import accumulate, compress, islice
 from math import comb
 from operator import itemgetter
 
-from .errors import CapacityError, ParameterError, check_budget
+from . import costs
+from .errors import CapacityError, ParameterError
 from .ensembles import IntMatrix
 from .lazy import LazyNumpy
 from .rng import Stream, derive_key, mix64
 
 np = LazyNumpy(globals())
 
-# the widest matrix the exhaustive blocks enumerate: 2^(n-1) sign vectors
-ENUMERATION_CAP = 26
 # count_solutions' default cap, past which it counts by the join; perfbench
 # reads it and sets it to 0 in checks.  Bernoulli(1/2), r = 1, ms per count,
 # blocks / join (2-core box, process time, median of five matrices, best of
@@ -34,12 +33,12 @@ ENUMERATION_CAP = 26
 # The join is close behind at n = 18 and leads past it.  A wider radius
 # keeps more pairs at each depth: at n = 18, m = 10 it took 4.0 ms at r = 2
 # and 6.7 ms at r = 3, against 2.0 and 1.8 for the blocks.  Past 10 rows
-# the blocks lead at r = 2 up to ENUMERATION_CAP (seeds 0-2, m = 12, 20 and
-# 50, blocks / join in ms): 1.8-3.4 / 4.3-9.1 at n = 18 and 22-58 / 109-130
+# the blocks lead at r = 2 up to the enumeration cap (seeds 0-2, m = 12, 20
+# and 50, blocks / join in ms): 1.8-3.4 / 4.3-9.1 at n = 18 and 22-58 / 109-130
 # at n = 26.  At r = 1 the join leads there at n = 26 (21-55 / 7-13), which
 # the routing by rows alone does not see
 EXHAUSTIVE_CAP = 16
-BLOCKS_FASTER_PAST_M = 10  # count_solutions counts more rows by the blocks, to ENUMERATION_CAP
+BLOCKS_FASTER_PAST_M = 10  # count_solutions counts more rows by the blocks, to the enumeration cap
 _BLOCK_BITS = 16
 _PROBE_TRIES = 512
 # the most units of work one count step takes (see _count_join): one per
@@ -131,13 +130,7 @@ def _exhaustive_blocks(mat, balanced_only):
     contiguous rows."""
     m, n = mat.shape
     lo_w = min(n - 1, _BLOCK_BITS)
-    # fitted to fresh-process peaks at n = 12 to 26 and up to 4,789 rows of
-    # int64 blocks: 24 bytes per row and low sign vector (25 covers the input
-    # matrix), plus 33 MB.  The narrow blocks stay below it: at int64 the low
-    # part, its balanced groups and one block's sums take at most 24 bytes
-    # (n = 17, 143 rows: 182 MB against 267 MB; 50 MB with 0/1 entries)
-    est = 25.0 * m * 2**lo_w + 33e6
-    check_budget("exhaustive search", n, m, est, ENUMERATION_CAP)
+    costs.check_budget("exhaustive search", n, m, costs.blocks_peak(m, lo_w), costs.ENUMERATION_CAP)
     dtype = np.min_scalar_type(-1 - int(mat.sum(axis=1).max()))
     hi_w = n - 1 - lo_w
     lo_part = _signed_sums(mat[:, 1 + hi_w :], dtype)
@@ -191,14 +184,14 @@ def disc_exhaustive(A: IntMatrix, balanced_only=False) -> SolveResult:
 def count_solutions(A: IntMatrix, r, cap=EXHAUSTIVE_CAP) -> int:
     """Exact number of balanced u with ||Au||_inf <= r: by the
     meet-in-the-middle count join (see _count_join) past `cap` columns, by
-    the exhaustive blocks up to it, and up to ENUMERATION_CAP for files of
-    more than BLOCKS_FASTER_PAST_M rows, where the blocks are faster at r >=
-    2.  Both fix u_1 = +1, count half the domain and double: u and -u count
-    together."""
+    the exhaustive blocks up to it, and up to costs.ENUMERATION_CAP for files
+    of more than BLOCKS_FASTER_PAST_M rows, where the blocks are faster at
+    r >= 2.  Both fix u_1 = +1, count half the domain and double: u and -u
+    count together."""
     _check_radius(A, r, True)
-    join = A.n > cap and (A.m <= BLOCKS_FASTER_PAST_M or A.n > ENUMERATION_CAP)
+    join = A.n > cap and (A.m <= BLOCKS_FASTER_PAST_M or A.n > costs.ENUMERATION_CAP)
     if join:
-        check_mitm_shape(A.n, A.m)
+        costs.check_mitm(A.n, A.m)
     _check_int64_sums(A)
     if r >= max(A.row_sums()):
         # no |u . row| exceeds the largest row sum, so every balanced u counts
@@ -235,7 +228,7 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False):
     joins the same trees breadth first instead (see _count_join).
     """
     _check_radius(A, r, balanced_only)
-    check_mitm_shape(A.n, A.m)
+    costs.check_mitm(A.n, A.m)
     _check_int64_sums(A)
     if r >= max(A.row_sums()):
         # any vector lands inside [-r, r] on every row
@@ -249,30 +242,6 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False):
             return False, None
         hit = SignVector(signs, balanced_only)
     return True, hit
-
-
-def check_mitm_shape(n, m):
-    """Refuse a meet-in-the-middle run on an n-column, m-row matrix whose
-    fitted peak passes the memory budget; nothing else limits the join."""
-    # a witness scan's peak RSS per sign vector of the larger half (h
-    # columns): 18 bytes of sort keys, 2 more a row past 3, until the prefix
-    # trees fill up after about (h - 4)/3 rows; then 24 bytes a row, or 17
-    # (both halves' keys) past about h rows; plus 1,500 bytes a row and 33
-    # MB.  It was fitted to Bernoulli(1/2) counts over both whole halves at
-    # r = 1-3, n = 30-46 and m = 1-400, and at (8, 20000), closest at (40,
-    # 10): 138 MiB against 143.  Counts and witness scans build the same
-    # narrow trees; a count fixes u_1 and builds a left tree of half the
-    # size, and a witness scan's trees span both whole halves and keep each
-    # leaf's sign vector.  Balanced witness scans at r = 1 (Bernoulli seed 1,
-    # fresh process) peaked at 114 / 202 / 140 / 193 MiB at (40, 10) / (42,
-    # 10) / (44, 8) / (46, 7), below the estimate's 143 / 239 / 223 / 239.  It
-    # does not bound wider entries, whose trees fill up sooner: Poisson rate
-    # 3 at (42, 6) peaked at 163 MiB in a count and 228 in a witness scan,
-    # against 79.  The exponent stops where a float would overflow (n past
-    # 2046)
-    h = min((n + 1) // 2, 1023)
-    est = 2.0**h * max(18, 12 + 2 * m, min(24 * m - 8 * h + 32, 17 * m + 16)) + 1500 * m + 33e6
-    check_budget("mitm", n, m, est)
 
 
 def _check_radius(A, r, balanced_only):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from randisc import cli, ensembles, locallimits, moments, phase, solver
+from randisc import cli, costs, ensembles, locallimits, moments, phase, solver
 from randisc.errors import ParameterError
 
 
@@ -102,7 +102,7 @@ def test_moments_rational_flag_preserved(capsys):
     payload = json.loads(out)
     from randisc import moments as mo
 
-    want = mo.psi_dense(4, F(1, 3))
+    want = mo.psi_phi_dense(4, F(1, 3), 0)[0]
     assert payload["psi"] == f"{want.numerator}/{want.denominator}"
 
 
@@ -148,6 +148,28 @@ def test_phase_grid_past_mitm_cap_exits_3_before_any_trial(monkeypatch, capsys):
     assert err.startswith("capacity:")
 
 
+def test_every_mitm_caller_reads_the_one_estimate(tmp_path, monkeypatch, capsys):
+    # with costs.mitm_peak past the budget, every join caller refuses before
+    # any trial or join; a caller with its own formula would run
+    def no_run(*args, **kwargs):
+        raise AssertionError("a trial or join ran")
+
+    monkeypatch.setattr(costs, "mitm_peak", lambda n, m: costs.MEMORY_BUDGET + 1)
+    for name in ("_probe", "_scan"):
+        monkeypatch.setattr(solver, name, no_run)
+    monkeypatch.setattr(phase, "_phase_trial", no_run)
+    path = str(tmp_path / "a.mat")
+    gen = ["gen", "--ensemble", "bernoulli", "--m", "4", "--n", "20", "--p", "1/2", "--seed", "1"]
+    assert run([*gen, "--out", path], capsys)[0] == 0
+    argvs = [["disc", "--in", path, "--method", "mitm", "--r", "1"],
+             ["zcount", "--in", path, "--r", "1"],  # n = 20 is past EXHAUSTIVE_CAP: the join
+             ["phase", "--m", "4", "--p", "1/2", "--r", "1", "--n-start", "8", "--n-stop", "8",
+              "--trials", "1", "--seed", "0"]]
+    for argv in argvs:
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, "") and err.startswith("capacity: mitm refused"), argv
+
+
 def test_lclt_past_exact_cap_exits_3(capsys):
     # sizes past locallimits.EXACT_SIZE_CAP are refused, not approximated
     argv = ["lclt", "--kind", "demoivre", "--sizes", "5000", "--points", "2500", "--p", "1/2"]
@@ -169,7 +191,7 @@ def test_gen_poisson_rate_past_exact_cap_exits_3(capsys):
     [
         # 10^16 entries: this ran past 30 s, drawing, before the size rule
         (["bernoulli", "100000000", "100000000", "1/2", "none"], "sampling refused"),
-        # one long row: 297 MB fitted against 266 MiB measured
+        # one long row: 297 MB fitted against 274 MiB measured (costs.SAMPLE_FIT)
         (["bernoulli", "1", "3000000", "1/2", "none"], "sampling refused"),
         # 385-word draws at rate 1000 take about 15 kB a column
         (["poisson", "1", "100000", "1000", "none"], "sampling refused"),
@@ -201,8 +223,7 @@ def test_gen_past_memory_budget_exits_3_before_any_draw(flags, refusal, monkeypa
      ("poisson", 6, 32, "5/2"), ("poisson", 1, 20000, "3")],
 )
 def test_gen_sizes_in_use_stay_admitted(kind, m, n, p):
-    spec = ensembles.EnsembleSpec(kind, m, n, F(p), 1)
-    ensembles._check_sample_size(spec, ensembles._entry_table(kind, spec.param), 32)
+    assert costs.sample_peak(n, m, 32, ensembles._entry_table(kind, F(p))) <= costs.MEMORY_BUDGET
 
 
 @pytest.mark.parametrize(
@@ -506,10 +527,11 @@ class _JoinStarted(Exception):
 
 
 # Poisson rate 3 entries fill the prefix trees after fewer rows than the
-# Bernoulli(1/2) peaks that check_mitm_shape is fitted to: its estimate for
-# (44, 6) is about 127 MiB, and the count peaks at 294 MiB in a fresh process
+# Bernoulli(1/2) peaks that costs.mitm_peak is fitted to (costs.MITM_FIT):
+# its estimate for (44, 6) is about 127 MiB, and the count peaks at 294 MiB
+# in a fresh process
 @pytest.mark.xfail(strict=True, raises=_JoinStarted,
-                   reason="check_mitm_shape reads (n, m), not entry widths, and admits this join")
+                   reason="costs.mitm_peak reads (n, m), not entry widths, and admits this join")
 def test_wide_entry_mitm_past_the_memory_budget_exits_3_before_the_join(tmp_path, monkeypatch, capsys):
     def join(*args, **kwargs):
         raise _JoinStarted
@@ -606,6 +628,9 @@ def test_disc_non_utf8_file_exit_2(tmp_path, capsys):
         ["--kind", "demoivre", "--sizes", "0"],
         ["--kind", "stirling_binom", "--sizes", "0"],
         ["--kind", "cramer_tail", "--sizes", "0"],
+        # points off the lattice: |k| <= r for the walk, 0 <= k <= w for hyp_tail
+        ["--kind", "edgeworth_lazy", "--sizes", "4", "--points", "9", "--p", "1/3"],
+        ["--kind", "hyp_tail", "--sizes", "10", "--ksucc", "5", "--npop", "40", "--points", "11"],
     ],
 )
 def test_lclt_bad_arguments_exit_2(args, capsys):

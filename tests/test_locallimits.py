@@ -245,12 +245,6 @@ def test_error_scan_rejects_empty_grid():
         ll.error_scan("demoivre", [])
 
 
-def test_exact_pmf_dispatcher():
-    assert ll.exact_pmf("binomial", n=4, p=F(1, 2)).weights == ll.binomial_pmf(4, F(1, 2)).weights
-    with pytest.raises(ParameterError):
-        ll.exact_pmf("cauchy")
-
-
 def test_stream_below_is_exactly_uniform():
     from helpers import chi_square_pvalue
     from randisc.rng import Stream

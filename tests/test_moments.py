@@ -128,7 +128,7 @@ def test_expected_count_log_branch():
     rep = mo.moment_report("bernoulli_parity_dense", n=128, m=2, p=F(1, 2), exact=False)
     got = rep.first_moment
     assert got.value is None
-    psi = mo.psi_dense(128, F(1, 2))
+    psi = mo.psi_phi_dense(128, F(1, 2), 0)[0]
     want = log(comb(128, 64)) + 2 * (log(psi.numerator) - log(psi.denominator))
     assert isclose(got.log_value, want, rel_tol=1e-12)
 
@@ -183,7 +183,7 @@ def test_ratio_matches_brute_force_bernoulli_fixed(n, w):
 
 
 def test_ratio_exact_cap():
-    # (2048, 64) at p = 1/2 is estimated past EXACT_SECONDS ((1024, 64) took
+    # (2048, 64) at p = 1/2 is estimated past costs.EXACT_SECONDS ((1024, 64) took
     # 12 s); the refusal comes before any row is built
     with pytest.raises(CapacityError) as err:
         mo.second_moment_ratio("bernoulli_parity_dense", n=2048, m=64, p=F(1, 2))
