@@ -234,7 +234,7 @@ def _int_list(flag, text):
 def _cmd_lclt(args):
     points = _int_list("--points", args.points)
     sizes = _int_list("--sizes", args.sizes)
-    size_key, *names = locallimits.APPROX_PARAMS[args.kind]
+    size_key, *names = locallimits.APPROX[args.kind].params
     flags = {"p": args.p, "lam": args.p, "ksucc": args.ksucc, "npop": args.npop}
     missing = [f"--{name}" for name in names if flags[name] is None]
     if missing:

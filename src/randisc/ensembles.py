@@ -120,18 +120,26 @@ def sample(spec: EnsembleSpec) -> IntMatrix:
     return IntMatrix(spec.m, spec.n, tuple(entries))
 
 
+def prepare_sampling(spec: EnsembleSpec, parity):
+    """Every check of sample_at_parity that comes before a draw: the parity,
+    the sampling peak and, with parity "even", the row coupling table, built
+    here and cached, which refuses a row sum law it cannot build exactly."""
+    if parity not in PARITIES:
+        raise ParameterError(f"parity must be none or even, got {parity!r}")
+    held = 32 if parity == "even" else 16
+    est = costs.sample_peak(spec.n, spec.m, held, _entry_table(spec.kind, spec.param))
+    costs.check_budget("sampling", spec.n, spec.m, est)
+    if parity == "even":
+        _row_coupling_table(spec.kind, spec.n, spec.param)
+
+
 def sample_at_parity(spec: EnsembleSpec, parity) -> IntMatrix:
     """Draw a matrix from the ensemble; with parity "even", couple it so
     every row sum is even, seeded by derive_key(spec.seed, _DOMAIN_PARITY).
     Either refusal, by size or by the coupling table, comes before any draw."""
-    if parity not in PARITIES:
-        raise ParameterError(f"parity must be none or even, got {parity!r}")
+    prepare_sampling(spec, parity)
     if parity == "none":
         return sample(spec)
-    # the row coupling table refuses a row sum law it cannot build exactly
-    est = costs.sample_peak(spec.n, spec.m, 32, _entry_table(spec.kind, spec.param))
-    costs.check_budget("sampling", spec.n, spec.m, est)
-    _row_coupling_table(spec.kind, spec.n, spec.param)
     return couple_even_parity(sample(spec), spec, derive_key(spec.seed, _DOMAIN_PARITY))
 
 

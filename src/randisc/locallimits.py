@@ -9,6 +9,7 @@ difference of two independent Binomial(r, p) counts.  Its step variance is
 2p(1-p).
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, gcd, lcm, log, pi, sqrt
@@ -250,18 +251,6 @@ class LatticePoint:
 # ---------------------------------------------------------------------------
 # Approximations and tail bounds
 
-# Each approximation kind's parameter names, the size parameter first (None
-# when the kind has no size); approx_eval documents their meaning.
-APPROX_PARAMS = {
-    "demoivre": ("n", "p"),
-    "stirling_binom": ("n",),
-    "cramer_tail": ("n", "p"),
-    "hyp_tail": ("w", "ksucc", "npop"),
-    "poisson_tail": (None, "lam"),
-    "edgeworth_lazy": ("r", "p"),
-}
-APPROX_KINDS = tuple(APPROX_PARAMS)
-
 # stirling_binom's 2**n and its reference C(n, r) overflow a double past this n
 STIRLING_SIZE_CAP = 1023
 _DELTA = Fraction(1, 10)  # validity window for the de Moivre approximation
@@ -270,94 +259,75 @@ _DELTA = Fraction(1, 10)  # validity window for the de Moivre approximation
 _DELTA_CRAMER = Fraction(1, 6)
 
 
-def approx_eval(kind, params, point):
-    """Evaluate one approximation/bound at a lattice point.
-
-    kind / params / meaning of `point`:
-      demoivre        (n, p)           point = binomial count r; leading
-                                       Gaussian value for C(n,r)p^r q^(n-r)
-      stirling_binom  (n,)             point = r; Gaussian approximation of
-                                       the raw coefficient C(n, r)
-      cramer_tail     (n, p)           point = r; Gaussian upper bound on the
-                                       binomial pmf
-      hyp_tail        (w, ksucc, npop) point = success count k; upper bound
-                                       on the hypergeometric pmf
-      poisson_tail    (lam,)           point = deviation x >= 0; bound on
-                                       P(|S - lam| > x)
-      edgeworth_lazy  (r, p)           point = walk endpoint k; Gaussian
-                                       density with the 1/r lattice
-                                       correction for R(r, p)
-    Tail kinds return the bound value; the others return the formula's
-    leading value.
-    """
-    if kind in ("demoivre", "stirling_binom", "cramer_tail") and params["n"] < 1:
-        raise ParameterError(f"{kind} needs n >= 1, got n={params['n']}")
-    if kind == "demoivre":
-        n, p = params["n"], Fraction(params["p"])
-        _require_central_p(kind, p)
-        r = point
-        _require_range(kind, r, 0, n)
-        v = float(n * p * (1 - p))
-        k = float(r - n * p)
-        return exp(-k * k / (2 * v)) / sqrt(2 * pi * v)
-    if kind == "stirling_binom":
-        n = params["n"]
-        if n > STIRLING_SIZE_CAP:
-            raise CapacityError(f"stirling_binom capped at n={STIRLING_SIZE_CAP}")
-        r = point
-        _require_range(kind, r, 0, n)
-        return sqrt(2 / (pi * n)) * 2.0**n * exp(-2 * (r - n / 2) ** 2 / n)
-    if kind == "cramer_tail":
-        n, p = params["n"], Fraction(params["p"])
-        _require_central_p(kind, p, _DELTA_CRAMER)
-        r = point
-        _require_range(kind, r, 0, n)
-        v = float(n * p * (1 - p))
-        k = float(r - n * p)
-        return CRAMER_PREFACTOR / sqrt(n) * exp(-k * k / (4 * v))
-    if kind == "hyp_tail":
-        w, ksucc, npop = params["w"], params["ksucc"], params["npop"]
-        if not 1 <= w < npop:
-            raise ParameterError(f"hyp_tail needs 1 <= w < npop, got w={w}, npop={npop}")
-        if ksucc > npop:
-            raise ParameterError("hyp_tail successes exceed population")
-        k = point
-        _require_range(kind, k, 0, w)
-        pfrac = ksucc / npop
-        lam = abs(k - w * pfrac) / sqrt(w)
-        f = w / (npop - w)
-        expo = -2 * lam**2 / (1 - w / npop) - (0.25 + f**3 / 3) * lam**4 / npop
-        return HYP_TAIL_PREFACTOR / sqrt(npop) * exp(expo)
-    if kind == "poisson_tail":
-        lam = float(Fraction(params["lam"]))
-        if lam < 0:
-            raise ParameterError("poisson_tail rate must be >= 0")
-        x = float(point)
-        if x < 0:
-            raise ParameterError("poisson_tail deviation must be >= 0")
-        if lam + x == 0:
-            return 2.0
-        return 2.0 * exp(-x * x / (2 * (lam + x)))
-    if kind == "edgeworth_lazy":
-        r, p = params["r"], Fraction(params["p"])
-        if r < 1:
-            raise ParameterError("edgeworth_lazy needs r >= 1")
-        if not 0 < p < 1:
-            raise ParameterError("edgeworth_lazy needs 0 < p < 1")
-        k = point
-        _require_range(kind, k, -r, r)
-        s2 = float(2 * p * (1 - p))
-        lead = exp(-k * k / (2 * r * s2)) / sqrt(2 * pi * r * s2)
-        corr = (k**4 - 6 * k**2 + 3) * (1 / s2 - 3) / (24 * r)
-        return lead * (1 + corr)
-    raise ParameterError(f"unknown approximation kind {kind!r}")
-
-
-def _require_central_p(kind, p, delta=_DELTA):
+def _binomial_deviation(kind, n, p, r, delta):
+    """Check a binomial kind's (n, p, r); its (variance, r - mean) as floats."""
+    if n < 1:
+        raise ParameterError(f"{kind} needs n >= 1, got n={n}")
+    p = Fraction(p)
     if not delta <= p <= 1 - delta:
-        raise ParameterError(
-            f"{kind} requires p in [{delta}, {1 - delta}] (central-p hypothesis), got {p}"
-        )
+        raise ParameterError(f"{kind} requires p in [{delta}, {1 - delta}] "
+                             f"(central-p hypothesis), got {p}")
+    _require_range(kind, r, 0, n)
+    return float(n * p * (1 - p)), float(r - n * p)
+
+
+def _demoivre(n, p, r):
+    """Leading Gaussian value for the binomial pmf C(n, r) p^r q^(n-r)."""
+    v, k = _binomial_deviation("demoivre", n, p, r, _DELTA)
+    return exp(-k * k / (2 * v)) / sqrt(2 * pi * v)
+
+
+def _stirling_binom(n, r):
+    """Gaussian approximation of the raw coefficient C(n, r)."""
+    if n < 1:
+        raise ParameterError(f"stirling_binom needs n >= 1, got n={n}")
+    if n > STIRLING_SIZE_CAP:
+        raise CapacityError(f"stirling_binom capped at n={STIRLING_SIZE_CAP}")
+    _require_range("stirling_binom", r, 0, n)
+    return sqrt(2 / (pi * n)) * 2.0**n * exp(-2 * (r - n / 2) ** 2 / n)
+
+
+def _cramer_tail(n, p, r):
+    """Gaussian upper bound on the binomial pmf at r."""
+    v, k = _binomial_deviation("cramer_tail", n, p, r, _DELTA_CRAMER)
+    return CRAMER_PREFACTOR / sqrt(n) * exp(-k * k / (4 * v))
+
+
+def _hyp_tail(w, ksucc, npop, k):
+    """Upper bound on the hypergeometric pmf at success count k."""
+    if not 1 <= w < npop:
+        raise ParameterError(f"hyp_tail needs 1 <= w < npop, got w={w}, npop={npop}")
+    if ksucc > npop:
+        raise ParameterError("hyp_tail successes exceed population")
+    _require_range("hyp_tail", k, 0, w)
+    lam = abs(k - w * (ksucc / npop)) / sqrt(w)
+    f = w / (npop - w)
+    expo = -2 * lam**2 / (1 - w / npop) - (0.25 + f**3 / 3) * lam**4 / npop
+    return HYP_TAIL_PREFACTOR / sqrt(npop) * exp(expo)
+
+
+def _poisson_tail(lam, x):
+    """Bound on P(|S - lam| > x) for S ~ Poisson(lam) and a deviation x >= 0."""
+    lam, x = float(Fraction(lam)), float(x)
+    if lam < 0:
+        raise ParameterError("poisson_tail rate must be >= 0")
+    if x < 0:
+        raise ParameterError("poisson_tail deviation must be >= 0")
+    return 2.0 * exp(-x * x / (2 * (lam + x))) if lam + x else 2.0
+
+
+def _edgeworth_lazy(r, p, k):
+    """Gaussian density with the 1/r lattice correction for R(r, p) at k."""
+    p = Fraction(p)
+    if r < 1:
+        raise ParameterError("edgeworth_lazy needs r >= 1")
+    if not 0 < p < 1:
+        raise ParameterError("edgeworth_lazy needs 0 < p < 1")
+    _require_range("edgeworth_lazy", k, -r, r)
+    s2 = float(2 * p * (1 - p))
+    lead = exp(-k * k / (2 * r * s2)) / sqrt(2 * pi * r * s2)
+    corr = (k**4 - 6 * k**2 + 3) * (1 / s2 - 3) / (24 * r)
+    return lead * (1 + corr)
 
 
 def _require_range(kind, r, lo, hi):
@@ -365,17 +335,36 @@ def _require_range(kind, r, lo, hi):
         raise ParameterError(f"{kind} point {r} outside [{lo}, {hi}]")
 
 
-def _exact_reference(kind, params, point):
-    """Exact value the approximation is judged against (float)."""
-    if kind in ("demoivre", "cramer_tail"):
-        return float(binomial_pmf(params["n"], params["p"])[point])
-    if kind == "stirling_binom":
-        return float(comb(params["n"], point))
-    if kind == "hyp_tail":
-        return float(hypergeometric_pmf(params["w"], params["ksucc"], params["npop"])[point])
-    if kind == "edgeworth_lazy":
-        return float(lazy_walk_pmf(params["r"], params["p"])[point])
-    raise ParameterError(f"unknown approximation kind {kind!r}")
+# One entry per approximation kind: its parameter names in call order, the size
+# first (None if it has none); formula(*values, point), which checks its own
+# inputs; and exact(*values, point), the value error_scan judges it by.  The
+# references look their pmf builders up when called, so a wrapper sees each call.
+Approx = namedtuple("Approx", "params formula exact")
+APPROX = {
+    "demoivre": Approx(("n", "p"), _demoivre, lambda n, p, r: binomial_pmf(n, p)[r]),
+    "stirling_binom": Approx(("n",), _stirling_binom, comb),
+    "cramer_tail": Approx(("n", "p"), _cramer_tail, lambda n, p, r: binomial_pmf(n, p)[r]),
+    "hyp_tail": Approx(("w", "ksucc", "npop"), _hyp_tail,
+                       lambda w, ksucc, npop, k: hypergeometric_pmf(w, ksucc, npop)[k]),
+    # the renormalised truncated pmf dominates the true one: a bound above it bounds the true mass
+    "poisson_tail": Approx((None, "lam"), _poisson_tail,
+                           lambda lam, k: truncated_poisson_pmf(Fraction(lam))[0][k]),
+    "edgeworth_lazy": Approx(("r", "p"), _edgeworth_lazy, lambda r, p, k: lazy_walk_pmf(r, p)[k]),
+}
+APPROX_KINDS = tuple(APPROX)
+
+
+def approx_eval(kind, params, point):
+    """Evaluate approximation `kind` (see APPROX) at a lattice point, with
+    params a dict by parameter name.  Tail kinds return the bound value; the
+    others return the formula's leading value."""
+    if kind not in APPROX:
+        raise ParameterError(f"unknown approximation kind {kind!r}")
+    return APPROX[kind].formula(*_values(kind, params), point)
+
+
+def _values(kind, params):
+    return [params[name] for name in APPROX[kind].params if name]
 
 
 @dataclass
@@ -409,16 +398,11 @@ def error_scan(kind, param_grid, size_key=None):
     for gp in grid:
         gp = dict(gp)
         point = gp.pop("point")
-        if kind == "poisson_tail":
-            # the truncated-renormalised pmf dominates the true Poisson pmf,
-            # so bound >= this value also implies bound >= the true mass
-            x = abs(point - Fraction(gp["lam"]))
-            approx = approx_eval(kind, gp, x)
-            exact = float(truncated_poisson_pmf(Fraction(gp["lam"]))[0][point])
-        else:
-            # approx_eval validates the parameters, so it runs first
-            approx = approx_eval(kind, gp, point)
-            exact = _exact_reference(kind, gp, point)
+        # poisson_tail's formula takes the deviation from the rate; the formula
+        # checks the parameters, so it runs before any exact pmf is built
+        x = abs(point - Fraction(gp["lam"])) if kind == "poisson_tail" else point
+        approx = approx_eval(kind, gp, x)
+        exact = float(APPROX[kind].exact(*_values(kind, gp), point))
         rel = abs(approx - exact) / exact if exact else float("inf")
         rows.append(ScanRow(kind, gp, point, exact, approx, rel))
     rows.sort(key=lambda row: (sorted(row.params.items()), row.point))

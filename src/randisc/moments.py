@@ -463,9 +463,9 @@ def moment_report(case, *, n, m=None, p=None, w=None, band_radius=0, exact=True)
     """Assemble psi, the full phi grid, E[Z] and the overlap ratio from one
     row plan; E[Z] and the ratio are exact or log-space as `exact` says."""
     keys, rows = _row_plan(case, n, m, p, w, band_radius, exact)
-    ratio = _overlap_ratio(n, rows, exact)
     if len(rows) != 1:
         raise ParameterError("moment_report needs identical row weights")
+    ratio = _overlap_ratio(n, rows, exact)
     ((_, psi, _),) = rows.values()
     # the profile holds phi/psi^2 exactly in both modes
     psi2 = psi**2

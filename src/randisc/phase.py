@@ -24,7 +24,7 @@ class PhaseScanConfig:
     r: int
     n_values: tuple
     trials: int
-    parity: str  # one of ensembles.PARITIES, checked by ensembles.sample_at_parity
+    parity: str  # one of ensembles.PARITIES, checked by ensembles.prepare_sampling
     threads: int
     seed: int
 
@@ -69,8 +69,14 @@ def run_phase_scan(cfg: PhaseScanConfig):
     reduced in grid order after all trials complete, so the output is
     byte-identical for any thread count.
     """
+    # every refusal comes before the first trial: the MITM estimate at each
+    # n, then each grid point's sampling tables, largest n first, since a
+    # table grows with n and refusing one costs less than building one
     for n in cfg.n_values:
         costs.check_mitm(n, cfg.m)
+    for n in sorted(cfg.n_values, reverse=True):
+        spec = ensembles.EnsembleSpec(cfg.kind, cfg.m, n, cfg.param, cfg.seed)
+        ensembles.prepare_sampling(spec, cfg.parity)
     jobs = [(pi, n, t) for pi, n in enumerate(cfg.n_values) for t in range(cfg.trials)]
     # the executor starts a thread for each job submitted while every worker
     # is busy, up to max_workers, so ask for no more than the jobs and cores

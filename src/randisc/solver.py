@@ -197,7 +197,7 @@ def count_solutions(A: IntMatrix, r, cap=EXHAUSTIVE_CAP) -> int:
         # no |u . row| exceeds the largest row sum, so every balanced u counts
         return comb(A.n, A.n // 2)
     if join:
-        return _scan(A.to_numpy(), r, True, count=True)
+        return _scan(_distinct_rows(A), r, True, count=True)
     # u_1 = +1 covers half the balanced domain; u <-> -u doubles the count.
     blocks = _exhaustive_blocks(A.to_numpy(), balanced_only=True)
     return 2 * sum(int((vals <= r).sum()) for _, _, vals in blocks)
@@ -237,7 +237,7 @@ def disc_exists_mitm(A: IntMatrix, r, balanced_only=False):
     hit = _probe(A, r, balanced_only)
     if hit is None:
         # only a probe miss reads the int64 array
-        signs = _scan(A.to_numpy(), r, balanced_only, count=False)
+        signs = _scan(_distinct_rows(A), r, balanced_only, count=False)
         if signs is None:
             return False, None
         hit = SignVector(signs, balanced_only)
@@ -250,6 +250,16 @@ def _check_radius(A, r, balanced_only):
         raise ParameterError("radius must be >= 0")
     if balanced_only and A.n % 2:
         raise ParameterError("balanced vectors require even n")
+
+
+def _distinct_rows(A):
+    """A's int64 array with repeats of rows 0..m-2 dropped (first
+    occurrences, in order) and the last row kept last.  A repeat adds no
+    constraint, and its offset equals its first occurrence's, so the scan's
+    witness order (delta over rows 0..m-2, then the left index, then the last
+    row's value) picks the same vector."""
+    rows = A.rows()
+    return np.array([*dict.fromkeys(rows[:-1]), rows[-1]], dtype=np.int64)
 
 
 def _probe(A, r, balanced_only):
@@ -277,7 +287,7 @@ def _probe(A, r, balanced_only):
     for v in A.entries:
         key = mix64(key ^ (v + 0x9E3779B97F4A7C15))
     stream = Stream(derive_key(key, r, int(balanced_only)))
-    n, rows = A.n, A.rows()
+    n, rows = A.n, list(dict.fromkeys(A.rows()))  # a repeated row tests nothing new
     sums = [sum(row) for row in rows]
     lo = [max(0, (s - r + 1) // 2) for s in sums]
     hi = [min(s, (s + r) // 2) for s in sums]
@@ -285,7 +295,7 @@ def _probe(A, r, balanced_only):
         return None  # r = 0 and an odd row sum: no try can hit
     width = max(sums).bit_length() + 1
     guard = 1 << (width - 1)
-    offs = range(n, n + A.m * width, width)
+    offs = range(n, n + len(rows) * width, width)
     cols = [1 << c for c in range(n)]
     for row, off in zip(rows, offs):
         cols = [col | v << off for col, v in zip(cols, row)]

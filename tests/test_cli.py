@@ -148,6 +148,23 @@ def test_phase_grid_past_mitm_cap_exits_3_before_any_trial(monkeypatch, capsys):
     assert err.startswith("capacity:")
 
 
+def test_phase_unbuildable_table_exits_3_before_any_trial(tmp_path, monkeypatch, capsys):
+    # the Poisson rate-100 row sum law at n = 40 passes the exact truncation
+    # cap; its coupling table used to be refused only after the trials at
+    # n = 8..32
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(solver, "disc_exists_mitm", no_trial)
+    out_path = tmp_path / "phase.csv"
+    argv = ["phase", "--ensemble", "poisson", "--m", "3", "--p", "100", "--parity", "even",
+            "--r", "1", "--n-start", "8", "--n-stop", "40", "--n-stride", "8", "--trials", "10",
+            "--seed", "1", "--out", str(out_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == "" and not out_path.exists()
+    assert err.startswith("capacity:")
+
+
 def test_every_mitm_caller_reads_the_one_estimate(tmp_path, monkeypatch, capsys):
     # with costs.mitm_peak past the budget, every join caller refuses before
     # any trial or join; a caller with its own formula would run

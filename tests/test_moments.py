@@ -371,3 +371,13 @@ def test_moment_report_builds_each_row_once(case, kw, monkeypatch):
     rep = mo.moment_report(case, n=16, m=3, **kw)
     assert len(calls) == 1
     assert rep.m == 3
+
+
+def test_moment_report_refuses_mixed_weights_before_the_overlap_sum(monkeypatch):
+    # the per-row weight list used to be refused only after the whole sum
+    def no_sum(*args, **kwargs):
+        raise AssertionError("overlap sum computed for a refused plan")
+
+    monkeypatch.setattr(mo, "_overlap_ratio", no_sum)
+    with pytest.raises(ParameterError, match="identical row weights"):
+        mo.moment_report("bernoulli_fixed_weight", n=256, w=[64] * 4 + [128] * 4)

@@ -8,7 +8,9 @@ from itertools import chain, product
 import numpy as np
 import pytest
 
-from helpers import balanced_vectors, first_optimal_signs, reference_mitm, reference_prefix_tree
+from helpers import (
+    balanced_vectors, first_optimal_signs, reference_mitm, reference_prefix_tree, reference_probe,
+)
 from randisc import ensembles as ens
 from randisc import cli, solver
 from randisc.errors import CapacityError, ParameterError
@@ -330,6 +332,12 @@ def _reference_pair_cases():
     for n in (1, 2, 3, 5, 7, 9, 11):
         for m in (1, 6):
             cases += [(_scan_rows(rng, m, n, huge=n == 5), r, False) for r in range(3)]
+    # then repeated rows, the last row repeating an earlier one in the second
+    # and third plans, which the callers of _scan pass each once
+    for n in (4, 6, 7, 10, 12):
+        a, b, c = _scan_rows(rng, 3, n, huge=n == 7)
+        for rows in ([a, b, a, c], [a, b, b, a], [c, c, b, a, c], [a, a]):
+            cases += [(rows, r, bal) for r in range(3) for bal in (False, True) if not (bal and n % 2)]
     return cases
 
 
@@ -341,6 +349,40 @@ def test_scan_matches_reference_pairs():
         count, first = reference_mitm(rows, r, balanced)
         assert solver._scan(mat, r, balanced, count=True) == count, case
         assert solver._scan(mat, r, balanced, count=False) == first, case
+
+
+def test_scan_of_distinct_rows_matches_reference_pairs():
+    # each distinct row once, the last row kept last, gives the count and
+    # the witness of every row; the probe tests each distinct row once and
+    # draws the tries of every row
+    cases = [c for c in _reference_pair_cases() if len({*map(tuple, c[0])}) < len(c[0])]
+    assert len(cases) > 100 and any(rows[-1] in rows[:-1] for rows, _, _ in cases)
+    for case, (rows, r, balanced) in enumerate(cases):
+        A = ens.IntMatrix.from_rows(rows)
+        distinct = solver._distinct_rows(A)
+        assert len(distinct) == len({*map(tuple, rows[:-1])}) + 1 and distinct[-1].tolist() == rows[-1]
+        count, first = reference_mitm(rows, r, balanced)
+        assert solver._scan(distinct, r, balanced, count=True) == count, case
+        assert solver._scan(distinct, r, balanced, count=False) == first, case
+        got = solver._probe(A, r, balanced)
+        assert (got and got.signs) == reference_probe(rows, r, balanced), case
+
+
+def test_callers_scan_each_row_once(monkeypatch):
+    # a probe miss and a count past the cap both scan the distinct rows
+    scanned, scan = [], solver._scan
+
+    def spy(mat, *args, **kwargs):
+        scanned.append(mat.tolist())
+        return scan(mat, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_scan", spy)
+    monkeypatch.setattr(solver, "_probe", lambda *args: None)
+    a, b = [1, 0, 1, 1, 0, 1, 0, 0], [0, 1, 1, 0, 1, 0, 1, 1]
+    A = mat([a, b, a, b, a])
+    assert solver.disc_exists_mitm(A, 1, True) == solver.disc_exists_mitm(mat([a, b, a]), 1, True)
+    assert solver.count_solutions(A, 1, cap=0) == reference_mitm([a, b], 1, True)[0]
+    assert scanned == [[a, b, a]] * 3
 
 
 @pytest.mark.parametrize("batch", [1, 7])

@@ -15,7 +15,7 @@ import pytest
 from test_pins import INPUTS, pinned
 
 import randisc
-from randisc import cli
+from randisc import cli, locallimits
 
 # the package's own source tree first, so the child imports what this run tests
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -26,7 +26,7 @@ _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 # runs one CLI command, then reports on stderr whether numpy was loaded
 _DISPATCH = textwrap.dedent("""
     import sys
-    from randisc import cli
+    from randisc import cli, locallimits
     code = cli.dispatch(sys.argv[1:])
     if "numpy" in sys.modules:
         print("numpy loaded", file=sys.stderr)
@@ -66,7 +66,15 @@ EXACT_COMMANDS = [
     ["ratio", "--case", "bernoulli-fixed", "--m", "2", "--n", "16", "--w", "4"],
     ["lclt", "--kind", "hyp_tail", "--sizes", "8,16", "--points", "2,4", "--ksucc", "20", "--npop", "64"],
     ["lclt", "--kind", "poisson_tail", "--sizes", "1,2", "--points", "0,3", "--p", "5/2"],
+    ["lclt", "--kind", "demoivre", "--sizes", "16,32,64", "--points", "8,10", "--p", "1/2"],
+    ["lclt", "--kind", "stirling_binom", "--sizes", "16,32,64", "--points", "4,8"],
+    ["lclt", "--kind", "cramer_tail", "--sizes", "16,32,64", "--points", "4,8", "--p", "1/3"],
+    ["lclt", "--kind", "edgeworth_lazy", "--sizes", "4,8,16", "--points", "0,1", "--p", "1/3"],
 ]
+
+
+def test_exact_commands_run_every_lclt_kind():
+    assert sorted(argv[2] for argv in EXACT_COMMANDS if argv[0] == "lclt") == sorted(locallimits.APPROX)
 
 
 @pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
