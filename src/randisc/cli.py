@@ -148,8 +148,10 @@ def _load_birth_death(path):
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParameterError(f"spec file is not JSON text: {exc}") from None
+    # ValueError covers bad UTF-8, bad JSON and an integer literal past
+    # sys.get_int_max_str_digits(); RecursionError, arrays nested too deep
+    except (ValueError, RecursionError) as exc:
+        raise ParameterError(f"spec file cannot be read as JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParameterError("spec file must hold a JSON object")
     try:

@@ -9,7 +9,7 @@ interpreter), the machine and the command.
 """
 
 from fractions import Fraction
-from math import inf, log2
+from math import inf, lgamma, log, log2
 
 from .errors import CapacityError
 
@@ -206,18 +206,26 @@ SAMPLE_FIT = (
 )
 
 
-def exact_seconds(n, p, counts, band_radius):
+def exact_seconds(case, n, p, counts, band_radius):
     """Seconds of the exact overlap sum over rows of weight w (None: dense
     at p), counts[w] of each.  Each of the n/2 + 1 overlaps multiplies out B
     bits, the coefficient's 2n and each row's phi/psi^2, at 3.9e-11 B^1.7 s,
     and builds each distinct row's phi: dense rationals of twice a row's
-    bits, or band convolutions of w^2 products."""
+    bits, or band convolutions of w^2 products.  A Bernoulli fixed-weight
+    row's phi and psi have numerators at most C(n, w), the size of its law,
+    so its phi/psi^2 takes at most 2 log2 C(n, w) bits, and its phi is one
+    convolution of two laws of w/2 + 1 binomial products, at most 1e-8 w s
+    a bit; neither bound raises the estimate."""
     try:
         total, build = 2 * n, 0.0
         for k, count in counts.items():
             if k is None:  # a dense row at p = a/b
                 bits = n * (log2(Fraction(p).denominator) + 1)
                 build += 3.9e-11 * (2 * bits) ** 1.7
+            elif case == "bernoulli_fixed_weight" and 0 < k < n:
+                log2_law = (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(2)
+                bits = min(k * log2(n), 2 * log2_law)
+                build += min(2e-9 * k**2 * bits**0.6, 1e-8 * k * bits)
             else:
                 bits = abs(k) * log2(n)
                 build += 2e-9 * (min(band_radius, k) + 1) * k**2 * bits**0.6
@@ -227,9 +235,9 @@ def exact_seconds(n, p, counts, band_radius):
         return inf
 
 
-def check_exact_sum(n, p, counts, band_radius):
+def check_exact_sum(case, n, p, counts, band_radius):
     """Refuse an exact overlap sum estimated past EXACT_SECONDS."""
-    seconds = exact_seconds(n, p, counts, band_radius)
+    seconds = exact_seconds(case, n, p, counts, band_radius)
     if seconds > EXACT_SECONDS:
         raise CapacityError(
             f"exact overlap sum at n={n}, m={sum(counts.values())} estimated past "
@@ -238,56 +246,55 @@ def check_exact_sum(n, p, counts, band_radius):
         )
 
 
-# (n, p, counts, band radius, seconds, machine, command); seconds are the
-# median of three runs, `F` is Fraction.  The Bernoulli fixed-weight rows of
-# weight n/2 read 8.4-9.0x over
+# (case, n, p, counts, band radius, seconds, machine, command); seconds are
+# the median of three runs, `F` is Fraction
 EXACT_SECONDS_FIT = (
     ((1.1, 3.0), (
-        (256, Fraction(1, 10**20), {None: 8}, 0, 1.733, BOX,
+        ("bernoulli_parity_dense", 256, Fraction(1, 10**20), {None: 8}, 0, 1.733, BOX,
          'second_moment_ratio("bernoulli_parity_dense", n=256, m=8, p=F(1, 10**20))'),
-        (256, Fraction(1, 16), {None: 64}, 0, 0.537, BOX,
+        ("bernoulli_parity_dense", 256, Fraction(1, 16), {None: 64}, 0, 0.537, BOX,
          'second_moment_ratio("bernoulli_parity_dense", n=256, m=64, p=F(1, 16))'),
-        (256, Fraction(1, 2), {None: 128}, 0, 0.612, BOX,
+        ("bernoulli_parity_dense", 256, Fraction(1, 2), {None: 128}, 0, 0.612, BOX,
          'second_moment_ratio("bernoulli_parity_dense", n=256, m=128, p=F(1, 2))'),
-        (512, Fraction(1, 2), {None: 32}, 0, 0.356, BOX,
+        ("bernoulli_parity_dense", 512, Fraction(1, 2), {None: 32}, 0, 0.356, BOX,
          'second_moment_ratio("bernoulli_parity_dense", n=512, m=32, p=F(1, 2))'),
-        (512, Fraction(1, 16), {None: 32}, 0, 0.987, BOX,
+        ("bernoulli_parity_dense", 512, Fraction(1, 16), {None: 32}, 0, 0.987, BOX,
          'second_moment_ratio("bernoulli_parity_dense", n=512, m=32, p=F(1, 16))'),
-        (512, Fraction(1, 2), {None: 128}, 0, 4.591, BOX,
+        ("bernoulli_parity_dense", 512, Fraction(1, 2), {None: 128}, 0, 4.591, BOX,
          'second_moment_ratio("bernoulli_parity_dense", n=512, m=128, p=F(1, 2))'),
-        (1024, Fraction(1, 2), {None: 8}, 0, 0.268, BOX,
+        ("bernoulli_parity_dense", 1024, Fraction(1, 2), {None: 8}, 0, 0.268, BOX,
          'second_moment_ratio("bernoulli_parity_dense", n=1024, m=8, p=F(1, 2))'),
-        (1024, Fraction(1, 2), {None: 32}, 0, 2.800, BOX,
+        ("bernoulli_parity_dense", 1024, Fraction(1, 2), {None: 32}, 0, 2.800, BOX,
          'second_moment_ratio("bernoulli_parity_dense", n=1024, m=32, p=F(1, 2))'),
-        (2048, Fraction(1, 2), {None: 8}, 0, 1.711, BOX,
+        ("bernoulli_parity_dense", 2048, Fraction(1, 2), {None: 8}, 0, 1.711, BOX,
          'second_moment_ratio("bernoulli_parity_dense", n=2048, m=8, p=F(1, 2))'),
-        (4096, None, {16: 8}, 0, 0.456, BOX,
+        ("bernoulli_fixed_weight", 4096, None, {16: 8}, 0, 0.456, BOX,
          'second_moment_ratio("bernoulli_fixed_weight", n=4096, m=8, w=16)'),
-        (1024, None, {64: 64}, 0, 0.694, BOX,
+        ("bernoulli_fixed_weight", 1024, None, {64: 64}, 0, 0.694, BOX,
          'second_moment_ratio("bernoulli_fixed_weight", n=1024, m=64, w=64)'),
-        (4096, None, {64: 8}, 0, 1.165, BOX,
+        ("bernoulli_fixed_weight", 4096, None, {64: 8}, 0, 1.165, BOX,
          'second_moment_ratio("bernoulli_fixed_weight", n=4096, m=8, w=64)'),
-        (1024, None, {128: 8}, 0, 0.478, BOX,
+        ("bernoulli_fixed_weight", 1024, None, {128: 8}, 0, 0.478, BOX,
          'second_moment_ratio("bernoulli_fixed_weight", n=1024, m=8, w=128)'),
-        (256, None, {64: 64}, 2, 0.166, BOX,
-         'second_moment_ratio("poisson_fixed_weight", n=256, m=64, w=64, band_radius=2)'),
-        (1024, None, {64: 8}, 2, 0.447, BOX,
-         'second_moment_ratio("poisson_fixed_weight", n=1024, m=8, w=64, band_radius=2)'),
-        (256, None, {256: 8}, 0, 1.207, BOX,
-         'second_moment_ratio("poisson_fixed_weight", n=256, m=8, w=256)'),
-        (1024, None, {128: 8}, 2, 2.816, BOX,
-         'second_moment_ratio("poisson_fixed_weight", n=1024, m=8, w=128, band_radius=2)'),
-        (4096, None, {16: 64}, 2, 1.146, BOX,
-         'second_moment_ratio("poisson_fixed_weight", n=4096, m=64, w=16, band_radius=2)'),
-        (256, None, {256: 8}, 2, 3.968, BOX,
-         'second_moment_ratio("poisson_fixed_weight", n=256, m=8, w=256, band_radius=2)'),
-    )),
-    ((1.1, 9.1), (
-        (256, None, {128: 8}, 0, 0.035, BOX,
+        ("bernoulli_fixed_weight", 256, None, {128: 8}, 0, 0.035, BOX,
          'second_moment_ratio("bernoulli_fixed_weight", n=256, m=8, w=128)'),
-        (256, None, {128: 64}, 0, 0.123, BOX,
+        ("bernoulli_fixed_weight", 256, None, {128: 64}, 0, 0.123, BOX,
          'second_moment_ratio("bernoulli_fixed_weight", n=256, m=64, w=128)'),
-        (512, None, {256: 8}, 0, 0.410, BOX,
+        ("bernoulli_fixed_weight", 512, None, {256: 8}, 0, 0.410, BOX,
          'second_moment_ratio("bernoulli_fixed_weight", n=512, m=8, w=256)'),
+        ("bernoulli_fixed_weight", 768, None, {384: 8}, 0, 1.837, BOX,
+         'second_moment_ratio("bernoulli_fixed_weight", n=768, m=8, w=384)'),
+        ("poisson_fixed_weight", 256, None, {64: 64}, 2, 0.166, BOX,
+         'second_moment_ratio("poisson_fixed_weight", n=256, m=64, w=64, band_radius=2)'),
+        ("poisson_fixed_weight", 1024, None, {64: 8}, 2, 0.447, BOX,
+         'second_moment_ratio("poisson_fixed_weight", n=1024, m=8, w=64, band_radius=2)'),
+        ("poisson_fixed_weight", 256, None, {256: 8}, 0, 1.207, BOX,
+         'second_moment_ratio("poisson_fixed_weight", n=256, m=8, w=256)'),
+        ("poisson_fixed_weight", 1024, None, {128: 8}, 2, 2.816, BOX,
+         'second_moment_ratio("poisson_fixed_weight", n=1024, m=8, w=128, band_radius=2)'),
+        ("poisson_fixed_weight", 4096, None, {16: 64}, 2, 1.146, BOX,
+         'second_moment_ratio("poisson_fixed_weight", n=4096, m=64, w=16, band_radius=2)'),
+        ("poisson_fixed_weight", 256, None, {256: 8}, 2, 3.968, BOX,
+         'second_moment_ratio("poisson_fixed_weight", n=256, m=8, w=256, band_radius=2)'),
     )),
 )

@@ -280,7 +280,7 @@ def _row_plan(case, n, m, p, w, band_radius, exact_sum):
     if sum(counts.values()) < 1:
         raise ParameterError("need at least one row (m >= 1)")
     if exact_sum:
-        costs.check_exact_sum(n, p, counts, band_radius)
+        costs.check_exact_sum(case, n, p, counts, band_radius)
     rows = {}
     for key, count in counts.items():
         psi, phi = _row_psi_phi_functions(case, n, p=p, w=key, band_radius=band_radius)

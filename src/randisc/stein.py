@@ -224,51 +224,38 @@ def _check_target(w, t):
         raise ParameterError(f"target t={t} outside the interior range 1..{w - 1}")
 
 
-def _spliced(row, mt, old, ratio, i, j):
-    """mt * row[s] for i <= s < j and ratio * old[s] elsewhere (old is
-    empty when the span is the whole row)."""
-    return (
-        *(ratio * v for v in old[:i]),
-        *(mt * v for v in row[i:j]),
-        *(ratio * v for v in old[j:]),
-    )
-
-
-# f_t(s) = mu_t X[s] with X = lo for s <= t and hi above, and df_t has the
-# same form, so an entry on the same side for t and an earlier target t0
-# equals f_t0(s) mu_t / mu_t0.  For neighbours that ratio is a_{t-1} / b_t:
-# on the exact_rational benchmark's w = 64 specs its terms have at most 17
-# bits against values of about 840, so both gcds of each product are
-# big-by-small, where mu_t times a table entry takes two big-by-big gcds.
-# Only f on (min, max] and df on [min, max] of (t, t0) change side and are
-# direct products.  On a 2-core box under Python 3.11, timed interleaved
-# against one mu_t product per value (medians of 7, warm tables), a round's
-# 40 ascending sweeps (w = 2..64) took 468-504 ms against 771-846 ms and
-# descending ones 397-510 against 754-837 ms.  Shuffled sweeps and single
-# targets cost the same either way: a far t0 gives a ratio as large as mu_t.
 def stein_invert(bd: BirthDeathSpec, t) -> SteinSolution:
     """Closed-form inverse: f(s) = mu_t/(b_s mu_s) (1_{t<s} - mu({0..s-1})).
 
     Valid for interior targets 1 <= t <= w-1; signs, monotonicity, the
     uniform bound max |df| = df(t) <= min(1/a_t, 1/b_t) and the L1 bound
-    sum |df| <= 2 df(t) all hold exactly.  The factors after mu_t come from
-    a table cached per spec (_inverse_table), and the entries that lie on
-    the same side of t as of the spec's last solved target t0 are that
-    solution's scaled by mu_t / mu_t0; the rest, all of them on the first
-    call, are products of mu_t with the table.
+    sum |df| <= 2 df(t) all hold exactly.  A target next to the spec's last
+    solved one t0 rescales that solution by mu_t / mu_t0, a_{t-1}/b_t or
+    b_{t+1}/a_t by detailed balance; the one f entry and two df entries
+    that change side of the target (at s, and s-1 and s for df) then move
+    by 1/(b_s mu_s) times mu_t.  Any other target is mu_t times the table
+    cached per spec (_inverse_table).
     """
     _check_target(bd.w, t)
     mu, lo, hi, dlo, dhi, last = _inverse_table(bd)
     prev = last[0]  # read once: it carries its own target, whoever stored it
-    if prev is None:  # no row to rescale: every entry is direct
-        ratio, old_f, old_df, fi, di, j = None, (), (), 0, 0, bd.w + 2
+    if prev is not None and abs(t - prev.t) == 1:
+        if t > prev.t:
+            ratio, s = bd.a[t - 1] / bd.b[t], t
+            step = 1 / bd.b[t]
+        else:
+            ratio, s = bd.b[t + 1] / bd.a[t], t + 1
+            step = -ratio / bd.b[t + 1]
+        f = [ratio * v for v in prev.f]
+        delta = [ratio * v for v in prev.delta_f]
+        f[s] -= step
+        delta[s - 1] -= step
+        delta[s] += step
+        f, delta = tuple(f), tuple(delta)
     else:
-        tmin, tmax = sorted((t, prev.t))
-        ratio = Fraction(mu.counts[t], mu.counts[prev.t])
-        old_f, old_df, fi, di, j = prev.f, prev.delta_f, tmin + 1, tmin, tmax + 1
-    mt, dt = mu[t], hi[t + 1] - lo[t]
-    f = _spliced(lo[: t + 1] + hi[t + 1 :], mt, old_f, ratio, fi, j)
-    delta = _spliced(dlo[:t] + (dt,) + dhi[t + 1 :], mt, old_df, ratio, di, j)
+        mt = mu[t]
+        f = tuple(mt * v for v in lo[: t + 1] + hi[t + 1 :])
+        delta = tuple(mt * v for v in dlo[:t] + (hi[t + 1] - lo[t],) + dhi[t + 1 :])
     last[0] = sol = SteinSolution(t, f, delta)
     return sol
 

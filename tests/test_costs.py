@@ -48,8 +48,24 @@ def test_sample_peak_fits_its_rows(band, row):
 
 @pytest.mark.parametrize("band,row", _rows(costs.EXACT_SECONDS_FIT))
 def test_exact_seconds_fits_its_rows(band, row):
-    n, p, counts, band_radius, seconds, _, _ = row
-    _assert_in_band(costs.exact_seconds(n, p, counts, band_radius), seconds, band, row)
+    case, n, p, counts, band_radius, seconds, _, _ = row
+    _assert_in_band(costs.exact_seconds(case, n, p, counts, band_radius), seconds, band, row)
+
+
+def test_bernoulli_rows_of_weight_n_over_2_are_admitted():
+    # the n = 768 row of EXACT_SECONDS_FIT, estimated only: w log2 n bits a
+    # row read 16.3 s, the bound by the size of the row's law about 2.4 s
+    assert costs.exact_seconds("bernoulli_fixed_weight", 768, None, {384: 8}, 0) < costs.EXACT_SECONDS
+
+
+@pytest.mark.parametrize("n", [2, 16, 256, 4096, 2**20])
+def test_bernoulli_bound_never_raises_the_estimate(n):
+    # a Poisson row at band radius 0 is estimated as every fixed-weight row
+    # was before Bernoulli rows were bounded by their law
+    for w in {1, 2, n // 8, n // 4, n // 2, n - 1, n, n + 1} - {0}:
+        for counts in ({w: 1}, {w: 64}, {w: 8, max(1, w // 2): 8}):
+            bounded = costs.exact_seconds("bernoulli_fixed_weight", n, None, counts, 0)
+            assert bounded <= costs.exact_seconds("poisson_fixed_weight", n, None, counts, 0)
 
 
 def test_every_fit_names_its_machine_and_command():

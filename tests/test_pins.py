@@ -67,6 +67,11 @@ INPUTS = {
     # exhaustive search stops only after every block
     "floor20.txt": _rows("4 " * 19 + "1", "0 0 1 1 0 0 1 1 0 0 1 1 1 0 0 0 1 0 0 0"),
     "spec.json": '{"w": 5, "a": ["5", "7/2", "3", "2", "1/3", "0"], "b": ["0", "1/2", "1", "5/3", "4", "9"]}',
+    # arrays nested 1,000 deep, a RecursionError in Python 3.11's json module
+    # (3.12 reads the list, which is refused), and an integer past Python's
+    # 4,300-digit int-to-str limit, a ValueError
+    "deep.json": "[" * 1000 + "]" * 1000,
+    "bigint.json": '{"w": ' + "1" * 4301 + ', "a": [], "b": []}',
 }
 
 Pin = namedtuple("Pin", "argv out code", defaults=(0,))
@@ -184,6 +189,8 @@ PINS = [
         '{"w": 6, "t": 3, "max_delta": "29/715", "l1_delta": "58/715", "bound": "1/15", "inverse_residual": "0/1"}'),
     Pin("stein verify-inverse --w 5 --t 2 --spec file --file spec.json",
         '{"w": 5, "t": 2, "max_delta": "386/1275", "l1_delta": "772/1275", "bound": "1/3", "inverse_residual": "0/1"}'),
+    Pin("stein verify-inverse --w 2 --t 1 --spec file --file deep.json", None, 2),
+    Pin("stein verify-inverse --w 2 --t 1 --spec file --file bigint.json", None, 2),
     Pin("stein verify-identity --case poisson --w 4 --beta 2/3 --band 2",
         '{"case": "poisson", "w": 4, "beta": "2/3", "band": 2, "lhs": "-55/4536", "rhs": "-109/4536", '
         '"residual": "1/84", "band_term": "1/84", "corrected_residual": "0/1"}'),

@@ -173,8 +173,9 @@ def _target_order(order, w, rng):
     st.sampled_from(["ascending", "descending", "shuffled", "repeats", "interleaved"]),
 )
 def test_inverse_equals_oracle_in_any_target_order(seed, w1, w2, order):
-    # each solution rescales the spec's last one, so the order of targets
-    # (and, interleaved, of specs) decides every anchor; none may matter
+    # a target next to the spec's last one rescales that solution, so the
+    # order of targets (and, interleaved, of specs) decides which calls step
+    # from an anchor and which build from the table; none may matter
     rng = random.Random(seed)
     bd1, bd2 = random_birth_death(rng, w1), random_birth_death(rng, w2)
     if order == "interleaved":
@@ -185,6 +186,16 @@ def test_inverse_equals_oracle_in_any_target_order(seed, w1, w2, order):
         calls = [(bd1, t) for t in _target_order(order, w1, rng)]
     for bd, t in calls:
         check_inverse_guarantees(bd, t, with_oracle=True)
+
+
+def test_inverse_equals_oracle_in_sweeps_at_w64():
+    # the exact_rational benchmark's largest size: a sweep takes each
+    # neighbour step 62 times, and a wrong correction would carry into every
+    # later solution of the sweep
+    bd = random_birth_death(random.Random(64), 64)
+    for order in ("ascending", "descending"):
+        for t in _target_order(order, bd.w, None):
+            check_inverse_guarantees(bd, t, with_oracle=True)
 
 
 def test_threads_sweeping_one_spec_match_a_serial_sweep():
