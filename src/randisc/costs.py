@@ -211,24 +211,22 @@ def exact_seconds(case, n, p, counts, band_radius):
     at p), counts[w] of each.  Each of the n/2 + 1 overlaps multiplies out B
     bits, the coefficient's 2n and each row's phi/psi^2, at 3.9e-11 B^1.7 s,
     and builds each distinct row's phi: dense rationals of twice a row's
-    bits, or band convolutions of w^2 products.  A Bernoulli fixed-weight
-    row's phi and psi have numerators at most C(n, w), the size of its law,
-    so its phi/psi^2 takes at most 2 log2 C(n, w) bits, and its phi is one
-    convolution of two laws of w/2 + 1 binomial products, at most 1e-8 w s
-    a bit; neither bound raises the estimate."""
+    bits, or |K| <= min(radius, w) + 1 pairs of laws and |K| x |K| dot
+    products at the band targets, each w/2 + 1 products of a row's bits, at
+    1.2e-8 bits^0.7 s a product.  A Bernoulli fixed-weight row takes at most
+    2 log2 C(n, w) bits, its law's size; that bound never raises the estimate."""
     try:
         total, build = 2 * n, 0.0
         for k, count in counts.items():
             if k is None:  # a dense row at p = a/b
                 bits = n * (log2(Fraction(p).denominator) + 1)
                 build += 3.9e-11 * (2 * bits) ** 1.7
-            elif case == "bernoulli_fixed_weight" and 0 < k < n:
-                log2_law = (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(2)
-                bits = min(k * log2(n), 2 * log2_law)
-                build += min(2e-9 * k**2 * bits**0.6, 1e-8 * k * bits)
             else:
                 bits = abs(k) * log2(n)
-                build += 2e-9 * (min(band_radius, k) + 1) * k**2 * bits**0.6
+                if case == "bernoulli_fixed_weight" and 0 < k < n:
+                    bits = min(bits, 2 * (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(2))
+                members = min(band_radius, k) + 1
+                build += 1.2e-8 * members * (members + 2) * (k / 2 + 1) * bits**0.7
             total += count * bits
         return (n // 2 + 1) * (3.9e-11 * total**1.7 + build)
     except OverflowError:  # n or w past a float
@@ -268,33 +266,33 @@ EXACT_SECONDS_FIT = (
          'second_moment_ratio("bernoulli_parity_dense", n=1024, m=32, p=F(1, 2))'),
         ("bernoulli_parity_dense", 2048, Fraction(1, 2), {None: 8}, 0, 1.711, BOX,
          'second_moment_ratio("bernoulli_parity_dense", n=2048, m=8, p=F(1, 2))'),
-        ("bernoulli_fixed_weight", 4096, None, {16: 8}, 0, 0.456, BOX,
+        ("bernoulli_fixed_weight", 4096, None, {16: 8}, 0, 0.431, BOX,
          'second_moment_ratio("bernoulli_fixed_weight", n=4096, m=8, w=16)'),
-        ("bernoulli_fixed_weight", 1024, None, {64: 64}, 0, 0.694, BOX,
+        ("bernoulli_fixed_weight", 1024, None, {64: 64}, 0, 0.588, BOX,
          'second_moment_ratio("bernoulli_fixed_weight", n=1024, m=64, w=64)'),
-        ("bernoulli_fixed_weight", 4096, None, {64: 8}, 0, 1.165, BOX,
+        ("bernoulli_fixed_weight", 4096, None, {64: 8}, 0, 0.779, BOX,
          'second_moment_ratio("bernoulli_fixed_weight", n=4096, m=8, w=64)'),
-        ("bernoulli_fixed_weight", 1024, None, {128: 8}, 0, 0.478, BOX,
+        ("bernoulli_fixed_weight", 1024, None, {128: 8}, 0, 0.157, BOX,
          'second_moment_ratio("bernoulli_fixed_weight", n=1024, m=8, w=128)'),
-        ("bernoulli_fixed_weight", 256, None, {128: 8}, 0, 0.035, BOX,
+        ("bernoulli_fixed_weight", 256, None, {128: 8}, 0, 0.015, BOX,
          'second_moment_ratio("bernoulli_fixed_weight", n=256, m=8, w=128)'),
-        ("bernoulli_fixed_weight", 256, None, {128: 64}, 0, 0.123, BOX,
+        ("bernoulli_fixed_weight", 256, None, {128: 64}, 0, 0.096, BOX,
          'second_moment_ratio("bernoulli_fixed_weight", n=256, m=64, w=128)'),
-        ("bernoulli_fixed_weight", 512, None, {256: 8}, 0, 0.410, BOX,
+        ("bernoulli_fixed_weight", 512, None, {256: 8}, 0, 0.117, BOX,
          'second_moment_ratio("bernoulli_fixed_weight", n=512, m=8, w=256)'),
-        ("bernoulli_fixed_weight", 768, None, {384: 8}, 0, 1.837, BOX,
+        ("bernoulli_fixed_weight", 768, None, {384: 8}, 0, 0.531, BOX,
          'second_moment_ratio("bernoulli_fixed_weight", n=768, m=8, w=384)'),
-        ("poisson_fixed_weight", 256, None, {64: 64}, 2, 0.166, BOX,
+        ("poisson_fixed_weight", 256, None, {64: 64}, 2, 0.123, BOX,
          'second_moment_ratio("poisson_fixed_weight", n=256, m=64, w=64, band_radius=2)'),
-        ("poisson_fixed_weight", 1024, None, {64: 8}, 2, 0.447, BOX,
+        ("poisson_fixed_weight", 1024, None, {64: 8}, 2, 0.162, BOX,
          'second_moment_ratio("poisson_fixed_weight", n=1024, m=8, w=64, band_radius=2)'),
-        ("poisson_fixed_weight", 256, None, {256: 8}, 0, 1.207, BOX,
+        ("poisson_fixed_weight", 256, None, {256: 8}, 0, 0.090, BOX,
          'second_moment_ratio("poisson_fixed_weight", n=256, m=8, w=256)'),
-        ("poisson_fixed_weight", 1024, None, {128: 8}, 2, 2.816, BOX,
+        ("poisson_fixed_weight", 1024, None, {128: 8}, 2, 0.396, BOX,
          'second_moment_ratio("poisson_fixed_weight", n=1024, m=8, w=128, band_radius=2)'),
-        ("poisson_fixed_weight", 4096, None, {16: 64}, 2, 1.146, BOX,
+        ("poisson_fixed_weight", 4096, None, {16: 64}, 2, 1.101, BOX,
          'second_moment_ratio("poisson_fixed_weight", n=4096, m=64, w=16, band_radius=2)'),
-        ("poisson_fixed_weight", 256, None, {256: 8}, 2, 3.968, BOX,
+        ("poisson_fixed_weight", 256, None, {256: 8}, 2, 0.283, BOX,
          'second_moment_ratio("poisson_fixed_weight", n=256, m=8, w=256, band_radius=2)'),
     )),
 )

@@ -16,13 +16,14 @@ dichotomy of interest lives in 1 + Theta(1/n) corrections that floats blur.
 """
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, gcd, lgamma, log
 
 from . import costs
 from .errors import ParameterError
-from .locallimits import convolve_integer, over_one_denominator
+from .locallimits import over_one_denominator
 
 CASES = ("bernoulli_parity_dense", "bernoulli_fixed_weight", "poisson_fixed_weight")
 
@@ -105,7 +106,7 @@ class OverlapScenario:
 # Each of a row's w draws gets one of four (v-sign, u-sign) labels: sa = (+,+),
 # sb = (+,-), sc = (-,-), sd = (-,+).  <v, row> = k is fixed by sa + sb, and
 # <u, row> = w - 2S with S = sb + sc, so phi and the Stein pair statistics are
-# both sums over the law of (sb, sc) given k.
+# both sums over the law of (sb, sc) given k, weighted by k's band mass.
 
 
 def _label_weights(scenario):
@@ -143,6 +144,16 @@ def _sb_sc_laws(scenario, k):
         sb = tuple(comb(g, i) * comb(b, half - i) for i in range(half + 1))
         sc = tuple(comb(b, j) * comb(g, half - j) for j in range(half + 1))
     return sb, sc, sum(sb) * sum(sc)
+
+
+def _band_masses(scenario):
+    """({k: mass}, den): the single-vector law of the offset k = <v, row> over
+    the band, integer masses over one denominator: C(w, (w+k)/2) / 2**w for
+    Poisson, C(n/2, (w+k)/2) C(n/2, (w-k)/2) / C(n, w) for Bernoulli."""
+    n, w, ks = scenario.n, scenario.w, scenario.band.members()
+    if scenario.case == "poisson_fixed_weight":
+        return {k: comb(w, (w + k) // 2) for k in ks}, 2**w
+    return {k: comb(n // 2, (w + k) // 2) * comb(n // 2, (w - k) // 2) for k in ks}, comb(n, w)
 
 
 # ---------------------------------------------------------------------------
@@ -193,41 +204,36 @@ def psi_phi_dense(n, p, overlap_r):
 
 def phi_fixed_weight(scenario: OverlapScenario):
     """Pair satisfaction probability for the fixed-weight cases: the band sum
-    of the law of S = sb + sc from the pair label law (_sb_sc_laws).
-
-    Poisson: sum over k in K of C(w, (w+k)/2) conv_k[targets] / (2**w den),
-    conv_k the convolution of the sb and sc laws given k.  Bernoulli:
-    conv[w/2] / C(n, w), the rows with k = 0 and S = w/2.  The laws carry
-    beta in {0, 1} and an empty band (phi = 0) without special cases.
-    """
-    w = scenario.w
-    if scenario.case == "poisson_fixed_weight":
-        targets = scenario.band.targets(w)
-        num, den = 0, 1
-        for k in scenario.band.members():
-            sb, sc, den = _sb_sc_laws(scenario, k)
-            conv = convolve_integer(sb, sc)
-            num += comb(w, (w + k) // 2) * sum(conv[t] for t in targets)
-        return Fraction(num, 2**w * den)
-    if scenario.case == "bernoulli_fixed_weight":
-        sb, sc, _ = _sb_sc_laws(scenario, 0)
-        return Fraction(convolve_integer(sb, sc)[w // 2], comb(scenario.n, w))
-    raise ParameterError(f"{scenario.case} is not a fixed-weight case")
+    of mass_k P(S in targets | k) (_band_masses), each P(S = t | k) one dot
+    product sum_i sb[i] sc[t - i] / den of the pair laws (_sb_sc_laws); beta
+    in {0, 1} and an empty band (phi = 0) need no special case."""
+    if scenario.case == "bernoulli_parity_dense":
+        raise ParameterError(f"{scenario.case} is not a fixed-weight case")
+    masses, mass_den = _band_masses(scenario)
+    targets = scenario.band.targets(scenario.w)
+    num, den = 0, 1
+    for k, mass in masses.items():
+        sb, sc, den = _sb_sc_laws(scenario, k)
+        for t in targets:
+            lo = max(0, t - len(sc) + 1)
+            num += mass * sum(x * y for x, y in zip(sb[lo : t + 1], reversed(sc[: t + 1 - lo])))
+    return Fraction(num, mass_den * den)
 
 
 def psi_phi_fixed_weight(scenario: OverlapScenario):
-    """(psi, phi(beta)) for the fixed-weight cases; psi is phi at full
-    overlap (u = v), where the pair event is the single-vector event."""
-    return phi_fixed_weight(replace(scenario, beta=Fraction(1))), phi_fixed_weight(scenario)
+    """(psi, phi(beta)) for the fixed-weight cases; psi is the band's mass
+    (_band_masses): at u = v the pair event is the single-vector event."""
+    masses, den = _band_masses(scenario)
+    return Fraction(sum(masses.values()), den), phi_fixed_weight(scenario)
 
 
 def _row_psi_phi_functions(case, n, p=None, w=None, band_radius=0):
     """The one per-row source: (psi, r -> phi(2r/n)) for one row spec; the
     row plan builds each distinct row through it.
 
-    psi is phi at full overlap (u = v), where the pair event is the
-    single-vector event.  OverlapScenario refuses a Bernoulli fixed-weight
-    band other than 0.
+    Fixed-weight psi is the band's mass (_band_masses): at u = v the pair
+    event is the single-vector event.  OverlapScenario refuses a Bernoulli
+    fixed-weight band other than 0.
     """
     if case == "bernoulli_parity_dense":
         if band_radius != 0:
@@ -244,7 +250,8 @@ def _row_psi_phi_functions(case, n, p=None, w=None, band_radius=0):
     def phi(r):
         return phi_fixed_weight(OverlapScenario(case, n, w, Fraction(2 * r, n), band))
 
-    return phi_fixed_weight(OverlapScenario(case, n, w, Fraction(1), band)), phi
+    masses, den = _band_masses(OverlapScenario(case, n, w, Fraction(1), band))
+    return Fraction(sum(masses.values()), den), phi
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +283,9 @@ def _row_plan(case, n, m, p, w, band_radius, exact_sum):
     elif isinstance(w, int) and m is None:
         raise ParameterError("scalar w needs m")
     scalar = w is None or isinstance(w, int)
+    listed = not scalar and isinstance(w, Sequence) and all(isinstance(k, int) for k in w)
+    if not (scalar or listed and m in (None, len(w))):
+        raise ParameterError(f"w must be an int or a sequence of ints, one a row: w={w!r}, m={m}")
     counts = {w: m} if scalar else Counter(w)
     if sum(counts.values()) < 1:
         raise ParameterError("need at least one row (m >= 1)")

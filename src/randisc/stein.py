@@ -30,7 +30,7 @@ from .locallimits import (
     over_one_denominator,
     weighted_slope,
 )
-from .moments import OverlapScenario, _label_weights, _sb_sc_laws
+from .moments import OverlapScenario, _band_masses, _label_weights, _sb_sc_laws
 from .rng import IntegerTable, Stream, derive_key
 
 _DOMAIN_CHAIN = 0xCA
@@ -324,7 +324,7 @@ class PairCounts:
 
 # pair_density reads one entry of each law per call, so the last 64 laws are
 # kept here, where calls reuse them; moments.phi_fixed_weight reads each law
-# once and calls _sb_sc_laws uncached
+# once, for its dot products at the band targets, and goes uncached
 _cached_laws = lru_cache(maxsize=64)(_sb_sc_laws)
 
 
@@ -364,11 +364,8 @@ class PairStats:
 
 
 def conditioned_pair_stats(case, scenario: OverlapScenario) -> PairStats:
-    """Exact mu0, mu_c and the conditioned indicator moments g1, g2.
-
-    Poisson case averages over k in the band with the exact binomial
-    weights P(E_k | E_K); Bernoulli case conditions on w/2 draws per type.
-    """
+    """Exact mu0, mu_c and the conditioned indicator moments g1, g2: the
+    pair laws given k averaged over the band with its masses (_band_masses)."""
     mu0, g0, g1, g2, _, den = _pair_stats(case, scenario)
     g1, g2 = (tuple(Fraction(v, den) for v in g) for g in (g1, g2))
     return PairStats(mu0, Pmf.from_masses(0, g0), g1, g2)
@@ -381,23 +378,18 @@ def _pair_stats(case, scenario):
     E_c[k 1_{S=s}].
 
     Given k, sb and sc are independent with the laws B, C of _sb_sc_laws (B
-    scaled by k's band mass), so every S-sum is a convolution over one
-    denominator den: with cj = conv(sb**j B, C) and d = sc - sb = s - 2 sb,
+    scaled by k's mass in _band_masses), so every S-sum is a convolution over
+    one denominator den: with cj = conv(sb**j B, C) and d = sc - sb = s - 2 sb,
     g0 = c0, g1 = s c0 - 2 c1 and g2 = s**2 c0 - 4 s c1 + 4 c2.
     """
     _check_case(case, scenario)
-    w = scenario.w
-    if case == "poisson":
-        mu0 = binomial_pmf(w, Fraction(1, 2))
-        ks = scenario.band.members()
-        if not ks:
-            raise ParameterError("empty band")
-        masses = [comb(w, (w + k) // 2) for k in ks]
-    else:
-        mu0 = hypergeometric_pmf(w, scenario.n // 2, scenario.n)
-        ks, masses = (0,), [1]
+    n, w = scenario.n, scenario.w
+    mu0 = binomial_pmf(w, Fraction(1, 2)) if case == "poisson" else hypergeometric_pmf(w, n // 2, n)
+    masses, _ = _band_masses(scenario)
+    if not masses:
+        raise ParameterError("empty band")
     g0, g1, g2, band = ([0] * (w + 1) for _ in range(4))
-    for k, mk in zip(ks, masses):
+    for k, mk in masses.items():
         sb_law, sc_law, den = _cached_laws(scenario, k)
         sb_law = [mk * v for v in sb_law]
         c0 = convolve_integer(sb_law, sc_law)
@@ -408,7 +400,7 @@ def _pair_stats(case, scenario):
             g1[s] += s * v0 - 2 * v1
             g2[s] += s * s * v0 - 4 * s * v1 + 4 * v2
             band[s] += k * v0
-    den *= sum(masses)  # the laws' den is the same for every k
+    den *= sum(masses.values())  # the laws' den is the same for every k
     return mu0, g0, g1, g2, band, den
 
 
@@ -438,9 +430,9 @@ def identity_report(case, scenario: OverlapScenario) -> IdentityReport:
     so lhs, rhs and band_term are each an integer sum and one Fraction."""
     w = scenario.w
     mu0, g0, g1, g2, band, den = _pair_stats(case, scenario)
+    targets = scenario.band.targets(w)
     if case == "poisson":
         bd = binomial_pair_spec(w)
-        targets = scenario.band.targets(w)
         if any(not 1 <= t <= w - 1 for t in targets):
             raise ParameterError(
                 f"band targets {targets} leave the interior 1..{w - 1}; "
@@ -454,7 +446,6 @@ def identity_report(case, scenario: OverlapScenario) -> IdentityReport:
         if w < 2:
             raise ParameterError("bernoulli identity needs w >= 2")
         bd = hypergeometric_pair_spec(scenario.n, w)
-        targets = (w // 2,)
         # rhs weighs g2 - n x g1 with n x = p/q; there is no band term
         nx = scenario.n * scenario.x
         p, q = nx.numerator, nx.denominator

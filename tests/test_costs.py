@@ -54,7 +54,7 @@ def test_exact_seconds_fits_its_rows(band, row):
 
 def test_bernoulli_rows_of_weight_n_over_2_are_admitted():
     # the n = 768 row of EXACT_SECONDS_FIT, estimated only: w log2 n bits a
-    # row read 16.3 s, the bound by the size of the row's law about 2.4 s
+    # row read 1.5 s, the bound by the size of the row's law about 0.6 s
     assert costs.exact_seconds("bernoulli_fixed_weight", 768, None, {384: 8}, 0) < costs.EXACT_SECONDS
 
 

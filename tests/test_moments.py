@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from math import comb, isclose, log
 
@@ -99,8 +100,9 @@ def test_fixed_weight_phi_matches_direct_formula_oracle():
                 scenarios.append(mo.OverlapScenario("bernoulli_fixed_weight", n, w, F(2 * j, n)))
     empty = 0
     for scen in scenarios:
-        want = phi_fixed_weight_oracle(scen)
-        assert mo.psi_phi_fixed_weight(scen)[1] == want, scen
+        # psi is phi at full overlap, where the pair event is the row's own
+        want = (phi_fixed_weight_oracle(replace(scen, beta=1)), phi_fixed_weight_oracle(scen))
+        assert mo.psi_phi_fixed_weight(scen) == want, scen
         empty += not scen.band.members()
     assert empty and mo.psi_phi_fixed_weight(
         mo.OverlapScenario("poisson_fixed_weight", 6, 3, F(1, 3), mo.SymmetricBand(0, 1))
@@ -335,6 +337,8 @@ BAD_SPECS = {
     "dense_band": ("bernoulli_parity_dense", dict(n=8, m=2, p=F(1, 2), band_radius=2)),
     "bernoulli_band": ("bernoulli_fixed_weight", dict(n=8, m=2, w=2, band_radius=2)),
     "n_zero": ("bernoulli_parity_dense", dict(n=0, m=2, p=F(1, 2))),
+    "w_float": ("bernoulli_fixed_weight", dict(n=8, m=1, w=3.5)),
+    "w_list_m_mismatch": ("bernoulli_fixed_weight", dict(n=8, m=3, w=[2, 4])),
 }
 
 

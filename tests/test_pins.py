@@ -157,6 +157,13 @@ PINS = [
         "c7250308403302f332fcd0e9c7db8d8d15e75d481d0f20ff5903ffb26143ea14"),
     Pin("moments --case poisson-fixed --m 2 --n 32 --w 4 --band 2 --check",
         "dc74655262a313c7c19ab3d20c00b28633eafc87eb718a7b290875ae6d405956"),
+    # the band sum at an odd weight (band {-1, 1}), at w = n/2 (the widest
+    # Bernoulli laws), and with four band members and four targets
+    Pin("ratio --case poisson-fixed --w 5 --band 1 --m 2 --n 32",
+        "d88b0c828416378938b7490e027a9d50b7a367ffe77129efb433e59ef5f3bd83"),
+    Pin("ratio --case bernoulli-fixed --w 16 --m 2 --n 32", "d9de5e85985c930d08c00aaedd81d0c0347cb63f73df20a73bbc4a788c073c2b"),
+    Pin("moments --case poisson-fixed --w 9 --band 3 --m 2 --n 40 --check",
+        "2339959e2c72db4e120c7515810577b2638a87bb632f877bcc8f768056922387"),
     Pin("moments --case dense --m 2 --n 32 --p 1/2 --check", "5058fa2cda770b2671a43001d59c0f90470c8c43fe82fb9a0142ed1d72077f4b"),
     Pin("ratio --case bernoulli-fixed --m 2 --n 16 --w 4", "421072913efb58f293b990fe7c85be75fe95f2f52192b3dad771fe68f2f7c8e7"),
     Pin("ratio --case dense --m 16 --n 128 --p 1/2", "55a9b2d13ce53d942b6c4cccaf47ef087815626f9f34f7e9d7de8041d964b67b"),
