@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen, disc, zcount, moments, ratio, stein, lclt, phase.
-Exit codes partition cleanly: 0 success, 2 user/parameter error, 3 capacity
-error, 4 internal invariant violation.  Probability and rate flags accept
+Exit codes partition cleanly: 0 success, 2 user/parameter error or an OS
+error on an input or output path (stdout included), 3 capacity error, 4
+internal invariant violation.  Probability and rate flags accept
 exact rationals ("1/3") or decimal strings ("0.25"); rationals survive
 unchanged into the exact moment computations.
 """
@@ -10,6 +11,7 @@ unchanged into the exact moment computations.
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict, fields, is_dataclass
 from fractions import Fraction
@@ -46,23 +48,18 @@ def _json_value(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _print_json(payload):
-    """Print one JSON line; every exact value in it goes through _json_value."""
-    print(json.dumps(payload, default=_json_value))
+def _json_line(payload):
+    """One JSON line; every exact value in it goes through _json_value."""
+    return json.dumps(payload, default=_json_value) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns its output text, which dispatch writes
 
 
 def _cmd_gen(args):
     spec = ensembles.EnsembleSpec(args.ensemble, args.m, args.n, _fraction(args.p), args.seed)
-    A = ensembles.sample_at_parity(spec, args.parity)
-    if args.out:
-        ensembles.write_matrix(args.out, A)
-    else:
-        sys.stdout.write(ensembles.format_matrix(A))
-    return 0
+    return ensembles.format_matrix(ensembles.sample_at_parity(spec, args.parity))
 
 
 def _cmd_disc(args):
@@ -74,15 +71,13 @@ def _cmd_disc(args):
             raise ParameterError("--method mitm needs --r")
         ok, wit = solver.disc_exists_mitm(A, args.r, balanced_only=args.balanced)
         res = {"feasible": ok, "r": args.r, "witness": wit}
-    _print_json(res)
-    return 0
+    return _json_line(res)
 
 
 def _cmd_zcount(args):
     A = ensembles.read_matrix(args.infile)
     count = solver.count_solutions(A, args.r)
-    _print_json({"r": args.r, "count": count})
-    return 0
+    return _json_line({"r": args.r, "count": count})
 
 
 def _moment_kwargs(args):
@@ -132,15 +127,13 @@ def _cmd_moments(args):
             "C_fit": flags.c_fit,
             "central_ratio": flags.central_ratio,
         }
-    _print_json(payload)
-    return 0
+    return _json_line(payload)
 
 
 def _cmd_ratio(args):
     case, kw = _moment_kwargs(args)
     res = moments.second_moment_ratio(case, **kw)
-    _print_json({"case": case, "ratio": res.ratio, "profile": res.profile})
-    return 0
+    return _json_line({"case": case, "ratio": res.ratio, "profile": res.profile})
 
 
 def _load_birth_death(path):
@@ -179,7 +172,7 @@ def _cmd_verify_inverse(args):
         if bd.w != args.w:
             raise ParameterError(f"spec file has w={bd.w}, flag says {args.w}")
     sol = stein.stein_invert(bd, args.t)
-    _print_json(
+    return _json_line(
         {
             "w": args.w,
             "t": args.t,
@@ -189,7 +182,6 @@ def _cmd_verify_inverse(args):
             "inverse_residual": stein.stein_apply_residual(bd, sol),
         }
     )
-    return 0
 
 
 def _cmd_verify_identity(args):
@@ -199,8 +191,7 @@ def _cmd_verify_identity(args):
         stein.SCENARIO_CASES[args.case], n, args.w, _fraction(args.beta), band
     )
     rep = stein.identity_report(args.case, scen)
-    _print_json({"case": args.case, "w": args.w, "beta": args.beta, "band": args.band, **asdict(rep)})
-    return 0
+    return _json_line({"case": args.case, "w": args.w, "beta": args.beta, "band": args.band, **asdict(rep)})
 
 
 def _cmd_scan_bounds(args):
@@ -222,8 +213,7 @@ def _cmd_scan_bounds(args):
                 "g2_decay": g2.decay,
             }
         )
-    _print_json(out)
-    return 0
+    return _json_line(out)
 
 
 def _int_list(flag, text):
@@ -259,8 +249,7 @@ def _cmd_lclt(args):
     text = "\n".join(out) + "\n"
     if scan.decay_exponent is not None:
         text += f"# decay_exponent,{scan.decay_exponent:.4f}\n"
-    sys.stdout.write(text)
-    return 0
+    return text
 
 
 def _phase_csv(rows):
@@ -286,14 +275,7 @@ def _cmd_phase(args):
         threads=args.threads,
         seed=args.seed,
     )
-    rows = run_phase_scan(cfg)
-    text = _phase_csv(rows)
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _phase_csv(run_phase_scan(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +386,21 @@ def dispatch(argv) -> int:
     if not getattr(args, "fn", None):
         parser.print_usage(sys.stderr)
         return 2
+    out = getattr(args, "out", None)  # gen and phase take --out
     try:
-        return args.fn(args)
+        text = args.fn(args)
+        if out:
+            with open(out, "w", newline="\n") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        return 0
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: no such file: {exc.filename}", file=sys.stderr)
-        return 2
-    except IsADirectoryError as exc:
-        print(f"error: is a directory: {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # every input and output path; a failed write names no file
+        print(f"error: {exc.strerror or exc}: {exc.filename or out or 'stdout'}", file=sys.stderr)
         return 2
     except CapacityError as exc:
         extra = f" ({exc.estimate})" if exc.estimate else ""
@@ -425,7 +412,14 @@ def dispatch(argv) -> int:
 
 
 def main():
-    sys.exit(dispatch(sys.argv[1:]))
+    code = dispatch(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # dispatch has reported the failed write; with fd 1 on devnull the
+        # interpreter's final flush succeeds and keeps the exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from .errors import InvariantViolation, ParameterError, UnsupportedDistributionE
 from .locallimits import Pmf, binomial_pmf, truncated_poisson_pmf
 from .rng import IntegerTable, Stream, derive_key
 
-POISSON_SAMPLER_TAIL = Fraction(1, 2**60)
 PINELIS_DEFAULT_TAIL = Fraction(1, 10**15)
 
 # stream-domain tags, so sampling and coupling never share a substream
@@ -105,7 +104,7 @@ class IntMatrix:
 def _entry_table(kind, param):
     if kind == "bernoulli":
         return IntegerTable([param.denominator - param.numerator, param.numerator])
-    pmf, _ = truncated_poisson_pmf(param, POISSON_SAMPLER_TAIL)
+    pmf, _ = truncated_poisson_pmf(param)
     return IntegerTable(pmf.counts)
 
 
@@ -269,12 +268,13 @@ def row_sum_pmf(kind, n, param):
     """Law of one row sum under the sampler.
 
     Bernoulli rows sum to an exact Binomial(n, p).  Poisson rows are summed
-    as Poisson(n * rate) truncated at the sampler tail; the discrepancy from
-    the truncated-entry convolution is below n * 2**-60 in total variation.
+    as Poisson(n * rate), cut at truncated_poisson_pmf's default tail bound
+    2**-60 like each entry; the discrepancy from the truncated-entry
+    convolution is below n * 2**-60 in total variation.
     """
     if kind == "bernoulli":
         return binomial_pmf(n, param), None
-    return truncated_poisson_pmf(Fraction(n) * param, POISSON_SAMPLER_TAIL)
+    return truncated_poisson_pmf(Fraction(n) * param)
 
 
 @lru_cache(maxsize=64)

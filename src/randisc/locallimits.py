@@ -12,7 +12,7 @@ difference of two independent Binomial(r, p) counts.  Its step variance is
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, gcd, lcm, log, pi, sqrt
+from math import comb, exp, gcd, inf, lcm, log, pi, sqrt
 
 from .errors import CapacityError, ParameterError
 
@@ -388,8 +388,9 @@ def error_scan(kind, param_grid, size_key=None):
 
     `param_grid` is a sequence of dicts, each holding the kind's parameters
     plus "point".  When `size_key` names a parameter taking >= 3 distinct
-    values, the decay exponent of rel_error against that size is fitted by
-    least squares on the log-log scale.
+    values among the rows with a finite, nonzero rel_error, the decay
+    exponent of rel_error against that size is fitted by least squares on
+    the log-log scale over those rows.
     """
     grid = list(param_grid)
     if not grid:
@@ -408,7 +409,7 @@ def error_scan(kind, param_grid, size_key=None):
     rows.sort(key=lambda row: (sorted(row.params.items()), row.point))
     result = ScanResult(rows)
     if size_key is not None:
-        pts = [(log(r.params[size_key]), log(r.rel_error), 1) for r in rows if r.rel_error > 0]
+        pts = [(log(r.params[size_key]), log(r.rel_error), 1) for r in rows if 0 < r.rel_error < inf]
         if len({x for x, _, _ in pts}) >= 3:
             result.decay_exponent = weighted_slope(pts)
     return result

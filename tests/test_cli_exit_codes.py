@@ -8,12 +8,15 @@ a large exact pmf.
 """
 
 import contextlib
+import errno
 import io
 import json
+import os
 import random
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -67,6 +70,12 @@ spec_bytes = st.sampled_from(
 )
 
 
+# "@notdir" is a path under the matrix file, "@long" a 300-character name
+bad_paths = ["@dir", "@missing", "@notdir", "@long"]
+in_paths = st.sampled_from(["@matrix", "@matrix", "@matrix", *bad_paths])
+out_paths = st.sampled_from(["@file", *bad_paths])
+
+
 @st.composite
 def _flags(draw, options):
     """argv fragments: each flag in order, present nine times in ten when
@@ -91,16 +100,16 @@ SUBCOMMANDS = {
         ("--p", rationals, True),
         ("--seed", seeds, True),
         ("--parity", st.sampled_from(["none", "even", "odd"]), False),
-        ("--out", st.sampled_from(["@file", "@dir", "@missing"]), False),
+        ("--out", out_paths, False),
     ],
     "disc": [
-        ("--in", st.sampled_from(["@matrix", "@matrix", "@matrix", "@dir", "@missing"]), True),
+        ("--in", in_paths, True),
         ("--method", st.sampled_from(["brute", "mitm", "x"]), False),
         ("--balanced", _switch(), False),
         ("--r", int_text, False),
     ],
     "zcount": [
-        ("--in", st.sampled_from(["@matrix", "@matrix", "@matrix", "@dir", "@missing"]), True),
+        ("--in", in_paths, True),
         ("--r", int_text, True),
     ],
     "moments": [
@@ -125,7 +134,7 @@ SUBCOMMANDS = {
         ("--t", st.integers(-1, 10).map(str), True),
         ("--spec", st.sampled_from(["binomial", "hypergeometric", "file"]), False),
         ("--n", st.integers(-1, 20).map(str), False),
-        ("--file", st.sampled_from(["@spec", "@matrix", "@dir", "@missing"]), False),
+        ("--file", st.sampled_from(["@spec", "@matrix", *bad_paths]), False),
     ],
     "stein verify-identity": [
         ("--case", st.sampled_from(["poisson", "bernoulli"]), True),
@@ -160,7 +169,7 @@ SUBCOMMANDS = {
         ("--parity", st.sampled_from(["none", "even"]), False),
         ("--threads", st.integers(-1, 2).map(str), False),
         ("--seed", seeds, True),
-        ("--out", st.sampled_from(["@file", "@dir", "@missing"]), False),
+        ("--out", out_paths, False),
     ],
 }
 
@@ -176,7 +185,20 @@ def invocations(draw):
     return argv, draw(matrix_bytes), draw(spec_bytes)
 
 
-def _resolve(argv, files):
+def _resolve(argv, root, matrix, spec):
+    """argv with each path token made a path under root, after writing the
+    matrix and spec files there."""
+    (root / "a.mat").write_bytes(matrix)
+    (root / "spec.json").write_bytes(spec)
+    files = {
+        "@matrix": str(root / "a.mat"),
+        "@spec": str(root / "spec.json"),
+        "@file": str(root / "out.txt"),
+        "@dir": str(root),
+        "@missing": str(root / "missing" / "x"),
+        "@notdir": str(root / "a.mat" / "x"),
+        "@long": str(root / ("x" * 300)),
+    }
     return [files.get(tok, tok) for tok in argv]
 
 
@@ -191,19 +213,10 @@ def _resolve(argv, files):
 def test_every_argv_exits_with_a_contract_code(case):
     argv, matrix, spec = case
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        (root / "a.mat").write_bytes(matrix)
-        (root / "spec.json").write_bytes(spec)
-        files = {
-            "@matrix": str(root / "a.mat"),
-            "@spec": str(root / "spec.json"),
-            "@file": str(root / "out.txt"),
-            "@dir": tmp,
-            "@missing": str(root / "missing" / "x"),
-        }
+        resolved = _resolve(argv, Path(tmp), matrix, spec)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.dispatch(_resolve(argv, files))
+            code = cli.dispatch(resolved)
     assert code in EXIT_CODES, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
 
@@ -226,3 +239,72 @@ def test_mitm_on_two_thousand_rows_exits_with_a_contract_code():
                 signs = [1 if c == "+" else -1 for c in json.loads(out.getvalue())["witness"]]
                 radius = int(flags[-1])
                 assert all(abs(sum(s * v for s, v in zip(signs, row))) <= radius for row in rows)
+
+
+GOOD_MATRIX = _matrix_text([[1, 0, 1, 1], [0, 1, 1, 0]])
+GOOD_SPEC = b'{"w": 2, "a": ["2", "1", "0"], "b": ["0", "1", "2"]}'
+
+# one argv per subcommand that exits 0, so only a bad path or the write to
+# stdout can fail it
+WRITES_STDOUT = {
+    "gen": ["--ensemble", "bernoulli", "--m", "2", "--n", "4", "--p", "1/2", "--seed", "1"],
+    "disc": ["--in", "@matrix"],
+    "zcount": ["--in", "@matrix", "--r", "0"],
+    "moments": ["--case", "dense", "--m", "1", "--n", "4", "--p", "1/2"],
+    "ratio": ["--case", "poisson-fixed", "--m", "1", "--n", "4", "--w", "2"],
+    "stein verify-inverse": ["--w", "2", "--t", "1", "--spec", "file", "--file", "@spec"],
+    "stein verify-identity": ["--case", "poisson", "--w", "4", "--beta", "1/2"],
+    "stein scan-bounds": ["--case", "poisson", "--w-list", "4"],
+    "lclt": ["--kind", "demoivre", "--sizes", "10"],
+    "phase": ["--m", "2", "--p", "1/2", "--r", "1", "--n-start", "4", "--n-stop", "8",
+              "--trials", "2", "--seed", "1"],
+}
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose every write and flush raises `exc`: a full disk or a
+    reader that has gone."""
+
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+    def flush(self):
+        raise self.exc
+
+
+@pytest.mark.parametrize("bad", bad_paths)
+@pytest.mark.parametrize("cmd", ["disc", "gen", "phase", "stein verify-inverse", "zcount"])
+def test_every_path_flag_exits_2_on_a_bad_path(cmd, bad, tmp_path):
+    # each input path of WRITES_STDOUT, or an --out added, made bad
+    argv = [bad if tok.startswith("@") else tok for tok in WRITES_STDOUT[cmd]]
+    if cmd in ("gen", "phase"):
+        argv += ["--out", bad]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.dispatch(_resolve(cmd.split() + argv, tmp_path, GOOD_MATRIX, GOOD_SPEC))
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))],
+    ids=["ENOSPC", "EPIPE"],
+)
+@pytest.mark.parametrize("cmd", sorted(WRITES_STDOUT))
+def test_a_failed_stdout_write_exits_2(cmd, exc, tmp_path):
+    assert set(WRITES_STDOUT) == set(SUBCOMMANDS)
+    argv = _resolve(cmd.split() + WRITES_STDOUT[cmd], tmp_path, GOOD_MATRIX, GOOD_SPEC)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.dispatch(argv) == 0, err.getvalue()
+    assert out.getvalue()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FailingStdout(exc)), contextlib.redirect_stderr(err):
+        code = cli.dispatch(argv)
+    assert code == 2
+    assert err.getvalue() == f"error: {exc.strerror}: stdout\n"

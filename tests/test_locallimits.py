@@ -240,6 +240,19 @@ def test_error_scan_edgeworth_decay():
     assert -2.3 < scan.decay_exponent < -1.7
 
 
+def test_error_scan_fits_only_rows_with_a_finite_nonzero_error():
+    # point 3 has exact mass 0 at ksucc = 2 (rel_error inf); point 1's three
+    # finite errors still give the slope, and a size that has only
+    # zero-mass rows does not count towards the three sizes a fit needs
+    grid = [{"w": w, "ksucc": 2, "npop": 64, "point": x} for w in (4, 8, 16) for x in (1, 3)]
+    scan = ll.error_scan("hyp_tail", grid, size_key="w")
+    finite = [(math.log(r.params["w"]), math.log(r.rel_error), 1) for r in scan.rows if r.point == 1]
+    assert len(finite) == 3 and [r.rel_error for r in scan.rows if r.point == 3] == [math.inf] * 3
+    assert scan.decay_exponent == ll.weighted_slope(finite) < 0
+    two_sizes = [gp for gp in grid if gp["point"] == 1 and gp["w"] < 16] + [grid[-1]]
+    assert ll.error_scan("hyp_tail", two_sizes, size_key="w").decay_exponent is None
+
+
 def test_error_scan_rejects_empty_grid():
     with pytest.raises(ParameterError):
         ll.error_scan("demoivre", [])

@@ -235,11 +235,11 @@ def test_balanced_needs_even_n():
         solver.count_solutions(mat([[1, 0, 1]]), 1)
 
 
-def test_solve_result_json(capsys):
+def test_solve_result_json():
     # the CLI prints the result object itself: its fields in order, the
     # witness as its sign string
-    cli._print_json(solver.disc_exhaustive(mat([[1, 2]])))
-    assert capsys.readouterr().out == '{"value": 1, "witness": "+-", "count": null}\n'
+    line = cli._json_line(solver.disc_exhaustive(mat([[1, 2]])))
+    assert line == '{"value": 1, "witness": "+-", "count": null}\n'
 
 
 def test_sign_vector_string_roundtrip():
