@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Subcommands: gen, disc, zcount, moments, ratio, stein, lclt, phase.
-Exit codes partition cleanly: 0 success, 2 user/parameter error or an OS
-error on an input or output path (stdout included), 3 capacity error, 4
-internal invariant violation.  Probability and rate flags accept
-exact rationals ("1/3") or decimal strings ("0.25"); rationals survive
-unchanged into the exact moment computations.
+Exit code 0 is success; a failure exits with the code and stderr label
+that its class in randisc.errors carries, an OS error on an input or output
+path (stdout included) as a ParameterError.  Probability and rate flags
+accept exact rationals ("1/3") or decimal strings ("0.25"); rationals
+survive unchanged into the exact moment computations.
 """
 
 import argparse
+import contextlib
+import errno
 import functools
 import json
 import os
@@ -18,7 +20,7 @@ from fractions import Fraction
 from math import log10
 
 from . import ensembles, locallimits, moments, solver, stein
-from .errors import CapacityError, InvariantViolation, ParameterError
+from .errors import CapacityError, ParameterError, RandiscError
 from .phase import PhaseScanConfig, run_phase_scan
 
 
@@ -86,16 +88,8 @@ def _moment_kwargs(args):
         "bernoulli-fixed": "bernoulli_fixed_weight",
         "poisson-fixed": "poisson_fixed_weight",
     }[args.case]
-    kw = {"n": args.n, "m": args.m, "band_radius": args.band}
-    if case == "bernoulli_parity_dense":
-        if args.p is None:
-            raise ParameterError("dense case needs --p")
-        kw["p"] = _fraction(args.p)
-    else:
-        if args.w is None:
-            raise ParameterError("fixed-weight cases need --w")
-        kw["w"] = args.w
-    return case, kw
+    p = None if args.p is None else _fraction(args.p)
+    return case, {"n": args.n, "m": args.m, "p": p, "w": args.w, "band_radius": args.band}
 
 
 def _cmd_moments(args):
@@ -376,18 +370,39 @@ def _build_parser():
     return top
 
 
+def _check_out(path):
+    """Raise before the work the OSError that opening `path` for writing
+    would raise, leaving an existing file as it is and no new one behind."""
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path) from None
+    else:
+        os.remove(path)
+
+
+def _report(exc):
+    """Write the error's label and message to stderr as one line, and return
+    its exit code; a stderr that cannot be written keeps the code."""
+    estimate = getattr(exc, "estimate", None)
+    with contextlib.suppress(OSError):
+        print(f"{exc.label}: {exc}" + (f" ({estimate})" if estimate else ""), file=sys.stderr)
+    return exc.exit_code
+
+
 def dispatch(argv) -> int:
     """Run one subcommand; returns the process exit code."""
     parser = _build_parser()
+    out = None
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    if not getattr(args, "fn", None):
-        parser.print_usage(sys.stderr)
-        return 2
-    out = getattr(args, "out", None)  # gen and phase take --out
-    try:
+        if not getattr(args, "fn", None):
+            parser.print_usage(sys.stderr)
+            return ParameterError.exit_code
+        out = getattr(args, "out", None)  # gen and phase take --out
+        if out:
+            _check_out(out)
         text = args.fn(args)
         if out:
             with open(out, "w", newline="\n") as fh:
@@ -396,19 +411,12 @@ def dispatch(argv) -> int:
             sys.stdout.write(text)
             sys.stdout.flush()
         return 0
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except SystemExit as exc:  # argparse has written its help, or its usage and error
+        return ParameterError.exit_code if exc.code else 0
+    except RandiscError as exc:
+        return _report(exc)
     except OSError as exc:  # every input and output path; a failed write names no file
-        print(f"error: {exc.strerror or exc}: {exc.filename or out or 'stdout'}", file=sys.stderr)
-        return 2
-    except CapacityError as exc:
-        extra = f" ({exc.estimate})" if exc.estimate else ""
-        print(f"capacity: {exc}{extra}", file=sys.stderr)
-        return 3
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 4
+        return _report(ParameterError(f"{exc.strerror or exc}: {exc.filename or out or 'stdout'}"))
 
 
 def main():

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto exit codes: ParameterError -> 2, CapacityError -> 3,
-InvariantViolation -> 4.
+Each class below RandiscError states how the CLI reports it: `exit_code`
+is the process exit code and `label` starts the one stderr line.
 """
 
 class RandiscError(Exception):
@@ -10,6 +10,8 @@ class RandiscError(Exception):
 
 class ParameterError(RandiscError, ValueError):
     """An argument is outside an operation's documented domain."""
+
+    exit_code, label = 2, "error"
 
 
 class UnsupportedDistributionError(ParameterError):
@@ -23,6 +25,8 @@ class CapacityError(RandiscError, RuntimeError):
     projected requirement.
     """
 
+    exit_code, label = 3, "capacity"
+
     def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
@@ -30,3 +34,5 @@ class CapacityError(RandiscError, RuntimeError):
 
 class InvariantViolation(RandiscError, RuntimeError):
     """An internal exact invariant failed; indicates a bug or bad input."""
+
+    exit_code, label = 4, "invariant violation"

@@ -22,21 +22,18 @@ from .rng import Stream, derive_key, mix64
 np = LazyNumpy(globals())
 
 # count_solutions' default cap, past which it counts by the join; perfbench
-# reads it and sets it to 0 in checks.  Bernoulli(1/2), r = 1, ms per count,
-# blocks / join (2-core box, process time, median of five matrices, best of
-# three runs):
-#   n   m=2         m=6         m=10
-#   16  0.3 / 0.7   0.6 / 1.4   0.7 / 2.1
-#   18  0.6 / 0.7   1.3 / 1.6   1.8 / 2.3
-#   22  1.2 / 0.5   2.7 / 2.0   4.3 / 3.2
-#   26  8.1 / 0.6   11.2 / 1.7  19.3 / 5.7
-# The join is close behind at n = 18 and leads past it.  A wider radius
-# keeps more pairs at each depth: at n = 18, m = 10 it took 4.0 ms at r = 2
-# and 6.7 ms at r = 3, against 2.0 and 1.8 for the blocks.  Past 10 rows
-# the blocks lead at r = 2 up to the enumeration cap (seeds 0-2, m = 12, 20
-# and 50, blocks / join in ms): 1.8-3.4 / 4.3-9.1 at n = 18 and 22-58 / 109-130
-# at n = 26.  At r = 1 the join leads there at n = 26 (21-55 / 7-13), which
-# the routing by rows alone does not see
+# reads it and sets it to 0 in checks.  Bernoulli(1/2) at seed 1, ms per
+# count, blocks / join (2-core box, process time, best of three; the
+# blocks at cap=costs.ENUMERATION_CAP, every count equal):
+#   n   r   m=10         m=12         m=20         m=50
+#   22  3   1.9 / 26.0   2.0 / 32.7   2.3 / 53.5   4.2 / 81.7
+#   26  1   8.6 / 2.4    9.2 / 2.7    12.5 / 3.8   30.7 / 6.3
+#   26  2   8.5 / 27.1   9.1 / 34.5   12.5 / 44.4  31.3 / 54.6
+#   26  3   8.3 / 130    9.4 / 184    12.7 / 316   30.9 / 496
+# The join leads at r = 1 and trails 14-25x at r = 3 from n = 22 on.  The
+# route reads rows alone: it sends every m <= 10 count past the cap to the
+# join, r = 3 included, and every m > 10 count up to the enumeration cap to
+# the blocks, r = 1 included
 EXHAUSTIVE_CAP = 16
 BLOCKS_FASTER_PAST_M = 10  # count_solutions counts more rows by the blocks, to the enumeration cap
 _BLOCK_BITS = 16

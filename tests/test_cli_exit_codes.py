@@ -1,6 +1,7 @@
 """Property test of the CLI exit-code contract: for any argv, exit 0 (done),
 2 (user or parameter error), 3 (capacity) or 4 (invariant violation), and
-never an escaping exception or a traceback on stderr.
+never an escaping exception or a traceback on stderr, whether or not stdout
+and stderr can be written.
 
 Inputs stay small (n <= 12 in phase scans and generated matrices, lazy-walk
 and scan sizes <= 64), so no case starts a large meet-in-the-middle scan or
@@ -13,16 +14,21 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_startup import _ENV
 
 from randisc import cli, locallimits
+from randisc.errors import CapacityError, InvariantViolation, ParameterError
 
 EXIT_CODES = {0, 2, 3, 4}
+ENOSPC = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 ints = st.integers(-2, 12).map(str)
 int_text = st.one_of(ints, st.sampled_from(["x", "", "1.5", "-0", "99999999999999999999"]))
@@ -202,6 +208,21 @@ def _resolve(argv, root, matrix, spec):
     return [files.get(tok, tok) for tok in argv]
 
 
+class _FailingStream(io.StringIO):
+    """A stdout or stderr whose every write and flush raises `exc`: a full
+    disk or a reader that has gone."""
+
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+    def flush(self):
+        raise self.exc
+
+
 @settings(
     max_examples=400,
     deadline=None,
@@ -217,8 +238,12 @@ def test_every_argv_exits_with_a_contract_code(case):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.dispatch(resolved)
-    assert code in EXIT_CODES, (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue(), argv
+        assert code in EXIT_CODES, (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+        if code:
+            # the same failure, reported to a stderr that cannot be written
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(_FailingStream(ENOSPC)):
+                assert cli.dispatch(resolved) == code, argv
 
 
 def test_mitm_on_two_thousand_rows_exits_with_a_contract_code():
@@ -261,28 +286,25 @@ WRITES_STDOUT = {
 }
 
 
-class _FailingStdout(io.StringIO):
-    """A stdout whose every write and flush raises `exc`: a full disk or a
-    reader that has gone."""
+# the library call that does the work of each command with --out
+WORK = {"gen": (cli.ensembles, "sample_at_parity"), "phase": (cli, "run_phase_scan")}
 
-    def __init__(self, exc):
-        super().__init__()
-        self.exc = exc
 
-    def write(self, text):
-        raise self.exc
-
-    def flush(self):
-        raise self.exc
+def _raises(exc):
+    def call(*args, **kwargs):
+        raise exc
+    return call
 
 
 @pytest.mark.parametrize("bad", bad_paths)
 @pytest.mark.parametrize("cmd", ["disc", "gen", "phase", "stein verify-inverse", "zcount"])
-def test_every_path_flag_exits_2_on_a_bad_path(cmd, bad, tmp_path):
-    # each input path of WRITES_STDOUT, or an --out added, made bad
+def test_every_path_flag_exits_2_on_a_bad_path(cmd, bad, tmp_path, monkeypatch):
+    # each input path of WRITES_STDOUT, or an --out added, made bad; a bad
+    # --out is refused before the work
     argv = [bad if tok.startswith("@") else tok for tok in WRITES_STDOUT[cmd]]
-    if cmd in ("gen", "phase"):
+    if cmd in WORK:
         argv += ["--out", bad]
+        monkeypatch.setattr(*WORK[cmd], _raises(AssertionError("the work ran before --out was checked")))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.dispatch(_resolve(cmd.split() + argv, tmp_path, GOOD_MATRIX, GOOD_SPEC))
@@ -304,7 +326,60 @@ def test_a_failed_stdout_write_exits_2(cmd, exc, tmp_path):
         assert cli.dispatch(argv) == 0, err.getvalue()
     assert out.getvalue()
     err = io.StringIO()
-    with contextlib.redirect_stdout(_FailingStdout(exc)), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(_FailingStream(exc)), contextlib.redirect_stderr(err):
         code = cli.dispatch(argv)
     assert code == 2
     assert err.getvalue() == f"error: {exc.strerror}: stdout\n"
+
+
+@pytest.mark.parametrize("error, code", [(ParameterError("bad"), 2), (CapacityError("big"), 3)], ids=["exit2", "exit3"])
+@pytest.mark.parametrize("cmd", sorted(WORK))
+def test_a_failing_run_leaves_its_out_path_as_it_was(cmd, error, code, tmp_path, monkeypatch):
+    # the --out check neither truncates an existing file nor leaves a new one
+    monkeypatch.setattr(*WORK[cmd], _raises(error))
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_bytes(b"kept\n")
+    for path in (old, new):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.dispatch([cmd, *WRITES_STDOUT[cmd], "--out", str(path)]) == code
+    assert old.read_bytes() == b"kept\n" and not new.exists()
+
+
+@pytest.mark.parametrize(
+    "error, code, line",
+    [
+        (ParameterError("bad"), 2, "error: bad\n"),
+        (CapacityError("big", estimate="~1 s"), 3, "capacity: big (~1 s)\n"),
+        (InvariantViolation("broken"), 4, "invariant violation: broken\n"),
+    ],
+    ids=["exit2", "exit3", "exit4"],
+)
+def test_each_error_class_keeps_its_code_when_stderr_fails(error, code, line, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.solver, "count_solutions", _raises(error))
+    argv = _resolve(["zcount", *WRITES_STDOUT["zcount"]], tmp_path, GOOD_MATRIX, GOOD_SPEC)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.dispatch(argv) == code
+    assert err.getvalue() == line
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(_FailingStream(ENOSPC)):
+        assert cli.dispatch(argv) == code
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, stdout, code",
+    [
+        (["zcount", "--in", "@matrix", "--r", "-1"], os.devnull, 2),
+        (["disc", "--in", "@missing"], os.devnull, 2),
+        (["disc", "--in", "@matrix"], "/dev/full", 2),
+        (["lclt", "--kind", "stirling_binom", "--sizes", "1024", "--points", "512"], os.devnull, 3),
+    ],
+    ids=["parameter", "missing", "stdout-full", "capacity"],
+)
+def test_a_full_stderr_keeps_the_exit_code_in_a_fresh_process(argv, stdout, code, tmp_path):
+    argv = _resolve(argv, tmp_path, GOOD_MATRIX, GOOD_SPEC)
+    with open(stdout, "w") as out, open("/dev/full", "w") as err:
+        proc = subprocess.run(
+            [sys.executable, "-m", "randisc.cli", *argv], stdout=out, stderr=err, env=_ENV, timeout=120
+        )
+    assert proc.returncode == code
